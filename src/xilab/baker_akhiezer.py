@@ -139,10 +139,6 @@ def _panel_edges(u, x_pos: float, x_neg: float, *, even: bool, du: float = 5.0,
     return np.concatenate([-neg[::-1][:-1], pos])
 
 
-def psi(f: BAFunction, z) -> complex:
-    return f.psi(z)
-
-
 @dataclass(frozen=True)
 class ReferenceZeros:
     function_id: str

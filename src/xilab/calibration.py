@@ -18,7 +18,7 @@ import mpmath as mp
 from mpmath import mpf
 
 from .baker_akhiezer import ReferenceZeros
-from .errors import ComplexAnchor, DegenerateFit, MissingPipeline
+from .errors import ComplexAnchor, DegenerateFit
 from .precision import pretty, to_decimal
 
 
@@ -94,10 +94,6 @@ class TableRow:
         }
 
 
-ROW_ORDER = ("airy", "riemann", "ramanujan", "gen_airy", "gen_airy_m130",
-             "gen_airy_133", "bessel_k", "eta_gamma")
-
-
 @dataclass(frozen=True)
 class ZeroReport:
     rows: tuple
@@ -134,11 +130,3 @@ class ZeroReport:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
-
-def build_table1(rows_by_id: dict, *, N: int, precision: int) -> ZeroReport:
-    """Assemble the eight-row report; every row must be present."""
-    missing = [r for r in ROW_ORDER if r not in rows_by_id]
-    if missing:
-        raise MissingPipeline(f"missing rows: {missing}")
-    return ZeroReport(rows=tuple(rows_by_id[r] for r in ROW_ORDER),
-                      N=N, precision=precision)

@@ -12,8 +12,9 @@ inspectable:
     master     quenched master-field least squares
     saddle     saddle-point eigenvalue solver
 
-Exit codes: 0 ok, 2 config/spec error, 3 numerical failure. The env var
-XI_LAB_PRECISION sets the default working precision; --precision overrides.
+Exit codes: 0 ok, 2 config/spec error, 3 numerical failure. The working
+precision is --precision, else the XI_LAB_PRECISION environment variable
+(read here, by ``main``), else 60 digits.
 Numbers in JSON are decimal strings at full working precision; tables round
 to 6 significant digits.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import mpmath as mp
@@ -31,13 +33,16 @@ from mpmath import mpf
 from . import baker_akhiezer as ba
 from . import errors as err
 from . import master_field as mf
-from .calibration import build_table1
 from .kernels import BACKEND
 from .matrix_model import build_potential
-from .pipeline import ROW_IDS, run_from_spec, run_model, run_row
-from .potentials import KINDS, PotentialSpec, taylor_u
+from .pipeline import (ROW_IDS, build_table1, expand_spec, run_from_spec,
+                       run_model, run_row)
+from .potentials import KINDS, PotentialSpec
 from .precision import pretty, set_working_dps, to_decimal, working_dps
-from .scaling import cosh_couplings, double_scaling, rescale_potential
+from .scaling import double_scaling
+# not called here; kept because perfbench/layers.py wraps these cli attributes
+from .potentials import taylor_u  # noqa: F401
+from .scaling import cosh_couplings, rescale_potential  # noqa: F401
 
 NUMERICAL_ERRORS = (err.NonConvergence, err.NoConvergence, err.TailNotNegligible,
                     err.InsufficientZerosFound, err.SingularJacobian,
@@ -77,10 +82,8 @@ def _emit(payload: dict, path: str | None):
 def cmd_expand(args) -> int:
     spec = _spec_from_args(args)
     p = args.p
-    through = p if spec.kind == "eta_gamma" else None
-    order = max(p + 1, (through or 0) + 1)
-    u = taylor_u(spec, order)
-    scaled = rescale_potential(u, p, couplings_through=through)
+    order = p + 1
+    u, scaled = expand_spec(spec, p)
     if args.json is not None:
         _emit({**_meta(),
                "a": [to_decimal(u[n]) for n in range(order + 1)],
@@ -113,15 +116,8 @@ def _solve_run(args):
         return run_model(params)
     if args.row:
         return run_row(args.row, N=N).run
-    spec = _spec_from_args(args)
-    if spec.kind == "cosh":
-        scaled = cosh_couplings(args.p)
-        params = double_scaling(args.p, N, scaled.s, g_mode=args.g_mode,
-                                g_override=args.g)
-        return run_model(params, spec=spec, scaled=scaled)
-    through = args.p if spec.kind == "eta_gamma" else None
-    return run_from_spec(spec, args.p, N, g_mode=args.g_mode,
-                         g_override=args.g, couplings_through=through)
+    return run_from_spec(_spec_from_args(args), args.p, N, g_mode=args.g_mode,
+                         g_override=args.g)
 
 
 def cmd_solve(args) -> int:
@@ -376,15 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _set_precision(dps: int | None) -> None:
+    """Apply --precision, else XI_LAB_PRECISION; with neither, leave it as is."""
+    if dps is None:
+        env = os.environ.get("XI_LAB_PRECISION")
+        if env is None:
+            return
+        try:
+            dps = int(env)
+        except ValueError:
+            raise ValueError(f"XI_LAB_PRECISION must be an integer, got {env!r}") from None
+    set_working_dps(dps)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.precision is not None:
-        try:
-            set_working_dps(args.precision)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        _set_precision(args.precision)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CONFIG_ERRORS as exc:

@@ -162,10 +162,6 @@ def residuals(cfg: MasterConfig, state: MasterState):
                             cfg.vp_coeffs(), cfg.g, eta1, eta2)
 
 
-def cost(E, F) -> float:
-    return master_cost(E, F)
-
-
 def _residual_vector(E, F) -> np.ndarray:
     return np.concatenate([E.real.ravel(), E.imag.ravel(),
                            F.real.ravel(), F.imag.ravel()])

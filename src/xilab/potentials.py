@@ -15,8 +15,7 @@ import mpmath as mp
 from mpmath import mpf
 
 from .errors import NonConvergence
-from .series import (TaylorSeries, series_compose, series_exp, series_log,
-                     series_scale)
+from .series import TaylorSeries, series_compose, series_exp, series_log
 
 KINDS = ("riemann", "ramanujan", "eta_gamma", "cosh", "monomial", "explicit")
 
@@ -152,8 +151,8 @@ def _phi_riemann_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
     e52 = TaylorSeries.exponential(mpf(5) / 2, order)
     total = TaylorSeries.zero(order)
     for n in range(1, max_terms + 1):
-        damp = series_exp(series_scale(e2, -mp.pi * n * n))
-        pre = series_scale(e92, 4 * mp.pi ** 2 * n ** 4) - series_scale(e52, 6 * mp.pi * n ** 2)
+        damp = series_exp(e2 * (-mp.pi * n * n))
+        pre = e92 * (4 * mp.pi ** 2 * n ** 4) - e52 * (6 * mp.pi * n ** 2)
         term = pre * damp
         total = total + term
         if max(abs(c) for c in term.coeffs) < tol:
@@ -169,8 +168,7 @@ def _phi_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
     exp_ref = TaylorSeries([1 / mp.factorial(n) for n in range(order + 1)])
 
     def damped(scale) -> TaylorSeries:
-        inner = series_scale(em0, scale)
-        return series_scale(series_compose(exp_ref, inner), mp.exp(scale))
+        return series_compose(exp_ref, em0 * scale) * mp.exp(scale)
 
     total = TaylorSeries.exponential(-6, order) * damped(-2 * mp.pi)
     for n in range(1, max_terms + 1):

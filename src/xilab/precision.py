@@ -6,20 +6,20 @@ Arithmetic rounds at the current working precision, so mixing values created
 at lower precision with higher-precision ones loses nothing: the result
 carries max(operand precision) significant digits.
 
-The default (60 digits) can be overridden by the ``XI_LAB_PRECISION``
-environment variable or :func:`set_working_dps`.
+The default (60 digits) is set at import and changed by
+:func:`set_working_dps`. This module reads no environment variable; the
+command line reads ``XI_LAB_PRECISION`` (see ``xilab.cli``).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 MIN_DPS = 15
-DEFAULT_DPS = int(os.environ.get("XI_LAB_PRECISION", "60"))
+DEFAULT_DPS = 60
 
 
 def set_working_dps(dps: int) -> None:

@@ -123,18 +123,6 @@ class TaylorSeries:
         return TaylorSeries([n * c for n, c in enumerate(self.coeffs)][1:])
 
 
-def series_add(s: TaylorSeries, t: TaylorSeries) -> TaylorSeries:
-    return s + t
-
-
-def series_mul(s: TaylorSeries, t: TaylorSeries) -> TaylorSeries:
-    return s * t
-
-
-def series_scale(s: TaylorSeries, factor) -> TaylorSeries:
-    return s * factor
-
-
 def series_exp(s: TaylorSeries) -> TaylorSeries:
     """exp of a series via the recurrence (exp f)' = f' exp f."""
     k = s.order

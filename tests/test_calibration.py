@@ -4,9 +4,9 @@ from mpmath import mpf
 
 from conftest import assert_rel
 from xilab.baker_akhiezer import ReferenceZeros
-from xilab.calibration import build_table1, estimate_zeros, fit_linear
+from xilab.calibration import estimate_zeros, fit_linear
 from xilab.errors import ComplexAnchor, DegenerateFit, MissingPipeline
-from xilab.pipeline import ROW_IDS
+from xilab.pipeline import ROW_IDS, build_table1
 
 
 class TestFitLinear:

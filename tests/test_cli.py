@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from xilab import cli
 from xilab.cli import main
 
 
@@ -78,6 +79,18 @@ class TestSolve:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("kind_args, row", [
+        (("--kind", "cosh", "--p", "7"), "bessel_k"),
+        (("--kind", "eta_gamma", "--p", "19"), "eta_gamma"),
+    ])
+    def test_kind_matches_its_row(self, capsys, monkeypatch, rows, kind_args, row):
+        """A kind and its catalogued row share one coupling rule, byte for byte."""
+        code, by_kind, _ = run_cli(capsys, "solve", *kind_args, "--N", "16", "--json")
+        monkeypatch.setattr(cli, "run_row", lambda rid, N: rows(rid, N))
+        code_row, by_row, _ = run_cli(capsys, "solve", "--row", row, "--N", "16", "--json")
+        assert code == code_row == 0
+        assert by_kind == by_row
 
     def test_row_riemann(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--row", "riemann")
@@ -178,3 +191,13 @@ class TestPrecision:
             [sys.executable, "-m", "xilab.cli", "zeros", "--function", "gen_airy"],
             capture_output=True, text=True, env=env, check=True)
         assert json.loads(out.stdout)["precision"] == 25
+
+    @pytest.mark.parametrize("value", ["abc", "10"])
+    def test_bad_env_var_exits_2(self, value):
+        env = dict(os.environ, XI_LAB_PRECISION=value)
+        out = subprocess.run(
+            [sys.executable, "-m", "xilab.cli", "zeros", "--function", "gen_airy"],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ")
+        assert "Traceback" not in out.stderr

@@ -6,8 +6,7 @@ from mpmath import mpf
 
 from conftest import assert_rel
 from xilab.errors import NonPositiveConstantTerm, NonzeroInnerConstant
-from xilab.series import (BiSeries, TaylorSeries, series_compose, series_exp,
-                          series_log, series_mul, series_scale)
+from xilab.series import BiSeries, TaylorSeries, series_compose, series_exp, series_log
 
 
 def poly(*cs):
@@ -20,7 +19,7 @@ class TestArithmetic:
         assert s.coeffs == (mpf(1), mpf(0), mpf(-1))
 
     def test_scale(self):
-        assert series_scale(poly(0, 0, 1), 3).coeffs == (mpf(0), mpf(0), mpf(3))
+        assert (poly(0, 0, 1) * 3).coeffs == (mpf(0), mpf(0), mpf(3))
 
     def test_exp_times_exp_minus(self):
         k = 6
@@ -60,7 +59,7 @@ class TestExpLog:
             assert abs(back[n] - f[n]) < mpf(10) ** (-50)
 
     def test_log_of_scaled_one(self):
-        s = series_log(series_scale(poly(1, 0, 0), mp.e))
+        s = series_log(poly(1, 0, 0) * mp.e)
         assert_rel(s[0], 1, "1e-55", "log const")
         assert abs(s[1]) < mpf(10) ** (-55)
 
@@ -118,12 +117,12 @@ class TestProperties:
     def test_product_commutes_associates(self, a, b, c):
         fa, fb, fc = TaylorSeries(a), TaylorSeries(b), TaylorSeries(c)
         tol = mpf(10) ** (-(mp.mp.dps - 5))
-        ab = series_mul(fa, fb)
-        ba = series_mul(fb, fa)
+        ab = fa * fb
+        ba = fb * fa
         for x, y in zip(ab.coeffs, ba.coeffs):
             assert abs(x - y) < tol
-        left = series_mul(series_mul(fa, fb), fc)
-        right = series_mul(fa, series_mul(fb, fc))
+        left = (fa * fb) * fc
+        right = fa * (fb * fc)
         for x, y in zip(left.coeffs, right.coeffs):
             assert abs(x - y) < tol
 
