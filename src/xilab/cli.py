@@ -35,8 +35,8 @@ from . import errors as err
 from . import master_field as mf
 from .kernels import BACKEND
 from .matrix_model import build_potential
-from .pipeline import (ROW_IDS, build_table1, expand_spec, run_from_spec,
-                       run_model, run_row)
+from .pipeline import (ROW_IDS, ROWS, build_table1, expand_spec, row_model,
+                       run_from_spec, run_model, run_row)
 from .potentials import KINDS, PotentialSpec
 from .precision import pretty, set_working_dps, to_decimal, working_dps
 from .scaling import double_scaling
@@ -49,6 +49,15 @@ NUMERICAL_ERRORS = (err.NonConvergence, err.NoConvergence, err.TailNotNegligible
                     err.NonPositiveG, err.NonPositiveLeadingCoefficient)
 CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference, err.MissingPipeline)
 
+#: model degree when --p is not given
+DEFAULT_P = 7
+#: solve flags (argparse dests) whose values a --row takes from its catalogue entry
+ROW_FIXED_FLAGS = ("kind", "p", "s", "degree", "g", "g_mode", "hermite")
+
+
+def _model_p(args) -> int:
+    return DEFAULT_P if args.p is None else args.p
+
 
 def _spec_from_args(args) -> PotentialSpec:
     kw = {"kind": args.kind}
@@ -59,7 +68,7 @@ def _spec_from_args(args) -> PotentialSpec:
     if args.kind == "explicit":
         if not args.s:
             raise ValueError("--s is required for the explicit kind")
-        kw["p"] = args.p
+        kw["p"] = _model_p(args)
         kw["s"] = tuple(v.strip() for v in args.s.split(","))
     if getattr(args, "max_terms", None):
         kw["max_terms"] = args.max_terms
@@ -81,7 +90,7 @@ def _emit(payload: dict, path: str | None):
 
 def cmd_expand(args) -> int:
     spec = _spec_from_args(args)
-    p = args.p
+    p = _model_p(args)
     order = p + 1
     u, scaled = expand_spec(spec, p)
     if args.json is not None:
@@ -110,14 +119,19 @@ def cmd_expand(args) -> int:
 
 def _solve_run(args):
     N = args.N
+    if args.row:
+        given = [f"--{dest.replace('_', '-')}" for dest in ROW_FIXED_FLAGS
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"--row {args.row} takes its potential and g from the row; "
+                             f"drop {', '.join(given)}")
+        return run_row(args.row, N=N).run
     if args.hermite:
         g = mpf(args.g) if args.g else mpf(1) / N
         params = double_scaling(2, N, (), g_mode="plain", g_override=g)
         return run_model(params)
-    if args.row:
-        return run_row(args.row, N=N).run
-    return run_from_spec(_spec_from_args(args), args.p, N, g_mode=args.g_mode,
-                         g_override=args.g)
+    return run_from_spec(_spec_from_args(args), _model_p(args), N,
+                         g_mode=args.g_mode or "corrected", g_override=args.g)
 
 
 def cmd_solve(args) -> int:
@@ -155,6 +169,10 @@ def _ba_function(name: str) -> ba.BAFunction:
 
 
 def cmd_psi(args) -> int:
+    if not args.step > 0:
+        raise ValueError(f"--step must be positive, got {args.step}")
+    if args.zmax < args.zmin:
+        raise ValueError(f"--zmax {args.zmax} is below --zmin {args.zmin}")
     f = _ba_function(args.function)
     zs = np.arange(args.zmin, args.zmax + args.step / 2, args.step)
     vals = f.psi_grid(zs)
@@ -228,9 +246,9 @@ def cmd_table1(args) -> int:
 
 def _master_potential(args):
     if args.row:
-        res = run_row(args.row, N=args.N)
-        return res.run.potential, float(res.run.params.g)
-    params = double_scaling(args.p, args.N, tuple(args.s.split(",")) if args.s else ())
+        _, _, params = row_model(ROWS[args.row], args.N)
+    else:
+        params = double_scaling(args.p, args.N, tuple(args.s.split(",")) if args.s else ())
     return build_potential(params), float(params.g)
 
 
@@ -267,12 +285,11 @@ def cmd_saddle(args) -> int:
     return 0 if res.converged else 3
 
 
-def _add_potential_args(sp, with_p=True):
+def _add_potential_args(sp):
     sp.add_argument("--kind", choices=KINDS, help="potential family")
-    if with_p:
-        sp.add_argument("--p", type=int, default=7, help="model degree (default 7)")
-    sp.add_argument("--degree", type=int, default=0, help="monomial degree 2n")
-    sp.add_argument("--s", default="", help="comma-separated explicit couplings s_1..s_{p-2}")
+    sp.add_argument("--p", type=int, default=None, help=f"model degree (default {DEFAULT_P})")
+    sp.add_argument("--degree", type=int, default=None, help="monomial degree 2n")
+    sp.add_argument("--s", default=None, help="comma-separated explicit couplings s_1..s_{p-2}")
     sp.add_argument("--max-terms", type=int, default=64, dest="max_terms")
 
 
@@ -296,13 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="characteristic polynomial and roots",
         description="--csv writes the root list with columns: re, im, is_real.")
     _add_potential_args(sp)
-    sp.add_argument("--row", choices=ROW_IDS, help="run a catalogued report row")
-    sp.add_argument("--hermite", action="store_true",
+    sp.add_argument("--row", choices=ROW_IDS,
+                    help="run a catalogued report row, with its own potential and g")
+    sp.add_argument("--hermite", action="store_true", default=None,
                     help="quadratic-model closed-form case")
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--g", default=None, help="override the coupling constant g")
-    sp.add_argument("--g-mode", choices=("corrected", "plain"), default="corrected",
-                    dest="g_mode")
+    sp.add_argument("--g-mode", choices=("corrected", "plain"), default=None,
+                    dest="g_mode", help="default corrected")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH", help="roots as CSV")
     sp.set_defaults(func=cmd_solve)

@@ -1,66 +1,38 @@
-"""Float64 hot kernels with a numba fast path and a pure-numpy fallback.
+"""Float64 hot kernels, one plain-numpy implementation each.
 
 The quadrature scan (thousands of Fourier sums over a fixed node set) and
 the master-field cost evaluation dominate runtime at double precision.
-Set ``XI_LAB_NO_NUMBA=1`` to force the numpy implementations; the active
-backend is reported in ``BACKEND``. ``bench/benchmark_kernels.py`` compares
-the two.
+``fourier_eval`` forms the z-by-node phase matrix in row blocks of at most
+``FOURIER_CHUNK_TERMS`` terms, so its workspace stays a few tens of MB
+whatever the grid. ``perfbench/run.py --workload float64 --trace 1`` times
+both kernels.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_want_numba = os.environ.get("XI_LAB_NO_NUMBA", "").strip() not in ("1", "true", "yes")
+#: the array library the kernels run on; recorded in CLI and benchmark output
+BACKEND = "numpy"
 
-if _want_numba:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+#: phase-matrix terms per block of ``fourier_eval``: 2^20 complex terms, 16 MiB
+FOURIER_CHUNK_TERMS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # Fourier evaluation: psi(z) = sum_j env_j * exp(i z x_j)
 
 
-def _fourier_eval_numpy(xs, env, zs):
-    phase = np.exp(1j * np.outer(zs, xs))
-    return phase @ env.astype(np.complex128)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, fastmath=False)
-    def _fourier_eval_numba(xs, env, zs):  # pragma: no cover - jitted
-        out = np.empty(zs.shape[0], dtype=np.complex128)
-        for i in range(zs.shape[0]):
-            re = 0.0
-            im = 0.0
-            z = zs[i]
-            for j in range(xs.shape[0]):
-                arg = z * xs[j]
-                re += env[j] * np.cos(arg)
-                im += env[j] * np.sin(arg)
-            out[i] = complex(re, im)
-        return out
-
-
 def fourier_eval(xs, env, zs):
     """sum_j env_j e^{i z x_j} for each z; xs/env float64, zs float64 array."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    env = np.ascontiguousarray(env, dtype=np.float64)
+    env = np.ascontiguousarray(env, dtype=np.float64).astype(np.complex128)
     zs = np.ascontiguousarray(zs, dtype=np.float64)
-    if HAS_NUMBA:
-        return _fourier_eval_numba(xs, env, zs)
-    return _fourier_eval_numpy(xs, env, zs)
+    out = np.empty(zs.shape[0], dtype=np.complex128)
+    rows = max(1, FOURIER_CHUNK_TERMS // max(1, xs.shape[0]))
+    for i in range(0, zs.shape[0], rows):
+        out[i:i + rows] = np.exp(1j * np.outer(zs[i:i + rows], xs)) @ env
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -71,41 +43,13 @@ def fourier_eval(xs, env, zs):
 # with Vp(a) = V'(a + I) evaluated as the matrix polynomial sum c_m a^m.
 
 
-def _matrix_poly_numpy(a, vp_coeffs):
+def _matrix_poly(a, vp_coeffs):
     n = a.shape[0]
     acc = np.zeros((n, n), dtype=np.complex128)
     for c in vp_coeffs[::-1]:
         acc = acc @ a
         acc += c * np.eye(n)
     return acc
-
-
-def _residuals_numpy(p_mom, a, b, vp_coeffs, g, eta1, eta2):
-    d = 1j * (p_mom[:, None] - p_mom[None, :])
-    vp = _matrix_poly_numpy(a, vp_coeffs)
-    E = d * a + vp / g - b / g - eta1
-    F = d * b - a / g - eta2
-    return E, F
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _residuals_numba(p_mom, a, b, vp_coeffs, g, eta1, eta2):  # pragma: no cover
-        n = a.shape[0]
-        vp = np.zeros((n, n), dtype=np.complex128)
-        for m in range(vp_coeffs.shape[0] - 1, -1, -1):
-            vp = vp @ a
-            for i in range(n):
-                vp[i, i] += vp_coeffs[m]
-        E = np.empty((n, n), dtype=np.complex128)
-        F = np.empty((n, n), dtype=np.complex128)
-        for k in range(n):
-            for l in range(n):
-                d = 1j * (p_mom[k] - p_mom[l])
-                E[k, l] = d * a[k, l] + vp[k, l] / g - b[k, l] / g - eta1[k, l]
-                F[k, l] = d * b[k, l] - a[k, l] / g - eta2[k, l]
-        return E, F
 
 
 def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
@@ -116,9 +60,12 @@ def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
     vp_coeffs = np.ascontiguousarray(vp_coeffs, dtype=np.complex128)
     eta1 = np.ascontiguousarray(eta1, dtype=np.complex128)
     eta2 = np.ascontiguousarray(eta2, dtype=np.complex128)
-    if HAS_NUMBA:
-        return _residuals_numba(p_mom, a, b, vp_coeffs, float(g), eta1, eta2)
-    return _residuals_numpy(p_mom, a, b, vp_coeffs, float(g), eta1, eta2)
+    g = float(g)
+    d = 1j * (p_mom[:, None] - p_mom[None, :])
+    vp = _matrix_poly(a, vp_coeffs)
+    E = d * a + vp / g - b / g - eta1
+    F = d * b - a / g - eta2
+    return E, F
 
 
 def master_cost(E, F) -> float:

@@ -140,7 +140,7 @@ def run_from_spec(spec: PotentialSpec, p: int, N: int, *, g_mode: str = "correct
     return run_model(params, spec=spec, scaled=scaled)
 
 
-def _row_model(row: RowSpec, N: int):
+def row_model(row: RowSpec, N: int):
     """The row's spec, normalized potential and model parameters; no polynomial."""
     spec = row.potential if isinstance(row.potential, PotentialSpec) else None
     if spec is not None:
@@ -151,7 +151,7 @@ def _row_model(row: RowSpec, N: int):
         scaled = None
     s = scaled.s if scaled is not None else ()
     if row.g_mode in ROWS:  # the named row's g
-        _, _, donor = _row_model(ROWS[row.g_mode], N)
+        _, _, donor = row_model(ROWS[row.g_mode], N)
         return spec, scaled, double_scaling(row.p, N, s, g_override=donor.g)
     return spec, scaled, double_scaling(row.p, N, s, g_mode=row.g_mode)
 
@@ -162,7 +162,7 @@ def run_row(row_id: str, N: int = 16) -> RowResult:
         raise ValueError(f"unknown row {row_id!r}; known: {ROW_IDS}")
     row = ROWS[row_id]
     ref = ba.reference_table(row.reference)
-    spec, scaled, params = _row_model(row, N)
+    spec, scaled, params = row_model(row, N)
     run = run_model(params, spec=spec, scaled=scaled)
 
     if row.calibration == "airy_fixed_map":

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from xilab import cli
+from xilab import cli, pipeline
+from xilab import master_field as mf
 from xilab.cli import main
 
 
@@ -92,6 +93,28 @@ class TestSolve:
         assert code == code_row == 0
         assert by_kind == by_row
 
+    def test_row_airy(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4")
+        assert (code, err) == (0, "")
+        assert out == (
+            "# p=2 N=4 g=0.25 precision=60\n"
+            "Q coefficients (highest degree first):\n"
+            "  1.0, 0.0, -0.75, 0.0, 0.046875\n"
+            "roots:\n"
+            "        -0.82534            0.0i  [real]\n"
+            "       -0.262324            0.0i  [real]\n"
+            "        0.262324            0.0i  [real]\n"
+            "         0.82534            0.0i  [real]\n"
+            "on critical line: True (0 complex pairs)\n")
+
+    @pytest.mark.parametrize("flag", [
+        ("--kind", "cosh"), ("--p", "7"), ("--s", "1"), ("--degree", "0"),
+        ("--g", "0.5"), ("--g-mode", "corrected"), ("--hermite",)])
+    def test_row_rejects_potential_flags(self, capsys, flag):
+        code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4", *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and flag[0] in err
+
     def test_row_riemann(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--row", "riemann")
         assert code == 0
@@ -124,6 +147,13 @@ class TestZerosAndPsi:
         assert lines[0].startswith("#") and "precision=" in lines[0]
         assert lines[1] == "z,re_psi,im_psi"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("grid", [
+        ("--step", "0"), ("--step", "-0.1"), ("--zmin", "2", "--zmax", "1")])
+    def test_psi_bad_grid_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "psi", "--function", "gen_airy", *grid)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
 
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--function", "nope")
@@ -164,6 +194,24 @@ class TestMasterSaddle:
         doc = json.loads(out)
         assert doc["results"][0]["cost"] < 1e-20
         assert doc["results"][0]["obstruction"] is False
+
+    def test_saddle_row_skips_root_finder(self, capsys, monkeypatch):
+        """--row reads the row's potential and g; it does not solve Q_N."""
+        run = pipeline.run_row("riemann", N=4).run
+        want = mf.saddle_solve(run.potential, float(run.params.g), 4, seed=0,
+                               max_iters=250)
+
+        def no_roots(q):
+            raise AssertionError("find_roots called")
+
+        monkeypatch.setattr(pipeline, "find_roots", no_roots)
+        code, out, _ = run_cli(capsys, "saddle", "--row", "riemann", "--N", "4", "--json")
+        doc = json.loads(out)
+        assert code == 3
+        assert doc["g"] == 1.3473048130529226
+        assert doc["a"] == [float(x) for x in want.a]
+        assert doc["b"] == [float(x) for x in want.b]
+        assert doc["residual_norm"] == want.residual_norm
 
     def test_saddle_gaussian_reports(self, capsys):
         code, out, _ = run_cli(capsys, "saddle", "--N", "2", "--p", "2",
