@@ -51,12 +51,19 @@ CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference, err.MissingPipeline
 
 #: model degree when --p is not given
 DEFAULT_P = 7
-#: solve flags (argparse dests) whose values a --row takes from its catalogue entry
-ROW_FIXED_FLAGS = ("kind", "p", "s", "degree", "g", "g_mode", "hermite")
 
 
 def _model_p(args) -> int:
     return DEFAULT_P if args.p is None else args.p
+
+
+def _reject_ignored(args, dests, reason: str) -> None:
+    """Config error naming each flag in ``dests`` (argparse dests) that was
+    given although the chosen mode ignores it; ``reason`` says why."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests
+             if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"{reason}; drop {', '.join(given)}")
 
 
 def _spec_from_args(args) -> PotentialSpec:
@@ -120,13 +127,12 @@ def cmd_expand(args) -> int:
 def _solve_run(args):
     N = args.N
     if args.row:
-        given = [f"--{dest.replace('_', '-')}" for dest in ROW_FIXED_FLAGS
-                 if getattr(args, dest) is not None]
-        if given:
-            raise ValueError(f"--row {args.row} takes its potential and g from the row; "
-                             f"drop {', '.join(given)}")
+        _reject_ignored(args, ("kind", "p", "s", "degree", "g", "g_mode", "hermite"),
+                        f"--row {args.row} takes its potential and g from the row")
         return run_row(args.row, N=N).run
     if args.hermite:
+        _reject_ignored(args, ("kind", "p", "s", "degree", "g_mode"),
+                        "--hermite solves the quadratic model")
         g = mpf(args.g) if args.g else mpf(1) / N
         params = double_scaling(2, N, (), g_mode="plain", g_override=g)
         return run_model(params)
@@ -244,16 +250,18 @@ def cmd_table1(args) -> int:
     return 3 if failures else 0
 
 
-def _master_potential(args):
+def _master_potential(args, default_p: int):
     if args.row:
+        _reject_ignored(args, ("p", "s"), f"--row {args.row} takes its potential from the row")
         _, _, params = row_model(ROWS[args.row], args.N)
     else:
-        params = double_scaling(args.p, args.N, tuple(args.s.split(",")) if args.s else ())
+        p = default_p if args.p is None else args.p
+        params = double_scaling(p, args.N, tuple(args.s.split(",")) if args.s else ())
     return build_potential(params), float(params.g)
 
 
 def cmd_master(args) -> int:
-    potential, g = _master_potential(args)
+    potential, g = _master_potential(args, default_p=2)
     if args.g is not None:
         g = args.g
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
@@ -273,7 +281,7 @@ def cmd_master(args) -> int:
 
 
 def cmd_saddle(args) -> int:
-    potential, g = _master_potential(args)
+    potential, g = _master_potential(args, default_p=3)
     if args.g is not None:
         g = args.g
     res = mf.saddle_solve(potential, g, args.N, seed=args.seed,
@@ -360,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("master", help="quenched master-field least squares")
     sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=int, default=None, help="model degree (default 2)")
     sp.add_argument("--row", choices=ROW_IDS, default=None,
                     help="take the potential from a catalogued row")
-    sp.add_argument("--s", default="", help="explicit couplings for the potential")
+    sp.add_argument("--s", default=None, help="explicit couplings for the potential")
     sp.add_argument("--g", type=float, default=None)
     sp.add_argument("--sigma", type=float, default=0.0, help="noise scale")
     sp.add_argument("--seed", type=int, default=0)
@@ -378,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("saddle", help="saddle-point eigenvalue solver")
     sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--p", type=int, default=3)
+    sp.add_argument("--p", type=int, default=None, help="model degree (default 3)")
     sp.add_argument("--row", choices=ROW_IDS, default=None)
-    sp.add_argument("--s", default="", help="explicit couplings for the potential")
+    sp.add_argument("--s", default=None, help="explicit couplings for the potential")
     sp.add_argument("--g", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-iters", type=int, default=250, dest="max_iters")

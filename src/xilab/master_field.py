@@ -23,12 +23,22 @@ solved (where solutions exist) by damped Newton from interleaved grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import SingularJacobian
 from .kernels import master_cost, master_residuals
 from .matrix_model import ModelPotential
+
+
+_MOMENTUM_BOUND = float(np.pi)  # half-width of the seeded uniform momentum draw
+
+
+def _vp_float(potential: ModelPotential) -> np.ndarray:
+    """Float coefficients (degree 0..p-1) of V'(1+u)."""
+    return np.array([float(c) for c in potential.v_shifted_prime_coeffs()])
 
 
 @dataclass(frozen=True)
@@ -37,8 +47,7 @@ class MasterConfig:
     g: float
     potential: ModelPotential
     seed: int = 0
-    momenta: tuple | str = "uniform"   # explicit values or "uniform" on [-bound, bound]
-    momentum_bound: float = float(np.pi)
+    momenta: tuple | None = None       # explicit values; None: seeded uniform draw
     sigma: float = 0.0
     max_iters: int = 200
     restarts: int = 4
@@ -46,11 +55,9 @@ class MasterConfig:
     hermitian: bool = True
 
     def momentum_vector(self) -> np.ndarray:
-        if isinstance(self.momenta, str):
-            if self.momenta != "uniform":
-                raise ValueError(f"unknown momenta mode {self.momenta!r}")
+        if self.momenta is None:
             rng = np.random.default_rng(self.seed)
-            return rng.uniform(-self.momentum_bound, self.momentum_bound, self.N)
+            return rng.uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, self.N)
         p = np.asarray(self.momenta, dtype=np.float64)
         if p.shape != (self.N,):
             raise ValueError("explicit momenta must have length N")
@@ -70,8 +77,7 @@ class MasterConfig:
         return herm(), herm()
 
     def vp_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.potential.v_shifted_prime_coeffs()],
-                        dtype=np.complex128)
+        return _vp_float(self.potential).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -93,73 +99,45 @@ class MasterResult:
 # --- Hermitian (or general) packing ----------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _packing(N: int, hermitian: bool) -> np.ndarray:
+    """The complex N^2 x n map P with vec(a) = P @ theta_a (row-major vec).
+
+    Hermitian: theta_a holds the N diagonal entries, then (re, im) of each
+    a_ij with i < j in row order. General: the N^2 real parts, then the N^2
+    imaginary parts. The columns of P are the basis directions.
+    """
+    if hermitian:
+        P = np.zeros((N * N, N * N), dtype=np.complex128)
+        P[np.arange(N) * (N + 1), np.arange(N)] = 1.0
+        i, j = np.triu_indices(N, 1)
+        re = N + 2 * np.arange(len(i))
+        P[i * N + j, re] = P[j * N + i, re] = 1.0
+        P[i * N + j, re + 1], P[j * N + i, re + 1] = 1j, -1j
+    else:
+        P = np.hstack([np.eye(N * N), 1j * np.eye(N * N)])
+    P.flags.writeable = False
+    return P
+
+
 def n_params(N: int, hermitian: bool) -> int:
-    per = N * N if hermitian else 2 * N * N
-    return 2 * per
+    return 2 * _packing(N, hermitian).shape[1]
 
 
 def unpack_state(theta: np.ndarray, N: int, hermitian: bool = True) -> MasterState:
-    per = N * N if hermitian else 2 * N * N
-    return MasterState(a=_unpack_one(theta[:per], N, hermitian),
-                       b=_unpack_one(theta[per:], N, hermitian))
+    a, b = (theta.reshape(2, -1) @ _packing(N, hermitian).T).reshape(2, N, N)
+    return MasterState(a=a, b=b)
 
 
-def _unpack_one(v, N, hermitian):
-    m = np.zeros((N, N), dtype=np.complex128)
-    if hermitian:
-        idx = 0
-        for i in range(N):
-            m[i, i] = v[idx]
-            idx += 1
-        for i in range(N):
-            for j in range(i + 1, N):
-                m[i, j] = v[idx] + 1j * v[idx + 1]
-                m[j, i] = v[idx] - 1j * v[idx + 1]
-                idx += 2
-    else:
-        re = v[: N * N].reshape(N, N)
-        im = v[N * N:].reshape(N, N)
-        m = re + 1j * im
-    return m
-
-
-def _basis_matrices(N, hermitian):
-    """Direction d(state)/d(theta_mu) for one matrix's parameter block."""
-    out = []
-    if hermitian:
-        for i in range(N):
-            h = np.zeros((N, N), dtype=np.complex128)
-            h[i, i] = 1.0
-            out.append(h)
-        for i in range(N):
-            for j in range(i + 1, N):
-                h = np.zeros((N, N), dtype=np.complex128)
-                h[i, j] = 1.0
-                h[j, i] = 1.0
-                out.append(h)
-                h = np.zeros((N, N), dtype=np.complex128)
-                h[i, j] = 1j
-                h[j, i] = -1j
-                out.append(h)
-    else:
-        for i in range(N):
-            for j in range(N):
-                h = np.zeros((N, N), dtype=np.complex128)
-                h[i, j] = 1.0
-                out.append(h)
-        for i in range(N):
-            for j in range(N):
-                h = np.zeros((N, N), dtype=np.complex128)
-                h[i, j] = 1j
-                out.append(h)
-    return out
+def _fixed_inputs(cfg: MasterConfig) -> tuple:
+    """(momenta, eta1, eta2, V' coefficients): fixed for a whole solve."""
+    return (cfg.momentum_vector(), *cfg.noise(), cfg.vp_coeffs())
 
 
 def residuals(cfg: MasterConfig, state: MasterState):
     """Exact residual matrices (E, F) for a state."""
-    eta1, eta2 = cfg.noise()
-    return master_residuals(cfg.momentum_vector(), state.a, state.b,
-                            cfg.vp_coeffs(), cfg.g, eta1, eta2)
+    p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
+    return master_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)
 
 
 def _residual_vector(E, F) -> np.ndarray:
@@ -167,104 +145,84 @@ def _residual_vector(E, F) -> np.ndarray:
                            F.real.ravel(), F.imag.ravel()])
 
 
-def _cost_from_theta(cfg, theta, p_mom, eta1, eta2, vp):
+def _cost_from_theta(cfg, theta, fixed):
+    p_mom, eta1, eta2, vp = fixed
     st = unpack_state(theta, cfg.N, cfg.hermitian)
     E, F = master_residuals(p_mom, st.a, st.b, vp, cfg.g, eta1, eta2)
     return master_cost(E, F), E, F
 
 
-def _jacobian(cfg, theta, p_mom, vp):
-    """d(residual vector)/d(theta), assembled per basis direction."""
-    N = cfg.N
-    st = unpack_state(theta, N, cfg.hermitian)
-    basis = _basis_matrices(N, cfg.hermitian)
-    d = 1j * (p_mom[:, None] - p_mom[None, :])
-    # powers of a for the polynomial directional derivative
-    deg = len(vp) - 1
+def _jacobian(cfg, theta, fixed):
+    """d(residual vector)/d(theta) as one linear map.
+
+    For row-major vec, vec(X h Y) = kron(X, Y^T) vec(h), so V'(a) has the
+    derivative L = sum_m c_m sum_{j<m} kron(a^j, (a^{m-1-j})^T). With
+    D = diag(vec(i(p_k - p_l))), vec E has blocks (D P + L P / g, -P / g)
+    and vec F has (-P / g, D P) in (theta_a, theta_b).
+    """
+    p_mom, _, _, vp = fixed
+    N, g = cfg.N, cfg.g
+    P = _packing(N, cfg.hermitian)
+    a = unpack_state(theta, N, cfg.hermitian).a
     powers = [np.eye(N, dtype=np.complex128)]
-    for _ in range(max(deg - 1, 0)):
-        powers.append(powers[-1] @ st.a)
-    cols = []
-    zero = np.zeros((N, N), dtype=np.complex128)
-    for h in basis:  # a-block directions
-        dvp = zero
-        for m in range(1, deg + 1):
-            c = vp[m]
-            if c == 0:
-                continue
-            acc = np.zeros((N, N), dtype=np.complex128)
-            for j in range(m):
-                acc += powers[j] @ h @ powers[m - 1 - j]
-            dvp = dvp + c * acc
-        dE = d * h + dvp / cfg.g
-        dF = -h / cfg.g
-        cols.append(_residual_vector(dE, dF))
-    for h in basis:  # b-block directions
-        dE = -h / cfg.g
-        dF = d * h
-        cols.append(_residual_vector(dE, dF))
-    return np.column_stack(cols)
+    for _ in range(len(vp) - 2):
+        powers.append(powers[-1] @ a)
+    L = sum((vp[m] * np.kron(powers[j], powers[m - 1 - j].T)
+             for m in range(1, len(vp)) for j in range(m)),
+            np.zeros((N * N, N * N), dtype=np.complex128))
+    DP = (1j * (p_mom[:, None] - p_mom[None, :])).reshape(-1, 1) * P
+    JE = np.hstack([DP + L @ P / g, -P / g])
+    JF = np.hstack([-P / g, DP])
+    return np.vstack([JE.real, JE.imag, JF.real, JF.imag])
 
 
 def cost_gradient(cfg: MasterConfig, theta: np.ndarray) -> np.ndarray:
     """Analytic gradient of C with respect to the packed parameters."""
-    p_mom = cfg.momentum_vector()
-    eta1, eta2 = cfg.noise()
-    vp = cfg.vp_coeffs()
-    _, E, F = _cost_from_theta(cfg, theta, p_mom, eta1, eta2, vp)
-    J = _jacobian(cfg, theta, p_mom, vp)
-    return 2.0 * (J.T @ _residual_vector(E, F))
+    fixed = _fixed_inputs(cfg)
+    _, E, F = _cost_from_theta(cfg, theta, fixed)
+    return 2.0 * (_jacobian(cfg, theta, fixed).T @ _residual_vector(E, F))
 
 
 def cost_at(cfg: MasterConfig, theta: np.ndarray) -> float:
-    p_mom = cfg.momentum_vector()
-    eta1, eta2 = cfg.noise()
-    c, _, _ = _cost_from_theta(cfg, theta, p_mom, eta1, eta2, cfg.vp_coeffs())
-    return c
+    return _cost_from_theta(cfg, theta, _fixed_inputs(cfg))[0]
 
 
 def optimize(cfg: MasterConfig) -> MasterResult:
     """Multi-restart damped Gauss-Newton minimization of the cost."""
-    p_mom = cfg.momentum_vector()
-    eta1, eta2 = cfg.noise()
-    vp = cfg.vp_coeffs()
+    fixed = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
-
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + 100 * restart)
         theta = 0.5 * rng.standard_normal(npar) if restart else np.zeros(npar)
-        c, E, F = _cost_from_theta(cfg, theta, p_mom, eta1, eta2, vp)
+        c, E, F = _cost_from_theta(cfg, theta, fixed)
         trace = [c]
         lam = 1e-8
         iters = 0
         for iters in range(1, cfg.max_iters + 1):
-            J = _jacobian(cfg, theta, p_mom, vp)
-            r = _residual_vector(E, F)
-            grad = 2.0 * (J.T @ r)
-            if c < 1e-30 or np.linalg.norm(grad) < 1e-14:
+            J = _jacobian(cfg, theta, fixed)
+            Jr = J.T @ _residual_vector(E, F)  # half the cost gradient
+            if c < 1e-30 or np.linalg.norm(2.0 * Jr) < 1e-14:
                 break
             A = J.T @ J
-            accepted = False
             for _ in range(16):
                 try:
-                    step = np.linalg.solve(A + lam * np.eye(npar), -(J.T @ r))
+                    step = np.linalg.solve(A + lam * np.eye(npar), -Jr)
                 except np.linalg.LinAlgError:
                     lam *= 10
                     continue
                 cand = theta + step
-                c2, E2, F2 = _cost_from_theta(cfg, cand, p_mom, eta1, eta2, vp)
+                c2, E2, F2 = _cost_from_theta(cfg, cand, fixed)
                 if c2 < c:
                     theta, c, E, F = cand, c2, E2, F2
                     trace.append(c)
                     lam = max(lam / 3, 1e-14)
-                    accepted = True
                     break
                 lam *= 10
-            if not accepted:
+            else:  # no damping gave a descent step
                 break
-        state = unpack_state(theta, cfg.N, cfg.hermitian)
-        cand = (c, state, iters, tuple(trace), cfg.seed + 100 * restart)
+        cand = (c, unpack_state(theta, cfg.N, cfg.hermitian), iters, tuple(trace),
+                cfg.seed + 100 * restart)
         if best is None or c < best[0]:
             best = cand
         if best[0] < 1e-30:
@@ -289,44 +247,35 @@ class SaddleResult:
     converged: bool
 
 
-def _vpp_coeffs(potential: ModelPotential) -> np.ndarray:
-    vp = np.array([float(c) for c in potential.v_shifted_prime_coeffs()])
-    if len(vp) < 2:
-        return np.zeros(1)
-    return np.array([m * vp[m] for m in range(1, len(vp))])
+def _inverse_differences(v: np.ndarray) -> np.ndarray:
+    """R_ij = 1/(v_i - v_j), with R_ii = 0."""
+    diff = v[:, None] - v[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return 1.0 / diff
+
+
+def coulomb_force(v: np.ndarray) -> np.ndarray:
+    """sum_{j != i} 1/(v_i - v_j); equals d/dv_i log |Vandermonde(v)|."""
+    return _inverse_differences(v).sum(axis=1)
 
 
 def saddle_residual(potential: ModelPotential, g: float, a: np.ndarray,
                     b: np.ndarray) -> np.ndarray:
     """Stacked residual [a-equations, b-equations]."""
-    vp = np.array([float(c) for c in potential.v_shifted_prime_coeffs()])
-    N = len(a)
-    Fa = np.empty(N)
-    Fb = np.empty(N)
-    for i in range(N):
-        coul_a = sum(1.0 / (a[i] - a[j]) for j in range(N) if j != i)
-        coul_b = sum(1.0 / (b[i] - b[j]) for j in range(N) if j != i)
-        Fa[i] = -np.polynomial.polynomial.polyval(a[i], vp) / g + b[i] / g + coul_a
-        Fb[i] = a[i] / g + coul_b
-    return np.concatenate([Fa, Fb])
+    return _saddle_residual(_vp_float(potential), g, a, b)
 
 
-def _saddle_jacobian(potential, g, a, b):
-    vpp = _vpp_coeffs(potential)
-    N = len(a)
-    J = np.zeros((2 * N, 2 * N))
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                J[i, i] = -np.polynomial.polynomial.polyval(a[i], vpp) / g \
-                    - sum(1.0 / (a[i] - a[k]) ** 2 for k in range(N) if k != i)
-                J[i, N + i] = 1.0 / g
-                J[N + i, i] = 1.0 / g
-                J[N + i, N + i] = -sum(1.0 / (b[i] - b[k]) ** 2 for k in range(N) if k != i)
-            else:
-                J[i, j] = 1.0 / (a[i] - a[j]) ** 2
-                J[N + i, N + j] = 1.0 / (b[i] - b[j]) ** 2
-    return J
+def _saddle_residual(vp, g, a, b):
+    return np.concatenate([-polyval(a, vp) / g + b / g + coulomb_force(a),
+                           a / g + coulomb_force(b)])
+
+
+def _saddle_jacobian(vpp, g, a, b):
+    """d(saddle residual)/d(a, b), with vpp the coefficients of V''(1+u)."""
+    ra, rb = _inverse_differences(a) ** 2, _inverse_differences(b) ** 2
+    coupling = np.eye(len(a)) / g
+    return np.block([[ra - np.diag(ra.sum(axis=1) + polyval(a, vpp) / g), coupling],
+                     [coupling, rb - np.diag(rb.sum(axis=1))]])
 
 
 def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
@@ -335,6 +284,8 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
     """Damped Newton from interleaved spread grids; best-found on failure."""
     if N < 2:
         raise ValueError("the saddle system needs N >= 2")
+    vp = _vp_float(potential)
+    vpp = polyder(vp)
     rng = np.random.default_rng(seed)
     best = None
     for restart in range(restarts):
@@ -343,12 +294,12 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
         b = np.linspace(-spread, spread, N)[::-1].copy() + 0.05 * rng.standard_normal(N)
         singular_retries = 3
         it = 0
-        f = saddle_residual(potential, g, a, b)
+        f = _saddle_residual(vp, g, a, b)
         for it in range(1, max_iters + 1):
             norm = np.linalg.norm(f)
             if norm < tol:
                 break
-            J = _saddle_jacobian(potential, g, a, b)
+            J = _saddle_jacobian(vpp, g, a, b)
             damp = 0.0
             while True:
                 try:
@@ -359,19 +310,15 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
                     singular_retries -= 1
                     if singular_retries <= 0:
                         raise SingularJacobian("saddle Jacobian stayed singular under damping")
-            lam = 1.0
-            improved = False
-            for _ in range(40):
-                a2 = a + lam * step[:N]
-                b2 = b + lam * step[N:]
+            for halvings in range(40):
+                lam = 0.5 ** halvings
+                a2, b2 = a + lam * step[:N], b + lam * step[N:]
                 if _distinct(a2) and _distinct(b2):
-                    f2 = saddle_residual(potential, g, a2, b2)
+                    f2 = _saddle_residual(vp, g, a2, b2)
                     if np.linalg.norm(f2) < norm:
                         a, b, f = a2, b2, f2
-                        improved = True
                         break
-                lam /= 2
-            if not improved:
+            else:  # no step length reduced the residual
                 break
         norm = float(np.linalg.norm(f))
         cand = SaddleResult(a=a, b=b, residual_norm=norm, iterations=it,
@@ -388,13 +335,6 @@ def _distinct(v, floor: float = 1e-12) -> bool:
     return bool(np.all(np.abs(np.diff(vs)) > floor))
 
 
-def coulomb_force(v: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(v_i - v_j); equals d/dv_i log |Vandermonde(v)|."""
-    N = len(v)
-    return np.array([sum(1.0 / (v[i] - v[j]) for j in range(N) if j != i)
-                     for i in range(N)])
-
-
 def reduced_ansatz_n2(potential: ModelPotential, g: float, *,
                       a_max: float = 50.0, n_scan: int = 20000) -> float:
     """Bisection oracle for the N=2 system on the symmetric slice a2 = -a1.
@@ -408,7 +348,7 @@ def reduced_ansatz_n2(potential: ModelPotential, g: float, *,
     Scans a1 in (0, a_max] for a sign change of D and bisects.
     Raises ValueError when no root bracket exists or D vanishes identically.
     """
-    vp = np.array([float(c) for c in potential.v_shifted_prime_coeffs()])
+    vp = _vp_float(potential)
     # D is twice the odd part of V'(1+u)
     d = np.where(np.arange(len(vp)) % 2 == 1, 2 * vp, 0.0)
     if not np.any(d):
@@ -416,7 +356,7 @@ def reduced_ansatz_n2(potential: ModelPotential, g: float, *,
                          "solves the reduced N=2 equation")
 
     def gap(a1):
-        return np.polynomial.polynomial.polyval(a1, d)
+        return polyval(a1, d)
 
     xs = np.linspace(a_max / n_scan, a_max, n_scan)
     vals = gap(xs)

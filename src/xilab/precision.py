@@ -1,4 +1,4 @@
-"""Working-precision management and extended-precision scalar helpers.
+"""Working-precision management and decimal forms of extended-precision numbers.
 
 All extended-precision values in this package are mpmath ``mpf``/``mpc``
 numbers created under the module's working precision (decimal digits).
@@ -12,8 +12,6 @@ command line reads ``XI_LAB_PRECISION`` (see ``xilab.cli``).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -31,48 +29,6 @@ def set_working_dps(dps: int) -> None:
 
 def working_dps() -> int:
     return mp.mp.dps
-
-
-@contextmanager
-def local_dps(dps: int):
-    """Temporarily run at a different working precision."""
-    if dps < MIN_DPS:
-        raise ValueError(f"working precision must be >= {MIN_DPS} digits, got {dps}")
-    old = mp.mp.dps
-    mp.mp.dps = dps
-    try:
-        yield
-    finally:
-        mp.mp.dps = old
-
-
-@contextmanager
-def extra_dps(n: int):
-    """Temporarily add guard digits."""
-    old = mp.mp.dps
-    mp.mp.dps = old + n
-    try:
-        yield
-    finally:
-        mp.mp.dps = old
-
-
-def xreal(x, dps: int | None = None) -> mpf:
-    """Build an extended-precision real from str/int/float/mpf.
-
-    Strings are the lossless way in; floats are accepted for convenience
-    and carry only their native 53 bits.
-    """
-    if dps is None:
-        return mpf(x)
-    if dps < MIN_DPS:
-        raise ValueError(f"value precision must be >= {MIN_DPS} digits, got {dps}")
-    with local_dps(max(dps, mp.mp.dps)):
-        return mpf(x)
-
-
-def xcomplex(re, im=0) -> mpc:
-    return mpc(xreal(re), xreal(im))
 
 
 def to_decimal(x, digits: int | None = None) -> str:

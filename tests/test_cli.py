@@ -115,6 +115,14 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and flag[0] in err
 
+    @pytest.mark.parametrize("flag", [
+        ("--kind", "cosh"), ("--p", "9"), ("--s", "1"), ("--degree", "4"),
+        ("--g-mode", "plain")])
+    def test_hermite_rejects_model_flags(self, capsys, flag):
+        code, out, err = run_cli(capsys, "solve", "--hermite", "--N", "4", *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and flag[0] in err
+
     def test_row_riemann(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--row", "riemann")
         assert code == 0
@@ -212,6 +220,13 @@ class TestMasterSaddle:
         assert doc["a"] == [float(x) for x in want.a]
         assert doc["b"] == [float(x) for x in want.b]
         assert doc["residual_norm"] == want.residual_norm
+
+    @pytest.mark.parametrize("command", ["master", "saddle"])
+    @pytest.mark.parametrize("flag", [("--p", "5"), ("--s", "9")])
+    def test_row_rejects_p_and_s(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, "--row", "riemann", "--N", "2", *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and flag[0] in err
 
     def test_saddle_gaussian_reports(self, capsys):
         code, out, _ = run_cli(capsys, "saddle", "--N", "2", "--p", "2",

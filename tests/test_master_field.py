@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from xilab.kernels import master_cost
-from xilab.master_field import (MasterConfig, MasterState, coulomb_force,
-                                cost_at, cost_gradient, n_params, optimize,
+from xilab.master_field import (MasterConfig, MasterState, _fixed_inputs, _jacobian,
+                                _saddle_jacobian, coulomb_force, cost_at,
+                                cost_gradient, n_params, optimize,
                                 reduced_ansatz_n2, residuals, saddle_residual,
-                                saddle_solve)
+                                saddle_solve, unpack_state)
 from xilab.matrix_model import ModelPotential, build_potential
 from xilab.scaling import double_scaling
 
@@ -39,6 +40,82 @@ def brute_force_residuals(cfg, state):
             F[k, l] = 1j * (p[k] - p[l]) * state.b[k, l] - state.a[k, l] / cfg.g \
                 - eta2[k, l]
     return E, F
+
+
+def unpack_loop(v, N, hermitian):
+    """One matrix from its real parameters, entry by entry."""
+    m = np.zeros((N, N), dtype=complex)
+    if hermitian:
+        for i in range(N):
+            m[i, i] = v[i]
+        k = N
+        for i in range(N):
+            for j in range(i + 1, N):
+                m[i, j] = v[k] + 1j * v[k + 1]
+                m[j, i] = v[k] - 1j * v[k + 1]
+                k += 2
+    else:
+        for i in range(N):
+            for j in range(N):
+                m[i, j] = v[i * N + j] + 1j * v[N * N + i * N + j]
+    return m
+
+
+def residual_vector(cfg, theta):
+    """[Re E, Im E, Re F, Im F], each flattened row by row."""
+    E, F = residuals(cfg, unpack_state(theta, cfg.N, cfg.hermitian))
+    return np.concatenate([E.real.ravel(), E.imag.ravel(),
+                           F.real.ravel(), F.imag.ravel()])
+
+
+def v_prime_coeffs(pot):
+    return np.array([float(c) for c in pot.v_shifted_prime_coeffs()])
+
+
+def saddle_residual_loop(pot, g, a, b):
+    """The saddle equations evaluated one component at a time."""
+    vp = v_prime_coeffs(pot)
+    N = len(a)
+    out = np.empty(2 * N)
+    for i in range(N):
+        coul_a = coul_b = 0.0
+        for j in range(N):
+            if j != i:
+                coul_a += 1.0 / (a[i] - a[j])
+                coul_b += 1.0 / (b[i] - b[j])
+        vpa = sum(c * a[i] ** m for m, c in enumerate(vp))
+        out[i] = -vpa / g + b[i] / g + coul_a
+        out[N + i] = a[i] / g + coul_b
+    return out
+
+
+class TestPacking:
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_unpack_matches_entrywise_loop(self, N, hermitian):
+        theta = np.random.default_rng(N).standard_normal(n_params(N, hermitian))
+        half = len(theta) // 2
+        st = unpack_state(theta, N, hermitian)
+        assert np.array_equal(st.a, unpack_loop(theta[:half], N, hermitian))
+        assert np.array_equal(st.b, unpack_loop(theta[half:], N, hermitian))
+        if hermitian:
+            assert np.array_equal(st.a, st.a.conj().T)
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_jacobian_matches_finite_differences(self, hermitian):
+        pot, g = septic_potential()
+        cfg = MasterConfig(N=3, g=g, potential=pot, seed=13, sigma=0.25,
+                           hermitian=hermitian)
+        theta = 0.4 * np.random.default_rng(21).standard_normal(n_params(3, hermitian))
+        J = _jacobian(cfg, theta, _fixed_inputs(cfg))
+        assert J.shape == (4 * 9, len(theta))
+        h = 1e-6
+        for k in range(len(theta)):
+            e = np.zeros_like(theta)
+            e[k] = h
+            fd = (residual_vector(cfg, theta + e) - residual_vector(cfg, theta - e)) / (2 * h)
+            scale = max(np.max(np.abs(fd)), 1.0)
+            assert np.max(np.abs(J[:, k] - fd)) < 1e-7 * scale, f"column {k}"
 
 
 class TestResiduals:
@@ -181,6 +258,34 @@ class TestSaddle:
                 vm = v.copy(); vm[i] -= h
                 fd = (logdelta(vp) - logdelta(vm)) / (2 * h)
                 assert abs(got[i] - fd) < 1e-5
+
+    @pytest.mark.parametrize("N", [2, 4, 9])
+    def test_residual_matches_elementwise_loop(self, N):
+        pot, g = septic_potential()
+        rng = np.random.default_rng(N)
+        a = np.linspace(-2, 2, N) + 0.1 * rng.standard_normal(N)
+        b = np.linspace(2, -2, N) + 0.1 * rng.standard_normal(N)
+        got = saddle_residual(pot, g, a, b)
+        want = saddle_residual_loop(pot, g, a, b)
+        assert np.max(np.abs(got - want)) < 1e-14 * max(np.max(np.abs(want)), 1.0)
+
+    def test_jacobian_matches_finite_differences(self):
+        pot, g = septic_potential()
+        rng = np.random.default_rng(4)
+        a = np.linspace(-1.5, 1.5, 5) + 0.1 * rng.standard_normal(5)
+        b = np.linspace(1.5, -1.5, 5) + 0.1 * rng.standard_normal(5)
+        J = _saddle_jacobian(np.polynomial.polynomial.polyder(v_prime_coeffs(pot)),
+                             g, a, b)
+        x = np.concatenate([a, b])
+        h = 1e-6
+        for k in range(10):
+            e = np.zeros(10)
+            e[k] = h
+            xp, xm = x + e, x - e
+            fd = (saddle_residual(pot, g, xp[:5], xp[5:])
+                  - saddle_residual(pot, g, xm[:5], xm[5:])) / (2 * h)
+            scale = max(np.max(np.abs(fd)), 1.0)
+            assert np.max(np.abs(J[:, k] - fd)) < 1e-7 * scale, f"column {k}"
 
     def test_permutation_symmetry_of_residual(self):
         pot, g = septic_potential()

@@ -1,8 +1,7 @@
 import pytest
 from mpmath import mpf
 
-from xilab.precision import (extra_dps, local_dps, set_working_dps, to_decimal,
-                             working_dps, xcomplex, xreal)
+from xilab.precision import set_working_dps, to_decimal, working_dps
 
 
 class TestWorkingPrecision:
@@ -12,38 +11,8 @@ class TestWorkingPrecision:
         set_working_dps(15)
         assert working_dps() == 15
 
-    def test_local_context(self):
-        set_working_dps(60)
-        with local_dps(30):
-            assert working_dps() == 30
-        assert working_dps() == 60
-
-    def test_extra_guard_digits(self):
-        set_working_dps(60)
-        with extra_dps(20):
-            assert working_dps() == 80
-        assert working_dps() == 60
-
 
 class TestConstructors:
-    def test_string_parses_losslessly(self):
-        x = xreal("0.1")
-        assert abs(x - mpf(1) / 10) < mpf(10) ** (-58)
-
-    def test_mixed_precision_uses_max(self):
-        # a value carried at lower precision combines at the working precision:
-        # nothing beyond its own accuracy is lost
-        set_working_dps(60)
-        lo = xreal("0.333333333333333", dps=15)
-        hi = xreal(1) / 3
-        prod = lo * 3
-        assert abs(prod - 1) < mpf("1e-14")
-        assert abs(hi * 3 - 1) < mpf("1e-58")
-
-    def test_xcomplex(self):
-        z = xcomplex("1.5", "-2")
-        assert z.real == mpf("1.5") and z.imag == mpf(-2)
-
     def test_to_decimal_roundtrip(self):
-        x = xreal(1) / 7
+        x = mpf(1) / 7
         assert abs(mpf(to_decimal(x)) - x) < mpf(10) ** (-55)
