@@ -77,7 +77,7 @@ def _spec_from_args(args) -> PotentialSpec:
             raise ValueError("--s is required for the explicit kind")
         kw["p"] = _model_p(args)
         kw["s"] = tuple(v.strip() for v in args.s.split(","))
-    if getattr(args, "max_terms", None):
+    if args.max_terms is not None:
         kw["max_terms"] = args.max_terms
     return PotentialSpec(**kw)
 
@@ -127,11 +127,12 @@ def cmd_expand(args) -> int:
 def _solve_run(args):
     N = args.N
     if args.row:
-        _reject_ignored(args, ("kind", "p", "s", "degree", "g", "g_mode", "hermite"),
+        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms", "g", "g_mode",
+                               "hermite"),
                         f"--row {args.row} takes its potential and g from the row")
         return run_row(args.row, N=N).run
     if args.hermite:
-        _reject_ignored(args, ("kind", "p", "s", "degree", "g_mode"),
+        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms", "g_mode"),
                         "--hermite solves the quadratic model")
         g = mpf(args.g) if args.g else mpf(1) / N
         params = double_scaling(2, N, (), g_mode="plain", g_override=g)
@@ -298,7 +299,8 @@ def _add_potential_args(sp):
     sp.add_argument("--p", type=int, default=None, help=f"model degree (default {DEFAULT_P})")
     sp.add_argument("--degree", type=int, default=None, help="monomial degree 2n")
     sp.add_argument("--s", default=None, help="comma-separated explicit couplings s_1..s_{p-2}")
-    sp.add_argument("--max-terms", type=int, default=64, dest="max_terms")
+    sp.add_argument("--max-terms", type=int, default=None, dest="max_terms",
+                    help="kernel-sum truncation (default 64)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -109,7 +109,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [
         ("--kind", "cosh"), ("--p", "7"), ("--s", "1"), ("--degree", "0"),
-        ("--g", "0.5"), ("--g-mode", "corrected"), ("--hermite",)])
+        ("--g", "0.5"), ("--g-mode", "corrected"), ("--hermite",),
+        ("--max-terms", "3")])
     def test_row_rejects_potential_flags(self, capsys, flag):
         code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4", *flag)
         assert (code, out) == (2, "")
@@ -117,7 +118,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [
         ("--kind", "cosh"), ("--p", "9"), ("--s", "1"), ("--degree", "4"),
-        ("--g-mode", "plain")])
+        ("--g-mode", "plain"), ("--max-terms", "3")])
     def test_hermite_rejects_model_flags(self, capsys, flag):
         code, out, err = run_cli(capsys, "solve", "--hermite", "--N", "4", *flag)
         assert (code, out) == (2, "")

@@ -5,6 +5,7 @@ from mpmath import mpc, mpf
 from conftest import assert_rel
 from xilab.matrix_model import CharPolynomial, build_potential, hermite_q, q_polynomial
 from xilab.pipeline import RIEMANN_ROW_U
+from xilab import roots
 from xilab.roots import classify, find_roots, reconstruct_coefficients
 from xilab.scaling import double_scaling, rescale_potential
 from xilab.series import TaylorSeries
@@ -65,6 +66,53 @@ class TestFindRoots:
     def test_residuals_reported(self):
         rs = find_roots(riemann_q16())
         assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
+
+    def test_float64_start_converges_in_few_sweeps(self):
+        rs = find_roots(riemann_q16())
+        assert rs.start == "float64"
+        assert 1 <= rs.sweeps <= 8
+
+    def test_circle_fallback_gives_the_same_roots(self, monkeypatch):
+        q = riemann_q16()
+        rs = find_roots(q)
+        monkeypatch.setattr(roots, "FLOAT64_START_TOL", mpf(0))
+        fallback = find_roots(q)
+        assert fallback.start == "circle"
+        assert fallback.sweeps > rs.sweeps
+        assert fallback.is_real == rs.is_real
+        for a, b in zip(fallback.roots, rs.roots):
+            assert abs(a - b) < mpf("1e-50")
+
+    def test_repeated_float64_roots_rejected(self):
+        # b^2 (b - 1): np.roots returns the zero root twice
+        coeffs = (mpf(0), mpf(0), mpf(-1), mpf(1))
+        assert roots._float64_start(coeffs, roots._fujiwara_radius(coeffs)) is None
+
+    def test_double_root_meets_gate(self):
+        # (b - 1)^2 (b + 2): linear convergence at the double root still stops
+        rs = find_roots(CharPolynomial(N=3, coeffs=(mpf(2), mpf(-3), mpf(0), mpf(1))))
+        assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
+        assert rs.sweeps < 200
+        assert rs.on_critical_line
+        reals = rs.real_roots()
+        assert abs(reals[0] + 2) < mpf("1e-50")
+        assert abs(reals[1] - 1) < mpf("1e-25") and abs(reals[2] - 1) < mpf("1e-25")
+
+    def test_forward_error_at_rounding_floor(self):
+        """Each root is as accurate as the working precision allows: within
+        2N eps K of its Newton refinement at 40 more digits, K = sum |q_n|
+        |r|^n / |Q'(r)| (the Horner rounding bound over the derivative)."""
+        q = riemann_q16()
+        rs = find_roots(q)
+        eps = +mp.eps
+        with mp.workdps(mp.mp.dps + 40):
+            for z in rs.roots:
+                r = z
+                for _ in range(2):
+                    p, dp = roots._poly_and_deriv(q.coeffs, r)
+                    r -= p / dp
+                limit = 2 * q.N * eps * roots._abs_poly(q.coeffs, abs(r)) / abs(dp)
+                assert abs(z - r) <= limit
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
