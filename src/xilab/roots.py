@@ -137,15 +137,11 @@ def _float64_start(coeffs, radius):
     if len(xs) != n or not np.all(np.isfinite(xs)) or len(set(xs.tolist())) != n:
         return None
     zs = [mpc(complex(x)) * radius for x in xs]
-    worst = mpf(0)
     for z in zs:
         p, dp = _poly_and_deriv(coeffs, z)
-        if p == 0:
-            continue
-        if dp == 0:
+        if p != 0 and (dp == 0 or abs(p / dp) >= FLOAT64_START_TOL * max(abs(z), 1)):
             return None
-        worst = max(worst, abs(p / dp) / max(abs(z), mpf(1)))
-    return zs if worst < FLOAT64_START_TOL else None
+    return zs
 
 
 def _circle_start(n, radius):

@@ -9,6 +9,12 @@ Two flavours:
 
 Binary operations truncate to the minimum order of the operands, so no
 fictitious high-order terms are ever produced. Values are immutable.
+
+Coefficient tuples are built from lists, never from generators. CPython 3.11
+allocates a tuple built from a generator for 10 items, then resizes it,
+so each one freed lands on the free list of its final size while the
+10-item list drains; a process repeating Q_N builds (table1 in a loop)
+grew its resident memory by ~0.1 MB per report until those lists filled.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ class TaylorSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(mpf(c) if not isinstance(c, mpf) else c for c in coeffs)
+        cs = tuple([mpf(c) if not isinstance(c, mpf) else c for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant term")
         object.__setattr__(self, "coeffs", cs)
@@ -183,8 +189,8 @@ class BiSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Sequence]):
-        cs = tuple(tuple(mpf(c) if not isinstance(c, mpf) else c for c in poly)
-                   or (mpf(0),) for poly in coeffs)
+        cs = tuple([tuple([mpf(c) if not isinstance(c, mpf) else c for c in poly])
+                    or (mpf(0),) for poly in coeffs])
         if not cs:
             raise ValueError("a series needs at least the constant term")
         object.__setattr__(self, "coeffs", cs)
@@ -264,4 +270,4 @@ def _pmul(a: Sequence, b: Sequence) -> tuple:
 
 
 def _pscale(a: Sequence, s) -> tuple:
-    return tuple(c * s for c in a)
+    return tuple([c * s for c in a])
