@@ -30,8 +30,8 @@ DEFAULT_IM_TOLERANCE = mpf("1e-8")
 #: the float64 starts are used when their worst relative Newton correction
 #: |Q/Q'| / max(|z|, 1) is below this; otherwise the circle start is. On
 #: (7,1) models at N = 12..18 starts up to 0.02 converged in at most 5
-#: sweeps, while starts from 0.035 up took 110-140 sweeps against 40-46
-#: from the circle
+#: sweeps, while starts from 0.035 up took 110-170 sweeps, two to three
+#: times as many as from the circle
 FLOAT64_START_TOL = mpf("1e-2")
 
 
@@ -123,18 +123,21 @@ def _fujiwara_radius(coeffs):
 
 def _float64_start(coeffs, radius):
     """Roots of Q(radius * x) by ``np.roots`` in float64, lifted to mpc and
-    scaled back; None when float64 fails (non-finite values, a lost root,
+    scaled back; None when float64 fails (no convergence, non-finite values,
     two equal roots) or the worst relative Newton correction |Q/Q'| / max(|z|, 1)
-    at the starts is not below ``FLOAT64_START_TOL``."""
+    at the starts is not below ``FLOAT64_START_TOL``.
+
+    The Fujiwara radius makes the scaled leading coefficient the largest, so
+    dividing by it leaves float64 coefficients in [-1, 1]: nothing overflows.
+    """
     n = len(coeffs) - 1
-    scaled = [c * radius ** k for k, c in enumerate(coeffs)]
-    big = max(abs(c) for c in scaled)
-    with np.errstate(all="ignore"):
-        try:
-            xs = np.roots([float(c / big) for c in reversed(scaled)])
-        except np.linalg.LinAlgError:
-            return None
-    if len(xs) != n or not np.all(np.isfinite(xs)) or len(set(xs.tolist())) != n:
+    lead = coeffs[-1] * radius ** n
+    scaled = [float(c * radius ** k / lead) for k, c in enumerate(coeffs)]
+    try:
+        xs = np.roots(scaled[::-1])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(xs)) or len(set(xs.tolist())) != n:
         return None
     zs = [mpc(complex(x)) * radius for x in xs]
     for z in zs:
