@@ -1,15 +1,19 @@
 """Baker-Akhiezer functions psi(z) = integral e^{-U(x)} e^{izx} dx.
 
-Composite Gauss-Legendre quadrature over [-X, X] with X chosen so the
-envelope e^{-U} is below 10^{-(dps+5)} at the cutoff. Panels are sized so U
-varies by at most 5 per panel (and never wider than 1/2, which keeps the
-e^{izx} oscillation trivially resolved for |z| <= 50). The envelope values
+The trapezoidal rule on uniform nodes x_k = k h, cut where the envelope
+e^{-(U(x)-U(0))} falls below 10^{-TAIL_DECADES}. For integrands analytic
+in a strip about the real axis the rule converges geometrically in 1/h
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56, 2014). The sum is periodic in z with period 2 pi/h and
+aliases psi(z -+ 2 pi/h) onto psi(z), so h is sized for the band
+|z| <= Z_MAX: starting from H_START it is halved until two successive sums
+agree to STEP_TOL of |psi(0)| at the probes PROBE_ZS. The envelope values
 at the nodes are precomputed once, so a zero scan costs one Fourier sum per
 z; that sum is the package's hot kernel.
 
-Everything here runs in float64: the integrand is smooth, unit-scale and
-exponentially localized, so composite 64-node panels deliver ~1e-15
-relative accuracy, far below the 1e-10 bisection tolerance and the 1e-3
+Everything here runs in float64 and reads no global precision: the node
+set depends on U alone, and the sums agree with the exact transform to
+~1e-15 of |psi(0)|, far below the 1e-10 bisection tolerance and the 1e-3
 agreement expected of the zero tables.
 """
 
@@ -20,13 +24,26 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientZerosFound, TailNotNegligible, UnknownReference
+from .errors import (InsufficientZerosFound, NonConvergence, TailNotNegligible,
+                     UnknownReference)
 from .kernels import fourier_eval
-from .precision import working_dps
 from .scaling import ScaledPotential
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 LN10 = float(np.log(10.0))
+
+#: the grid is cut where e^{-(U(x)-U(0))} falls below 10^-TAIL_DECADES
+TAIL_DECADES = 18
+#: the band psi is sized for and evaluated on: |z| <= Z_MAX
+Z_MAX = 80.0
+#: first trapezoid step; halved until the sums at PROBE_ZS settle
+H_START = 0.2
+#: z values where successive sums are compared; aliasing error grows with
+#: |z|, so the band edge Z_MAX bounds it over the whole band
+PROBE_ZS = (0.0, 20.0, 40.0, Z_MAX)
+#: successive sums must agree to this fraction of |psi(0)|
+STEP_TOL = 1e-14
+#: halvings allowed before giving up (H_START / 2^8 ~ 8e-4)
+MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -38,39 +55,50 @@ class BAFunction:
     even: bool
     x_max: float         # positive-side cutoff
     x_min: float         # negative-side cutoff
-    xs: np.ndarray       # quadrature nodes
-    env: np.ndarray      # weight * exp(-U(node))
-    panel_edges: np.ndarray
+    h: float             # trapezoid step
+    xs: np.ndarray       # quadrature nodes k h
+    env: np.ndarray      # h * exp(-U(node))
 
     @classmethod
-    def from_callable(cls, u, *, name: str = "custom", even: bool = True,
-                      tail_digits: int | None = None, refine: int = 1) -> "BAFunction":
-        digits = tail_digits if tail_digits is not None else working_dps() + 5
-        # keep exp(-U) representable in float64
-        target = min(digits * LN10, 700.0)
+    def from_callable(cls, u, *, name: str = "custom",
+                      even: bool = True) -> "BAFunction":
+        u0 = float(u(np.array([0.0]))[0])
+        target = TAIL_DECADES * LN10
         x_pos = _solve_cutoff(u, target)
         x_neg = x_pos if even else _solve_cutoff(lambda x: u(-x), target)
         with np.errstate(over="ignore"):
             for x in (x_pos, -x_neg):
-                tail = float(np.exp(-u(np.array([x]))[0]))
-                if not tail <= 10.0 ** (-min(digits, 300)) * 1e3:
+                tail = float(np.exp(-(u(np.array([x]))[0] - u0)))
+                if not tail <= 10.0 ** -TAIL_DECADES * 1e3:
                     raise TailNotNegligible(
-                        f"envelope at cutoff {x:.3f} is {tail:.3e}, above the bound")
-        edges = _panel_edges(u, x_pos, x_neg, even=even)
-        if refine > 1:
-            edges = np.concatenate(
-                [np.linspace(edges[i], edges[i + 1], refine + 1)[:-1]
-                 for i in range(len(edges) - 1)] + [edges[-1:]])
-        mid = (edges[1:] + edges[:-1]) / 2
-        half = (edges[1:] - edges[:-1]) / 2
-        xs = (mid[:, None] + half[:, None] * GL_NODES[None, :]).ravel()
-        with np.errstate(over="ignore"):
-            env = (half[:, None] * GL_WEIGHTS[None, :]).ravel() * np.exp(-u(xs))
-        return cls(name=name, u=u, even=even, x_max=x_pos, x_min=-x_neg,
-                   xs=xs, env=env, panel_edges=edges)
+                        f"envelope at cutoff {x:.3f} is {tail:.3e} of its value "
+                        f"at 0, above the bound")
+
+        def grid(h):
+            k = np.arange(-np.ceil(x_neg / h), np.ceil(x_pos / h) + 1)
+            xs = k * h
+            with np.errstate(over="ignore"):
+                return xs, h * np.exp(-u(xs))
+
+        h = H_START
+        xs, env = grid(h)
+        probes = np.array(PROBE_ZS)
+        sums = fourier_eval(xs, env, probes)
+        for _ in range(MAX_HALVINGS):
+            h /= 2
+            xs, env = grid(h)
+            finer = fourier_eval(xs, env, probes)
+            gap = float(np.max(np.abs(finer - sums)))
+            if gap <= STEP_TOL * abs(finer[0]):
+                return cls(name=name, u=u, even=even, x_max=x_pos, x_min=-x_neg,
+                           h=h, xs=xs, env=env)
+            sums = finer
+        raise NonConvergence(
+            f"trapezoid sums for {name} still differ by {gap:.3e} of |psi(0)| "
+            f"at step {h:.3g} after {MAX_HALVINGS} halvings")
 
     @classmethod
-    def from_poly(cls, coeffs, *, name: str = "poly", refine: int = 1) -> "BAFunction":
+    def from_poly(cls, coeffs, *, name: str = "poly") -> "BAFunction":
         """Potential sum c_n x^n from an ascending coefficient list."""
         cs = np.array([float(c) for c in coeffs], dtype=np.float64)
         even = all(abs(c) == 0 for c in cs[1::2])
@@ -78,29 +106,38 @@ class BAFunction:
         def u(x):
             return np.polynomial.polynomial.polyval(x, cs)
 
-        return cls.from_callable(u, name=name, even=even, refine=refine)
+        return cls.from_callable(u, name=name, even=even)
 
     @classmethod
-    def from_scaled_potential(cls, sp: ScaledPotential, *, name: str | None = None,
-                              refine: int = 1) -> "BAFunction":
+    def from_scaled_potential(cls, sp: ScaledPotential, *,
+                              name: str | None = None) -> "BAFunction":
         cs = [0.0] * (sp.p + 2)
         for n in range(2, sp.p + 1):
             cs[n] = float(sp.coefficient(n))
         cs[sp.p + 1] = 1.0 / (sp.p + 1)
-        return cls.from_poly(cs, name=name or f"scaled(p={sp.p})", refine=refine)
+        return cls.from_poly(cs, name=name or f"scaled(p={sp.p})")
 
     def psi(self, z) -> complex:
         """psi(z) for one z; for even U and real z the imaginary part is zeroed."""
-        val = fourier_eval(self.xs, self.env, np.array([float(z)]))[0]
+        val = fourier_eval(self.xs, self.env, _in_band([z]))[0]
         if self.even:
             return complex(val.real, 0.0)
         return complex(val)
 
     def psi_grid(self, zs) -> np.ndarray:
-        out = fourier_eval(self.xs, self.env, np.asarray(zs, dtype=np.float64))
+        out = fourier_eval(self.xs, self.env, _in_band(zs))
         if self.even:
             return out.real + 0j
         return out
+
+
+def _in_band(zs) -> np.ndarray:
+    """zs as float64, rejecting |z| > Z_MAX, where the trapezoid sum aliases."""
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.size and not np.max(np.abs(zs)) <= Z_MAX:
+        raise ValueError(f"|z| = {np.max(np.abs(zs)):g} is outside the quadrature "
+                         f"band |z| <= {Z_MAX:g}")
+    return zs
 
 
 def _solve_cutoff(u, target: float) -> float:
@@ -119,26 +156,6 @@ def _solve_cutoff(u, target: float) -> float:
     return hi
 
 
-def _panel_edges(u, x_pos: float, x_neg: float, *, even: bool, du: float = 5.0,
-                 max_width: float = 0.5) -> np.ndarray:
-    def one_side(sign, cutoff):
-        edges = [0.0]
-        while edges[-1] < cutoff:
-            lo = edges[-1]
-            hi = min(lo + max_width, cutoff)
-            ulo = float(u(np.array([sign * lo]))[0])
-            while hi - lo > 1e-6:
-                if abs(float(u(np.array([sign * hi]))[0]) - ulo) <= du:
-                    break
-                hi = lo + (hi - lo) / 2
-            edges.append(hi)
-        return np.array(edges)
-
-    pos = one_side(+1.0, x_pos)
-    neg = pos if even else one_side(-1.0, x_neg)
-    return np.concatenate([-neg[::-1][:-1], pos])
-
-
 @dataclass(frozen=True)
 class ReferenceZeros:
     function_id: str
@@ -147,7 +164,7 @@ class ReferenceZeros:
 
 
 def psi_zeros(f: BAFunction, count: int, *, scan_step: float = 0.05,
-              z_start: float = 1e-3, z_max: float = 80.0,
+              z_start: float = 1e-3, z_max: float = Z_MAX,
               bisect_tol: float = 1e-10) -> ReferenceZeros:
     """First `count` positive real zeros by sign scan plus bisection."""
     if not f.even:
@@ -181,7 +198,7 @@ def psi_zeros(f: BAFunction, count: int, *, scan_step: float = 0.05,
 
 
 def magnitude_minima(f: BAFunction, count: int, *, scan_step: float = 0.02,
-                     z_start: float = 1e-3, z_max: float = 80.0,
+                     z_start: float = 1e-3, z_max: float = Z_MAX,
                      depth: float = 1e-2) -> list:
     """Approximate zero locations of a complex-valued psi via |psi| dips.
 

@@ -1,8 +1,9 @@
 """Float64 hot kernels, one plain-numpy implementation each.
 
-The quadrature scan (thousands of Fourier sums over a fixed node set) and
-the master-field cost evaluation dominate runtime at double precision.
-``fourier_eval`` forms the z-by-node phase matrix in row blocks of at most
+The quadrature scan (thousands of Fourier sums over a fixed trapezoid
+node set of a few hundred to a few thousand nodes) and the master-field
+cost evaluation dominate runtime at double precision. ``fourier_eval``
+forms the z-by-node phase matrix in row blocks of at most
 ``FOURIER_CHUNK_TERMS`` terms, so its workspace stays a few tens of MB
 whatever the grid. ``perfbench/run.py --workload float64 --trace 1`` times
 both kernels.

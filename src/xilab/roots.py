@@ -6,7 +6,8 @@ pass a Newton-correction check, else from a deterministic circle of
 starting points (Fujiwara radius, fixed angular offset). Each root stops
 on its own once its step is below the target or |Q| is at the rounding
 floor; the roots are then polished with Newton steps and
-conjugate-symmetrized. A root is accepted on backward error: |Q(r)|
+conjugate-symmetrized. Exact zero roots (vanishing low-order coefficients)
+are split off before the iteration. A root is accepted on backward error: |Q(r)|
 measured against the coefficient magnitudes at |r|.
 """
 
@@ -45,7 +46,8 @@ class RootSet:
     is_real: tuple          # bool per root
     pair_ids: tuple         # conjugate-pair id or -1, per root
     sweeps: int = 0         # Aberth sweeps spent
-    start: str = "circle"   # starting points: "float64" or "circle"
+    start: str = "circle"   # starting points: "float64", "circle", or "none"
+                            # when every root is an exact zero
 
     @property
     def on_critical_line(self) -> bool:
@@ -159,13 +161,45 @@ def _circle_start(n, radius):
 
 def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
                im_tolerance=DEFAULT_IM_TOLERANCE) -> RootSet:
-    """All complex roots by Aberth-Ehrlich iteration plus Newton polish."""
+    """All complex roots by Aberth-Ehrlich iteration plus Newton polish.
+
+    When q_0 .. q_{m-1} are exactly zero, b = 0 is a root of multiplicity m:
+    those roots are returned as exact zeros and the iteration runs on
+    Q / b^m. (Near a multiple root at 0 the backward error |Q(z)| /
+    sum |q_n| |z|^n stays ~1 unless z is exactly 0, so no iterate meets it.)
+    """
     n = Q.N
     coeffs = Q.coeffs
     if n < 1 or coeffs[-1] == 0:
         raise ValueError("need degree >= 1 with a nonzero leading coefficient")
     target = mpf(10) ** (-(mp.mp.dps // 2))
+    m = next(k for k, c in enumerate(coeffs) if c != 0)
+    zs, sweeps, start = _aberth(coeffs[m:], max_sweeps, target)
+    zs = [mpc(0)] * m + zs
 
+    errs = [_backward_error(coeffs, z) for z in zs]
+    worst = max(errs)
+    if worst > target:
+        raise NoConvergence(
+            f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
+            "raise the working precision for this coefficient spread")
+
+    zs, is_real, pair_ids = _symmetrize(zs, im_tolerance)
+    order = sorted(range(n), key=lambda i: (mp.re(zs[i]), mp.im(zs[i])))
+    zs = [zs[i] for i in order]
+    is_real = [is_real[i] for i in order]
+    pair_ids = [pair_ids[i] for i in order]
+    errs = [_backward_error(coeffs, z) for z in zs]
+    return RootSet(roots=tuple(zs), residuals=tuple(errs),
+                   im_tolerance=mpf(im_tolerance), is_real=tuple(is_real),
+                   pair_ids=tuple(pair_ids), sweeps=sweeps, start=start)
+
+
+def _aberth(coeffs, max_sweeps, target):
+    """Roots of a polynomial with q_0 != 0: (roots, sweeps, start)."""
+    n = len(coeffs) - 1
+    if n == 0:
+        return [], 0, "none"
     radius = _fujiwara_radius(coeffs)
     zs = _float64_start(coeffs, radius)
     start = "float64"
@@ -209,23 +243,7 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
             if p == 0 or dp == 0:
                 break
             zs[i] = zs[i] - p / dp
-
-    errs = [_backward_error(coeffs, z) for z in zs]
-    worst = max(errs)
-    if worst > target:
-        raise NoConvergence(
-            f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
-            "raise the working precision for this coefficient spread")
-
-    zs, is_real, pair_ids = _symmetrize(zs, im_tolerance)
-    order = sorted(range(n), key=lambda i: (mp.re(zs[i]), mp.im(zs[i])))
-    zs = [zs[i] for i in order]
-    is_real = [is_real[i] for i in order]
-    pair_ids = [pair_ids[i] for i in order]
-    errs = [_backward_error(coeffs, z) for z in zs]
-    return RootSet(roots=tuple(zs), residuals=tuple(errs),
-                   im_tolerance=mpf(im_tolerance), is_real=tuple(is_real),
-                   pair_ids=tuple(pair_ids), sweeps=sweeps, start=start)
+    return zs, sweeps, start
 
 
 def _symmetrize(zs, im_tolerance):

@@ -3,10 +3,13 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS,
-                                  magnitude_minima, psi_zeros, quadrature_zeros,
+from xilab import baker_akhiezer as ba
+from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS, TAIL_DECADES,
+                                  Z_MAX, magnitude_minima, psi_zeros, quadrature_zeros,
                                   reference_table)
-from xilab.errors import InsufficientZerosFound, UnknownReference
+from xilab.errors import InsufficientZerosFound, NonConvergence, UnknownReference
+
+EVEN_INTEGRANDS = ("bessel_k", "gen_airy", "gen_airy_m130", "gen_airy_133")
 
 
 @pytest.fixture(scope="module")
@@ -48,21 +51,28 @@ class TestPsi:
     def test_imaginary_part_zeroed(self, cosh_f):
         assert cosh_f.psi(2.5).imag == 0.0
 
-    def test_panel_doubling_stability(self, cosh_f):
-        fine = BAFunction.from_callable(np.cosh, name="bessel_k", refine=2)
-        scale = abs(fine.psi(0.0).real)
-        for z in reference_table("bessel_k").zeros:
-            d = abs(cosh_f.psi(z).real - fine.psi(z).real)
-            assert d / scale < 1e-12
+    def test_bessel_aliasing_oracle(self, cosh_f):
+        # psi(z) = 2 K_{iz}(1) across the whole band: the trapezoid sum
+        # aliases psi(z -+ 2 pi/h) onto psi(z), worst at the band edge
+        scale = cosh_f.psi(0.0).real
+        for z in (0.5, 2.0, 3.7, 10.0, 25.0, 50.0, Z_MAX):
+            want = float((2 * mp.besselk(1j * z, 1)).real)
+            assert abs(cosh_f.psi(z).real - want) < 1e-13 * scale
 
     @pytest.mark.parametrize("fid", ["gen_airy", "gen_airy_m130", "gen_airy_133"])
-    def test_panel_doubling_all_reference_integrands(self, fid):
-        coarse = QUADRATURE_INTEGRANDS[fid]()
-        fine = BAFunction.from_callable(coarse.u, name=fid, refine=2)
-        scale = abs(fine.psi(0.0).real)
-        for z in reference_table(fid).zeros:
-            d = abs(coarse.psi(z).real - fine.psi(z).real)
-            assert d / scale < 1e-12
+    def test_gen_airy_quad_oracle(self, fid):
+        # psi(z) = 2 int_0^inf e^{-U} cos(zx) dx by mp.quad at 30 digits, at
+        # 0, the first and third published zero, and 30; e^{-U(3)} < 1e-200
+        f = QUADRATURE_INTEGRANDS[fid]()
+        cs = {"gen_airy": ba._GEN_AIRY, "gen_airy_m130": ba._GEN_AIRY_M130,
+              "gen_airy_133": ba._GEN_AIRY_133}[fid]
+        zeros = reference_table(fid).zeros
+        scale = f.psi(0.0).real
+        for z in (0.0, zeros[0], zeros[2], 30.0):
+            with mp.workdps(30):
+                want = 2 * mp.quad(lambda x: mp.exp(-mp.polyval(cs[::-1], x))
+                                   * mp.cos(z * x), mp.linspace(0, 3, 31))
+            assert abs(f.psi(z).real - float(want)) < 1e-13 * scale
 
     def test_from_scaled_potential_wires_coefficients(self):
         from xilab.scaling import cosh_couplings
@@ -80,9 +90,64 @@ class TestPsi:
         lam = float(sp.lam)
         assert abs(zs[0] * lam - 2.96255) < 0.2
 
-    def test_tail_invariant(self, cosh_f):
-        # envelope at the cutoff is below 10^{-(dps+5)}
-        assert np.exp(-np.cosh(cosh_f.x_max)) < 10.0 ** (-(mp.mp.dps + 5)) * 1e3
+    def test_tail_invariant(self):
+        # envelope at each cutoff is below 10^-TAIL_DECADES of its value at 0
+        for make in QUADRATURE_INTEGRANDS.values():
+            f = make()
+            u0 = f.u(np.array([0.0]))[0]
+            for x in (f.x_min, f.x_max):
+                tail = np.exp(-f.u(np.array([x]))[0])
+                assert tail <= 10.0 ** -TAIL_DECADES * 1e3 * np.exp(-u0)
+            assert f.xs[0] <= f.x_min and f.xs[-1] >= f.x_max
+
+    def test_uniform_nodes(self, cosh_f):
+        # nodes k h, symmetric for an even U; weights h e^{-U}
+        k = np.round(cosh_f.xs / cosh_f.h)
+        assert np.array_equal(cosh_f.xs, k * cosh_f.h)
+        assert np.array_equal(cosh_f.xs, -cosh_f.xs[::-1])
+        assert np.allclose(cosh_f.env, cosh_f.h * np.exp(-np.cosh(cosh_f.xs)),
+                           rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("fid", EVEN_INTEGRANDS)
+    def test_no_ambient_precision(self, fid):
+        # nodes, weights and zeros depend on U alone, not on mp.dps
+        runs = []
+        for dps in (15, 60, 100):
+            with mp.workdps(dps):
+                f = QUADRATURE_INTEGRANDS[fid]()
+                runs.append((len(f.xs), f.env, quadrature_zeros(fid).zeros))
+        for n, env, zeros in runs[1:]:
+            assert n == runs[0][0]
+            assert np.array_equal(env, runs[0][1])
+            assert zeros == runs[0][2]
+
+    def test_eta_gamma_corrected_direct_sum(self):
+        # an independent fine trapezoid sum: h = 0.02 on [-8, 320], where
+        # e^{-U} is below 1e-600 and 1e-69; exact to rounding for z <= 26
+        f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+        zs = np.arange(0.0, 26.0 + 1e-9, 0.02)
+        x = np.arange(-8.0, 320.0, 0.02)
+        w = 0.02 * np.exp(-ba._u_eta_gamma_corrected_f64(x))
+        want = np.concatenate([np.exp(1j * np.outer(zs[i:i + 50], x)) @ w
+                               for i in range(0, len(zs), 50)])
+        got = f.psi_grid(zs)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_band_limit(self, cosh_f):
+        # beyond Z_MAX the sum aliases, so psi refuses instead of answering
+        for bad in (Z_MAX + 1, -Z_MAX - 1):
+            with pytest.raises(ValueError, match="band"):
+                cosh_f.psi(bad)
+            with pytest.raises(ValueError, match="band"):
+                cosh_f.psi_grid([0.0, bad])
+        assert cosh_f.psi(Z_MAX) == cosh_f.psi(-Z_MAX)
+
+    def test_unresolvable_step_raises(self, monkeypatch):
+        # the halvings are bounded: at h = 0.05 the sums at z = 80 still move
+        # (the h = 0.1 sum aliases psi(17.2) ~ 1e-12), so two halvings raise
+        monkeypatch.setattr(ba, "MAX_HALVINGS", 2)
+        with pytest.raises(NonConvergence):
+            BAFunction.from_callable(np.cosh, name="bessel_k")
 
 
 class TestZeros:

@@ -164,6 +164,13 @@ class TestZerosAndPsi:
         assert (code, out) == (2, "")
         assert err.startswith("config error: ")
 
+    def test_psi_above_band_exits_2(self, capsys):
+        # the trapezoid sum aliases above z = 80; no aliased values printed
+        code, out, err = run_cli(capsys, "psi", "--function", "gen_airy",
+                                 "--zmin", "0", "--zmax", "81", "--step", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and "|z| <= 80" in err
+
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--function", "nope")
         assert code == 2

@@ -98,6 +98,25 @@ class TestFindRoots:
         assert abs(reals[0] + 2) < mpf("1e-50")
         assert abs(reals[1] - 1) < mpf("1e-25") and abs(reals[2] - 1) < mpf("1e-25")
 
+    @pytest.mark.parametrize("coeffs, m, others", [
+        ((0, 0, 1, 0, 1), 2, (mpc(0, -1), mpc(0, 1))),   # b^2 (b^2 + 1)
+        ((0, 0, 0, 2, 1), 3, (mpc(-2),)),                # b^3 (b + 2)
+        ((0, 0, 0, 5), 3, ()),                           # 5 b^3
+    ])
+    def test_multiple_root_at_zero_is_exact(self, coeffs, m, others):
+        # the vanishing low-order coefficients give exact zero roots; near a
+        # multiple zero root no iterate could meet the backward-error gate
+        rs = find_roots(CharPolynomial(N=len(coeffs) - 1,
+                                       coeffs=tuple(mpf(c) for c in coeffs)))
+        zeros = [r for r in rs.roots if r == 0]
+        assert len(zeros) == m
+        assert all(flag for r, flag in zip(rs.roots, rs.is_real) if r == 0)
+        rest = sorted((r for r in rs.roots if r != 0), key=lambda r: mp.im(r))
+        assert len(rest) == len(others)
+        for got, want in zip(rest, others):
+            assert abs(got - want) < mpf("1e-50")
+        assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
+
     def test_forward_error_at_rounding_floor(self):
         """Each root is as accurate as the working precision allows: within
         2N eps K of its Newton refinement at 40 more digits, K = sum |q_n|
