@@ -7,8 +7,8 @@ starting points (Fujiwara radius, fixed angular offset). Each root stops
 on its own once its step is below the target or |Q| is at the rounding
 floor; the roots are then polished with Newton steps and
 conjugate-symmetrized. Exact zero roots (vanishing low-order coefficients)
-are split off before the iteration. A root is accepted on backward error: |Q(r)|
-measured against the coefficient magnitudes at |r|.
+are split off before the iteration. A root is accepted on backward error:
+|Q(r)| measured against the coefficient magnitudes at |r|.
 """
 
 from __future__ import annotations
