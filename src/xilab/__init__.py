@@ -7,14 +7,13 @@ saddle-point solvers.
 """
 
 from .precision import DEFAULT_DPS, set_working_dps, working_dps
-from .series import BiSeries, TaylorSeries, series_compose, series_exp, series_log
+from .series import TaylorSeries, series_compose, series_exp, series_log
 from .potentials import KernelValue, PotentialSpec, phi_ramanujan, phi_riemann, \
     taylor_u, u_eta_gamma, u_eta_gamma_prime
 from .scaling import (ModelParams, ScaledPotential, cosh_couplings,
                       double_scaling, rescale_potential)
-from .matrix_model import (CharPolynomial, HessenbergMatrix, ModelPotential,
-                           build_potential, hermite_q, jacobi_matrix,
-                           q_polynomial, q_polynomial_gf, q_sequence)
+from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
+                           q_polynomial)
 from .roots import RootSet, classify, find_roots, reconstruct_coefficients
 from .baker_akhiezer import (BAFunction, ReferenceZeros, magnitude_minima,
                              psi_zeros, quadrature_zeros, reference_table)

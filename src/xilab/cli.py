@@ -44,9 +44,6 @@ from .scaling import double_scaling
 from .potentials import taylor_u  # noqa: F401
 from .scaling import cosh_couplings, rescale_potential  # noqa: F401
 
-NUMERICAL_ERRORS = (err.NonConvergence, err.NoConvergence, err.TailNotNegligible,
-                    err.InsufficientZerosFound, err.SingularJacobian,
-                    err.NonPositiveG, err.NonPositiveLeadingCoefficient)
 CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference, err.MissingPipeline)
 
 #: model degree when --p is not given
@@ -137,6 +134,8 @@ def _solve_run(args):
         g = mpf(args.g) if args.g else mpf(1) / N
         params = double_scaling(2, N, (), g_mode="plain", g_override=g)
         return run_model(params)
+    if args.kind is None:
+        raise ValueError("solve needs a potential: --kind, --row or --hermite")
     return run_from_spec(_spec_from_args(args), _model_p(args), N,
                          g_mode=args.g_mode or "corrected", g_override=args.g)
 
@@ -326,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--row", choices=ROW_IDS,
                     help="run a catalogued report row, with its own potential and g")
     sp.add_argument("--hermite", action="store_true", default=None,
-                    help="quadratic-model closed-form case")
+                    help="the quadratic (p = 2) model, whose Q_N is the scaled "
+                         "Hermite closed form")
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--g", default=None, help="override the coupling constant g")
     sp.add_argument("--g-mode", choices=("corrected", "plain"), default=None,
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except err.XilabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -25,10 +25,6 @@ class NonPositiveG(XilabError):
     """Double-scaling produced a non-positive coupling constant g."""
 
 
-class DegenerateBasis(XilabError):
-    """A polynomial in the recurrence basis has lower degree than its index."""
-
-
 class NoConvergence(XilabError):
     """Root iteration failed to meet its backward-error target."""
 
@@ -43,6 +39,10 @@ class TailNotNegligible(XilabError):
 
 class UnknownReference(XilabError):
     """No reference-zero table with the requested id."""
+
+
+class TooFewRealRoots(XilabError):
+    """A report row has fewer real roots than its calibration reports zeros."""
 
 
 class DegenerateFit(XilabError):

@@ -14,8 +14,10 @@ Q_N is exactly (-1)^N. The block T_n carries the degree-n interaction; the
 quadratic model (p = 2) is the exactly Gaussian case with S(a) = -a^2/4,
 whose Q_N is the scaled Hermite closed form.
 
-Three independent routes to the same object are provided (series extraction,
-generating function, Hessenberg determinant) plus the p = 2 closed form.
+Q_N is built one way, from the generating function (see ``q_polynomial``).
+The tests check it against independent routes kept in ``tests/oracles.py``:
+series extraction of the bivariate exponential, the Hessenberg determinant
+and the p = 2 closed form.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import binomial, mpf
 
-from .errors import DegenerateBasis
 from .precision import to_decimal
 from .scaling import ModelParams
-from .series import BiSeries, TaylorSeries, series_exp
+from .series import TaylorSeries, series_exp
 
 MAX_N = 64
 
@@ -100,21 +101,6 @@ class CharPolynomial:
             acc = acc * b + n * self.coeffs[n]
         return acc
 
-    def shifted(self, c) -> "CharPolynomial":
-        """Coefficients of Q(b + c)."""
-        out = [mpf(0)] * (self.N + 1)
-        out[0] = self.coeffs[self.N]
-        for n in range(self.N - 1, -1, -1):
-            # multiply by (b + c), then add coeffs[n]
-            nxt = [mpf(0)] * (self.N + 1)
-            for d in range(self.N):
-                if out[d] != 0:
-                    nxt[d + 1] += out[d]
-                    nxt[d] += out[d] * c
-            nxt[0] += self.coeffs[n]
-            out = nxt
-        return CharPolynomial(N=self.N, coeffs=tuple(out))
-
     def to_json(self) -> str:
         return json.dumps({"N": self.N,
                            "coeffs": [to_decimal(c) for c in self.coeffs]})
@@ -125,46 +111,16 @@ class CharPolynomial:
         return cls(N=d["N"], coeffs=tuple(mpf(c) for c in d["coeffs"]))
 
 
-def _exponent_biseries(params: ModelParams, V: ModelPotential, order: int) -> BiSeries:
-    g = params.g
-    coeffs: list[tuple] = [(mpf(0),)]
-    for m in range(1, order + 1):
-        sig = V.s_coeffs[m - 1] if m <= V.p else mpf(0)
-        if m == 1:
-            coeffs.append((sig / g, 1 / g))  # + b/g
-        else:
-            coeffs.append((sig / g,))
-    return BiSeries(coeffs)
-
-
-def q_sequence(params: ModelParams, V: ModelPotential, N: int) -> list[CharPolynomial]:
-    """Q_0..Q_N from one series exponential (Q_n = (-g)^n n! [a^n] exp E)."""
-    if N > MAX_N:
-        raise ValueError(f"N = {N} exceeds the default cap {MAX_N}; "
-                         "raise precision and MAX_N deliberately if you mean it")
-    ex = _exponent_biseries(params, V, N).exp()
-    out = []
-    for n in range(N + 1):
-        fac = (-params.g) ** n * mp.factorial(n)
-        poly = ex.poly(n)
-        cs = [fac * c for c in poly] + [mpf(0)] * (n + 1 - len(poly))
-        out.append(CharPolynomial(N=n, coeffs=tuple(cs[: n + 1])))
-    return out
-
-
 def q_polynomial(params: ModelParams, V: ModelPotential, N: int) -> CharPolynomial:
-    """Q_N by series extraction of the derivative formula."""
-    return q_sequence(params, V, N)[N]
-
-
-def q_polynomial_gf(params: ModelParams, V: ModelPotential, N: int) -> CharPolynomial:
     """Q_N from the generating function sum_n Q_n(y) t^n / n!.
 
     The generating function factors into a scalar series exp(S(-g t)/g)
     times e^{-y t}, so Q_N(y) = N! sum_k T_{N-k} (-y)^k / k! with T the
-    scalar exponential's coefficients. Shares nothing with the biseries
-    route except scalar series_exp.
+    scalar exponential's coefficients.
     """
+    if N > MAX_N:
+        raise ValueError(f"N = {N} exceeds the default cap {MAX_N}; "
+                         "raise precision and MAX_N deliberately if you mean it")
     g = params.g
     c = [mpf(0)] * (N + 1)
     for m in range(1, min(V.p, N) + 1):
@@ -174,87 +130,3 @@ def q_polynomial_gf(params: ModelParams, V: ModelPotential, N: int) -> CharPolyn
     for k in range(N + 1):
         out[k] = mp.factorial(N) * T[N - k] * (-1) ** k / mp.factorial(k)
     return CharPolynomial(N=N, coeffs=tuple(out))
-
-
-def hermite_q(N: int, g) -> CharPolynomial:
-    """Closed form for the quadratic model: (g/4)^{N/2} H_N(b/sqrt(g))."""
-    g = mpf(g)
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if not g > 0:
-        raise ValueError("g must be positive")
-    # physicists' Hermite coefficients by recurrence H_{n+1} = 2x H_n - 2n H_{n-1}
-    h_prev = [mpf(1)]
-    if N == 0:
-        return CharPolynomial(N=0, coeffs=(mpf(1),))
-    h = [mpf(0), mpf(2)]
-    for n in range(1, N):
-        nxt = [mpf(0)] * (n + 2)
-        for d, c in enumerate(h):
-            nxt[d + 1] += 2 * c
-        for d, c in enumerate(h_prev):
-            nxt[d] -= 2 * n * c
-        h_prev, h = h, nxt
-    scale = (g / 4) ** (mpf(N) / 2)
-    rg = mp.sqrt(g)
-    return CharPolynomial(N=N, coeffs=tuple(scale * h[d] * rg ** (-d) for d in range(N + 1)))
-
-
-@dataclass(frozen=True)
-class HessenbergMatrix:
-    """Multiplication-by-b operator in the Q basis (lower Hessenberg)."""
-
-    N: int
-    rows: tuple  # tuple of tuples, N x N
-
-    def entry(self, n: int, m: int) -> mpf:
-        return self.rows[n][m]
-
-    def char_poly_at(self, b) -> mpf:
-        """det(b I - J) by LU elimination with partial pivoting."""
-        n = self.N
-        a = [[b * (i == j) - self.rows[i][j] for j in range(n)] for i in range(n)]
-        det = mpf(1)
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if a[piv][col] == 0:
-                return mpf(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f == 0:
-                    continue
-                for cc in range(col, n):
-                    a[r][cc] -= f * a[col][cc]
-        return det
-
-
-def jacobi_matrix(params: ModelParams, V: ModelPotential, N: int) -> HessenbergMatrix:
-    """Expand b Q_n = sum_{m<=n+1} J_{n,m} Q_m and return the N x N block.
-
-    The expansion is exact back-substitution in the graded basis Q_0..Q_{n+1}
-    (leading coefficients are (-1)^n, so degrees match indices). Dropping the
-    Q_N component of the last row is multiplication modulo Q_N; the block's
-    characteristic polynomial is the monic (-1)^N Q_N.
-    """
-    qs = q_sequence(params, V, N)
-    for n, q in enumerate(qs):
-        if q.coeffs[n] == 0:
-            raise DegenerateBasis(f"Q_{n} has degree below {n}")
-    rows = []
-    for n in range(N):
-        # residual <- b * Q_n, coefficients of degree 0..n+1
-        resid = [mpf(0)] + list(qs[n].coeffs)
-        coeffs_in_basis = [mpf(0)] * (N + 1)
-        for m in range(n + 1, -1, -1):
-            c = resid[m] / qs[m].coeffs[m]
-            coeffs_in_basis[m] = c
-            if c != 0:
-                for d in range(m + 1):
-                    resid[d] -= c * qs[m].coeffs[d]
-        rows.append(tuple(coeffs_in_basis[:N]))
-    return HessenbergMatrix(N=N, rows=tuple(rows))

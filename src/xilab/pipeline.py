@@ -26,7 +26,7 @@ from mpmath import mpf
 from . import baker_akhiezer as ba
 from .calibration import (Calibration, TableRow, ZeroReport, airy_fixed_map,
                           estimate_zeros, fit_linear)
-from .errors import MissingPipeline
+from .errors import MissingPipeline, TooFewRealRoots
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
 from .potentials import PotentialSpec, taylor_u
@@ -84,6 +84,9 @@ ROWS = {row.id: row for row in (
 )}
 
 ROW_IDS = tuple(ROWS)
+
+#: zeros a report row estimates (z1..z3); each needs one real root
+REPORTED_ZEROS = 3
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,11 @@ def run_row(row_id: str, N: int = 16) -> RowResult:
     ref = ba.reference_table(row.reference)
     spec, scaled, params = row_model(row, N)
     run = run_model(params, spec=spec, scaled=scaled)
+    n_real = len(run.roots.real_roots())
+    if n_real < REPORTED_ZEROS:
+        raise TooFewRealRoots(
+            f"row {row_id} at N={N} has {n_real} real roots; its calibration "
+            f"needs {REPORTED_ZEROS}")
 
     if row.calibration == "airy_fixed_map":
         cal = airy_fixed_map()

@@ -1,14 +1,9 @@
 """Truncated power series at extended precision.
 
-Two flavours:
-
-* :class:`TaylorSeries` — dense univariate series in x with mpf coefficients.
-* :class:`BiSeries` — series in one variable whose coefficients are dense
-  polynomials in a second variable (used to carry the ``a*b`` cross term of
-  the character-polynomial exponent through a series exponential).
-
-Binary operations truncate to the minimum order of the operands, so no
-fictitious high-order terms are ever produced. Values are immutable.
+:class:`TaylorSeries` is a dense univariate series in x with mpf
+coefficients. Binary operations truncate to the minimum order of the
+operands, so no fictitious high-order terms are ever produced. Values are
+immutable.
 
 Coefficient tuples are built from lists, never from generators. CPython 3.11
 allocates a tuple built from a generator for 10 items, then resizes it,
@@ -19,7 +14,7 @@ grew its resident memory by ~0.1 MB per report until those lists filled.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import mpmath as mp
 from mpmath import mpf
@@ -171,103 +166,3 @@ def series_compose(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
     for c in reversed(f.coeffs[: k + 1]):
         acc = acc * gt + c
     return acc
-
-
-# ---------------------------------------------------------------------------
-# series with polynomial coefficients
-
-
-class BiSeries:
-    """Series in `a` whose coefficient at a^m is a dense polynomial in `b`.
-
-    Stored as a tuple of coefficient tuples, lowest degrees first. The
-    character-polynomial exponent has b-degree exactly 1 at a^1 and 0
-    elsewhere, which makes exp triangular: the a^m coefficient of the result
-    has b-degree at most m.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Sequence]):
-        cs = tuple([tuple([mpf(c) if not isinstance(c, mpf) else c for c in poly])
-                    or (mpf(0),) for poly in coeffs])
-        if not cs:
-            raise ValueError("a series needs at least the constant term")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BiSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def poly(self, m: int) -> tuple:
-        return self.coeffs[m] if m <= self.order else (mpf(0),)
-
-    def b_degree(self, m: int) -> int:
-        p = self.poly(m)
-        for d in range(len(p) - 1, -1, -1):
-            if p[d] != 0:
-                return d
-        return 0
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        k = min(self.order, other.order)
-        return BiSeries([_padd(self.coeffs[m], other.coeffs[m]) for m in range(k + 1)])
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        k = min(self.order, other.order)
-        out = [(mpf(0),)] * (k + 1)
-        for i in range(k + 1):
-            pi = self.coeffs[i]
-            if len(pi) == 1 and pi[0] == 0:
-                continue
-            for j in range(k + 1 - i):
-                out[i + j] = _padd(out[i + j], _pmul(pi, other.coeffs[j]))
-        return BiSeries(out)
-
-    def exp(self) -> "BiSeries":
-        """exp by the same derivative recurrence as the scalar case.
-
-        The constant coefficient must be the zero polynomial; the exponent
-        series used here always satisfies that (the potential vanishes at
-        the expansion point).
-        """
-        if self.b_degree(0) != 0 or self.coeffs[0][0] != 0:
-            raise ValueError("BiSeries.exp expects a vanishing constant coefficient")
-        k = self.order
-        g: list[tuple] = [(mpf(1),)]
-        for n in range(1, k + 1):
-            acc = (mpf(0),)
-            for j in range(1, n + 1):
-                pj = self.coeffs[j]
-                if len(pj) == 1 and pj[0] == 0:
-                    continue
-                acc = _padd(acc, _pscale(_pmul(pj, g[n - j]), j))
-            g.append(_pscale(acc, mp.mpf(1) / n))
-        return BiSeries(g)
-
-
-def _padd(a: Sequence, b: Sequence) -> tuple:
-    n = max(len(a), len(b))
-    out = [mpf(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return tuple(out)
-
-
-def _pmul(a: Sequence, b: Sequence) -> tuple:
-    out = [mpf(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _pscale(a: Sequence, s) -> tuple:
-    return tuple([c * s for c in a])

@@ -1,0 +1,247 @@
+"""Reference routes to Q_N that the tests compare the production build against.
+
+``xilab.matrix_model.q_polynomial`` builds Q_N from the generating function.
+The routes here share nothing with it but ``CharPolynomial`` and the model
+parameters:
+
+* ``q_sequence``: series extraction of Q_n = (-g)^n n! [a^n] exp E(a, b),
+  with the exponent carried as a :class:`BiSeries` (the ``a*b`` cross term
+  makes its coefficients polynomials in b);
+* ``jacobi_matrix``: the multiplication-by-b operator in the Q basis, whose
+  characteristic polynomial is (-1)^N Q_N;
+* ``hermite_q``: the p = 2 closed form;
+* ``shifted``: the coefficients of Q(b + c), by Horner's rule.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import mpmath as mp
+from mpmath import mpf
+
+from xilab.matrix_model import CharPolynomial, ModelPotential
+from xilab.scaling import ModelParams
+
+
+class BiSeries:
+    """Series in `a` whose coefficient at a^m is a dense polynomial in `b`.
+
+    Stored as a tuple of coefficient tuples, lowest degrees first. The
+    character-polynomial exponent has b-degree exactly 1 at a^1 and 0
+    elsewhere, which makes exp triangular: the a^m coefficient of the result
+    has b-degree at most m.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[Sequence]):
+        cs = tuple([tuple([mpf(c) if not isinstance(c, mpf) else c for c in poly])
+                    or (mpf(0),) for poly in coeffs])
+        if not cs:
+            raise ValueError("a series needs at least the constant term")
+        object.__setattr__(self, "coeffs", cs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("BiSeries is immutable")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def poly(self, m: int) -> tuple:
+        return self.coeffs[m] if m <= self.order else (mpf(0),)
+
+    def b_degree(self, m: int) -> int:
+        p = self.poly(m)
+        for d in range(len(p) - 1, -1, -1):
+            if p[d] != 0:
+                return d
+        return 0
+
+    def __add__(self, other: "BiSeries") -> "BiSeries":
+        k = min(self.order, other.order)
+        return BiSeries([_padd(self.coeffs[m], other.coeffs[m]) for m in range(k + 1)])
+
+    def __mul__(self, other: "BiSeries") -> "BiSeries":
+        k = min(self.order, other.order)
+        out = [(mpf(0),)] * (k + 1)
+        for i in range(k + 1):
+            pi = self.coeffs[i]
+            if len(pi) == 1 and pi[0] == 0:
+                continue
+            for j in range(k + 1 - i):
+                out[i + j] = _padd(out[i + j], _pmul(pi, other.coeffs[j]))
+        return BiSeries(out)
+
+    def exp(self) -> "BiSeries":
+        """exp by the derivative recurrence (exp f)' = f' exp f.
+
+        The constant coefficient must be the zero polynomial; the exponent
+        series used here always satisfies that (the potential vanishes at
+        the expansion point).
+        """
+        if self.b_degree(0) != 0 or self.coeffs[0][0] != 0:
+            raise ValueError("BiSeries.exp expects a vanishing constant coefficient")
+        k = self.order
+        g: list[tuple] = [(mpf(1),)]
+        for n in range(1, k + 1):
+            acc = (mpf(0),)
+            for j in range(1, n + 1):
+                pj = self.coeffs[j]
+                if len(pj) == 1 and pj[0] == 0:
+                    continue
+                acc = _padd(acc, _pscale(_pmul(pj, g[n - j]), j))
+            g.append(_pscale(acc, mp.mpf(1) / n))
+        return BiSeries(g)
+
+
+def _padd(a: Sequence, b: Sequence) -> tuple:
+    n = max(len(a), len(b))
+    out = [mpf(0)] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return tuple(out)
+
+
+def _pmul(a: Sequence, b: Sequence) -> tuple:
+    out = [mpf(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def _pscale(a: Sequence, s) -> tuple:
+    return tuple([c * s for c in a])
+
+
+def _exponent_biseries(params: ModelParams, V: ModelPotential, order: int) -> BiSeries:
+    """E(a) = a b / g + S(a) / g through a^order."""
+    g = params.g
+    coeffs: list[tuple] = [(mpf(0),)]
+    for m in range(1, order + 1):
+        sig = V.s_coeffs[m - 1] if m <= V.p else mpf(0)
+        if m == 1:
+            coeffs.append((sig / g, 1 / g))  # + b/g
+        else:
+            coeffs.append((sig / g,))
+    return BiSeries(coeffs)
+
+
+def q_sequence(params: ModelParams, V: ModelPotential, N: int) -> list[CharPolynomial]:
+    """Q_0..Q_N from one series exponential (Q_n = (-g)^n n! [a^n] exp E)."""
+    ex = _exponent_biseries(params, V, N).exp()
+    out = []
+    for n in range(N + 1):
+        fac = (-params.g) ** n * mp.factorial(n)
+        poly = ex.poly(n)
+        cs = [fac * c for c in poly] + [mpf(0)] * (n + 1 - len(poly))
+        out.append(CharPolynomial(N=n, coeffs=tuple(cs[: n + 1])))
+    return out
+
+
+def hermite_q(N: int, g) -> CharPolynomial:
+    """Closed form for the quadratic model: (g/4)^{N/2} H_N(b/sqrt(g))."""
+    g = mpf(g)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if not g > 0:
+        raise ValueError("g must be positive")
+    # physicists' Hermite coefficients by recurrence H_{n+1} = 2x H_n - 2n H_{n-1}
+    h_prev = [mpf(1)]
+    if N == 0:
+        return CharPolynomial(N=0, coeffs=(mpf(1),))
+    h = [mpf(0), mpf(2)]
+    for n in range(1, N):
+        nxt = [mpf(0)] * (n + 2)
+        for d, c in enumerate(h):
+            nxt[d + 1] += 2 * c
+        for d, c in enumerate(h_prev):
+            nxt[d] -= 2 * n * c
+        h_prev, h = h, nxt
+    scale = (g / 4) ** (mpf(N) / 2)
+    rg = mp.sqrt(g)
+    return CharPolynomial(N=N, coeffs=tuple(scale * h[d] * rg ** (-d) for d in range(N + 1)))
+
+
+def shifted(q: CharPolynomial, c) -> CharPolynomial:
+    """Coefficients of Q(b + c)."""
+    N = q.N
+    out = [mpf(0)] * (N + 1)
+    out[0] = q.coeffs[N]
+    for n in range(N - 1, -1, -1):
+        # multiply by (b + c), then add coeffs[n]
+        nxt = [mpf(0)] * (N + 1)
+        for d in range(N):
+            if out[d] != 0:
+                nxt[d + 1] += out[d]
+                nxt[d] += out[d] * c
+        nxt[0] += q.coeffs[n]
+        out = nxt
+    return CharPolynomial(N=N, coeffs=tuple(out))
+
+
+@dataclass(frozen=True)
+class HessenbergMatrix:
+    """Multiplication-by-b operator in the Q basis (lower Hessenberg)."""
+
+    N: int
+    rows: tuple  # tuple of tuples, N x N
+
+    def entry(self, n: int, m: int) -> mpf:
+        return self.rows[n][m]
+
+    def char_poly_at(self, b) -> mpf:
+        """det(b I - J) by LU elimination with partial pivoting."""
+        n = self.N
+        a = [[b * (i == j) - self.rows[i][j] for j in range(n)] for i in range(n)]
+        det = mpf(1)
+        for col in range(n):
+            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+            if a[piv][col] == 0:
+                return mpf(0)
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                det = -det
+            det *= a[col][col]
+            inv = 1 / a[col][col]
+            for r in range(col + 1, n):
+                f = a[r][col] * inv
+                if f == 0:
+                    continue
+                for cc in range(col, n):
+                    a[r][cc] -= f * a[col][cc]
+        return det
+
+
+def jacobi_matrix(params: ModelParams, V: ModelPotential, N: int) -> HessenbergMatrix:
+    """Expand b Q_n = sum_{m<=n+1} J_{n,m} Q_m and return the N x N block.
+
+    The expansion is exact back-substitution in the graded basis Q_0..Q_{n+1}
+    (leading coefficients are (-1)^n, so degrees match indices). Dropping the
+    Q_N component of the last row is multiplication modulo Q_N; the block's
+    characteristic polynomial is the monic (-1)^N Q_N.
+    """
+    qs = q_sequence(params, V, N)
+    for n, q in enumerate(qs):
+        if q.coeffs[n] == 0:
+            raise AssertionError(f"Q_{n} has degree below {n}")
+    rows = []
+    for n in range(N):
+        # residual <- b * Q_n, coefficients of degree 0..n+1
+        resid = [mpf(0)] + list(qs[n].coeffs)
+        coeffs_in_basis = [mpf(0)] * (N + 1)
+        for m in range(n + 1, -1, -1):
+            c = resid[m] / qs[m].coeffs[m]
+            coeffs_in_basis[m] = c
+            if c != 0:
+                for d in range(m + 1):
+                    resid[d] -= c * qs[m].coeffs[d]
+        rows.append(tuple(coeffs_in_basis[:N]))
+    return HessenbergMatrix(N=N, rows=tuple(rows))

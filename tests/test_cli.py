@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from xilab import cli, pipeline
+from xilab import errors as err
 from xilab import master_field as mf
 from xilab.cli import main
 
@@ -92,6 +93,11 @@ class TestSolve:
         code_row, by_row, _ = run_cli(capsys, "solve", "--row", row, "--N", "16", "--json")
         assert code == code_row == 0
         assert by_kind == by_row
+
+    def test_no_potential_names_the_choices(self, capsys):
+        code, out, err_text = run_cli(capsys, "solve", "--N", "4")
+        assert (code, out) == (2, "")
+        assert all(flag in err_text for flag in ("--kind", "--row", "--hermite"))
 
     def test_row_airy(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4")
@@ -200,6 +206,32 @@ class TestTable:
         assert code == 0
         doc = json.loads(out)
         assert abs(float(doc["A"]) - 0.193542) < 1e-4
+
+
+    @pytest.mark.parametrize("row", ["riemann", "airy"])
+    def test_calibrate_too_few_real_roots_exits_3(self, capsys, row):
+        code, out, err_text = run_cli(capsys, "calibrate", "--row", row, "--N", "2")
+        assert (code, out) == (3, "")
+        assert err_text.startswith("numerical failure: ")
+        assert f"row {row} at N=2 has 2 real roots" in err_text and "needs 3" in err_text
+
+    def test_table_too_few_real_roots_lists_each_row(self, capsys):
+        code, out, _ = run_cli(capsys, "table1", "--N", "2")
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == len(pipeline.ROW_IDS)
+        for rid, line in zip(pipeline.ROW_IDS, lines):
+            assert f"FAILED  TooFewRealRoots: row {rid} at N=2" in line
+        assert "IndexError" not in out
+
+    def test_any_package_error_exits_3(self, capsys, monkeypatch):
+        def degenerate(row_id, N):
+            raise err.DegenerateFit("anchor roots coincide")
+
+        monkeypatch.setattr(cli, "run_row", degenerate)
+        code, out, err_text = run_cli(capsys, "calibrate", "--row", "riemann")
+        assert (code, out) == (3, "")
+        assert err_text == "numerical failure: anchor roots coincide\n"
 
 
 class TestMasterSaddle:

@@ -3,9 +3,10 @@ import pytest
 from mpmath import mpf
 
 from conftest import assert_rel
-from xilab.matrix_model import (build_potential, hermite_q, jacobi_matrix,
-                                q_polynomial, q_polynomial_gf)
-from xilab.pipeline import RIEMANN_ROW_U
+from oracles import hermite_q, jacobi_matrix, q_sequence, shifted
+from xilab.matrix_model import build_potential, q_polynomial
+from xilab.pipeline import RIEMANN_ROW_U, ROWS, row_model
+from xilab.roots import find_roots
 from xilab.scaling import double_scaling, rescale_potential
 from xilab.series import TaylorSeries
 
@@ -84,13 +85,12 @@ class TestQPolynomial:
         check_table(q, RIEMANN_Q16, "1e-3", "riemann")
 
     def test_root_shift(self):
-        from xilab.roots import find_roots
         params = riemann_params(8)
         V = build_potential(params)
         q = q_polynomial(params, V, 8)
         shift = mpf("0.75")
         r0 = sorted([mp.re(r) for r in find_roots(q).roots])
-        r1 = sorted([mp.re(r) for r in find_roots(q.shifted(shift)).roots])
+        r1 = sorted([mp.re(r) for r in find_roots(shifted(q, shift)).roots])
         for a, b in zip(r0, r1):
             assert abs((b + shift) - a) < mpf("1e-30")
 
@@ -99,15 +99,16 @@ class TestGeneratingFunctionOracle:
     def test_n0(self):
         params = riemann_params()
         V = build_potential(params)
-        assert q_polynomial_gf(params, V, 0).coeffs == (mpf(1),)
+        assert (q_sequence(params, V, 0)[0].coeffs == q_polynomial(params, V, 0).coeffs
+                == (mpf(1),))
 
     @pytest.mark.parametrize("p,s", [(3, ("1.5",)), (5, ("-0.5", "0", "2")),
                                      (7, ("1", "0", "3", "0", "3"))])
     def test_matches_series_route(self, p, s):
         params = double_scaling(p, 8, s)
         V = build_potential(params)
-        qa = q_polynomial(params, V, 8)
-        qb = q_polynomial_gf(params, V, 8)
+        qa = q_sequence(params, V, 8)[8]
+        qb = q_polynomial(params, V, 8)
         for a, b in zip(qa.coeffs, qb.coeffs):
             denom = max(abs(b), mpf(1))
             assert abs(a - b) / denom < mpf("1e-45")
@@ -115,8 +116,36 @@ class TestGeneratingFunctionOracle:
     def test_hermite_table_via_gf(self):
         params = double_scaling(2, 16, (), g_mode="plain")
         V = build_potential(params)
-        q = q_polynomial_gf(params, V, 16)
+        q = q_polynomial(params, V, 16)
         check_table(q, HERMITE_Q16, "1e-5", "gf-hermite")
+
+
+class TestCataloguedRowsAgainstOracle:
+    """The production Q_N against the series route on the eight report rows."""
+
+    @pytest.mark.parametrize("N,dps", [(16, 60), (32, 80)])
+    @pytest.mark.parametrize("row_id", list(ROWS))
+    def test_coefficients(self, row_id, N, dps):
+        with mp.workdps(dps):
+            _, _, params = row_model(ROWS[row_id], N)
+            V = build_potential(params)
+            got = q_polynomial(params, V, N)
+            want = q_sequence(params, V, N)[N]
+            floor = mpf(10) ** -dps * max(abs(c) for c in want.coeffs)
+            for n, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
+                bound = max(mpf(10) ** -(dps - 10) * abs(b), floor)
+                assert abs(a - b) <= bound, f"{row_id} N={N} b^{n}"
+
+    @pytest.mark.parametrize("row_id", list(ROWS))
+    def test_roots_at_n16(self, row_id):
+        _, _, params = row_model(ROWS[row_id], 16)
+        V = build_potential(params)
+        got = find_roots(q_polynomial(params, V, 16))
+        want = find_roots(q_sequence(params, V, 16)[16])
+        assert got.is_real == want.is_real
+        tol = mpf(10) ** -(mp.mp.dps // 2)
+        for a, b in zip(got.roots, want.roots):
+            assert abs(a - b) <= tol * max(abs(b), 1), f"{row_id} root {b}"
 
 
 class TestJacobiMatrix:

@@ -3,7 +3,8 @@ import pytest
 from mpmath import mpc, mpf
 
 from conftest import assert_rel
-from xilab.matrix_model import CharPolynomial, build_potential, hermite_q, q_polynomial
+from oracles import hermite_q
+from xilab.matrix_model import CharPolynomial, build_potential, q_polynomial
 from xilab.pipeline import RIEMANN_ROW_U
 from xilab import roots
 from xilab.roots import classify, find_roots, reconstruct_coefficients
