@@ -6,7 +6,7 @@ quadrature and zero calibration, plus quenched master-field and
 saddle-point solvers.
 """
 
-from .precision import DEFAULT_DPS, set_working_dps, working_dps
+from .precision import DEFAULT_DPS
 from .series import TaylorSeries, series_compose, series_exp, series_log
 from .potentials import KernelValue, PotentialSpec, phi_ramanujan, phi_riemann, \
     taylor_u, u_eta_gamma, u_eta_gamma_prime

@@ -12,9 +12,14 @@ inspectable:
     master     quenched master-field least squares
     saddle     saddle-point eigenvalue solver
 
-Exit codes: 0 ok, 2 config/spec error, 3 numerical failure. The working
-precision is --precision, else the XI_LAB_PRECISION environment variable
-(read here, by ``main``), else 60 digits.
+Exit codes: 0 ok, 2 config/spec error, 3 numerical failure.
+
+``main`` is the one place that decides the working precision: --precision,
+else the XI_LAB_PRECISION environment variable, else 60 digits, at least 15.
+It runs the subcommand inside ``mp.workdps`` and leaves mpmath's precision
+as it found it. The extended-precision commands (expand, solve, calibrate,
+table1) report that precision; the float64 ones (psi, zeros, master, saddle)
+accept the flag but do not use it, and do not print it.
 Numbers in JSON are decimal strings at full working precision; tables round
 to 6 significant digits.
 """
@@ -38,7 +43,7 @@ from .matrix_model import build_potential
 from .pipeline import (ROW_IDS, ROWS, build_table1, expand_spec, row_model,
                        run_from_spec, run_model, run_row)
 from .potentials import KINDS, PotentialSpec
-from .precision import pretty, set_working_dps, to_decimal, working_dps
+from .precision import DEFAULT_DPS, MIN_DPS, pretty, to_decimal
 from .scaling import double_scaling
 # not called here; kept because perfbench/layers.py wraps these cli attributes
 from .potentials import taylor_u  # noqa: F401
@@ -79,8 +84,10 @@ def _spec_from_args(args) -> PotentialSpec:
     return PotentialSpec(**kw)
 
 
-def _meta() -> dict:
-    return {"precision": working_dps(), "backend": BACKEND}
+def _meta(dps: int | None = None) -> dict:
+    """JSON header: the working precision ``dps`` when the command uses it,
+    and the float64 kernel backend."""
+    return ({} if dps is None else {"precision": dps}) | {"backend": BACKEND}
 
 
 def _emit(payload: dict, path: str | None):
@@ -93,29 +100,33 @@ def _emit(payload: dict, path: str | None):
 
 
 def cmd_expand(args) -> int:
+    if args.kind is None:
+        raise ValueError("expand needs a potential: --kind")
     spec = _spec_from_args(args)
     p = _model_p(args)
     order = p + 1
     u, scaled = expand_spec(spec, p)
     if args.json is not None:
-        _emit({**_meta(),
+        _emit({**_meta(args.precision),
                "a": [to_decimal(u[n]) for n in range(order + 1)],
                "scaled": json.loads(scaled.to_json())}, args.json)
         return 0
-    print(f"# kind={spec.kind} p={p} precision={working_dps()}")
+    print(f"# kind={spec.kind} p={p} precision={args.precision}")
+    # display floor: values below half the working digits of their scale are
+    # rounding dust
+    floor = mpf(10) ** -(args.precision // 2)
     print("expansion coefficients a_n:")
-    afloor = mpf(10) ** (-(working_dps() // 2)) * max(abs(c) for c in u.coeffs)
+    afloor = floor * max(abs(c) for c in u.coeffs)
     for n in range(order + 1):
         if abs(u[n]) > afloor:
             print(f"  a_{n:<2d} = {pretty(u[n])}")
     print(f"rescale factor = {pretty(scaled.lam)}")
     print("couplings:")
-    floor = mpf(10) ** (-(working_dps() // 2)) * max(
-        [abs(v) for v in scaled.s] or [mpf(1)])
+    sfloor = floor * max([abs(v) for v in scaled.s] or [mpf(1)])
     for k, sv in enumerate(scaled.s, start=1):
-        if abs(sv) > floor:
+        if abs(sv) > sfloor:
             print(f"  s_{k} = {pretty(sv)}")
-    if any(abs(v) > mpf(10) ** (-working_dps() // 2) for v in scaled.residuals.values()):
+    if any(abs(v) > floor for v in scaled.residuals.values()):
         print("residual (non-normal-form) coefficients:",
               {n: pretty(v) for n, v in scaled.residuals.items()})
     return 0
@@ -143,7 +154,7 @@ def _solve_run(args):
 def cmd_solve(args) -> int:
     run = _solve_run(args)
     if args.json is not None:
-        _emit({**_meta(),
+        _emit({**_meta(args.precision),
                "params": {"p": run.params.p, "N": run.params.N,
                           "g": to_decimal(run.params.g),
                           "epsilon": to_decimal(run.params.epsilon),
@@ -152,7 +163,7 @@ def cmd_solve(args) -> int:
                "roots": json.loads(run.roots.to_json())}, args.json)
     else:
         print(f"# p={run.params.p} N={run.params.N} g={pretty(run.params.g, 9)} "
-              f"precision={working_dps()}")
+              f"precision={args.precision}")
         print("Q coefficients (highest degree first):")
         print("  " + ", ".join(pretty(c) for c in reversed(run.q.coeffs)))
         print("roots:")
@@ -182,7 +193,7 @@ def cmd_psi(args) -> int:
     f = _ba_function(args.function)
     zs = np.arange(args.zmin, args.zmax + args.step / 2, args.step)
     vals = f.psi_grid(zs)
-    lines = [f"# function={args.function} precision={working_dps()} backend={BACKEND}",
+    lines = [f"# function={args.function} backend={BACKEND}",
              "z,re_psi,im_psi"]
     lines += [f"{z:.12g},{v.real:.15e},{v.imag:.15e}" for z, v in zip(zs, vals)]
     text = "\n".join(lines)
@@ -207,7 +218,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_calibrate(args) -> int:
     res = run_row(args.row, N=args.N)
-    payload = {**_meta(), "row": args.row,
+    payload = {**_meta(args.precision), "row": args.row,
                "A": to_decimal(res.calibration.A),
                "c": to_decimal(res.calibration.c),
                "estimated_zeros": [to_decimal(z) for z in res.estimated_zeros[:args.count]],
@@ -230,7 +241,7 @@ def cmd_table1(args) -> int:
         except Exception as exc:  # partial table with failure markers
             failures[rid] = f"{type(exc).__name__}: {exc}"
     if set(rows) == set(ROW_IDS) and not failures:
-        report = build_table1(results, N=args.N, precision=working_dps())
+        report = build_table1(results, N=args.N, precision=args.precision)
         if args.json is not None:
             _emit(json.loads(report.to_json()), args.json)
         else:
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "psi", help="Baker-Akhiezer function on a z grid (CSV)",
         description="CSV columns: z, re_psi, im_psi. A leading '#' comment "
-                    "line records the function, precision and backend.")
+                    "line records the function and backend.")
     sp.add_argument("--function", required=True,
                     help=f"one of {sorted(ba.QUADRATURE_INTEGRANDS)}")
     sp.add_argument("--zmin", type=float, default=0.0)
@@ -400,29 +411,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _set_precision(dps: int | None) -> None:
-    """Apply --precision, else XI_LAB_PRECISION; with neither, leave it as is."""
+def _resolve_precision(dps: int | None) -> int:
+    """--precision, else XI_LAB_PRECISION, else DEFAULT_DPS; at least MIN_DPS."""
     if dps is None:
         env = os.environ.get("XI_LAB_PRECISION")
-        if env is None:
-            return
         try:
-            dps = int(env)
+            dps = DEFAULT_DPS if env is None else int(env)
         except ValueError:
             raise ValueError(f"XI_LAB_PRECISION must be an integer, got {env!r}") from None
-    set_working_dps(dps)
+    if dps < MIN_DPS:
+        raise ValueError(f"working precision must be >= {MIN_DPS} digits, got {dps}")
+    return dps
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _set_precision(args.precision)
+        # from here on args.precision is the resolved working precision
+        args.precision = _resolve_precision(args.precision)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with mp.workdps(args.precision):
+            return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

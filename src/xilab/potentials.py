@@ -32,7 +32,8 @@ class PotentialSpec:
     degree: even monomial degree 2n (monomial kind only)
     p: model degree for explicit couplings
     s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero)
-    max_terms / term_tolerance: truncation controls for the kernel sums
+    max_terms: truncation of the kernel sums, which stop once a term falls
+        below 10^-(dps+10) at the current working precision
     """
 
     kind: str
@@ -40,7 +41,6 @@ class PotentialSpec:
     p: int = 0
     s: tuple = ()
     max_terms: int = 64
-    term_tolerance: mpf | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -55,24 +55,6 @@ class PotentialSpec:
                 raise ValueError(f"explicit coupling list longer than p-2 = {self.p - 2}")
         object.__setattr__(self, "s", tuple(mpf(str(v)) if isinstance(v, float) else mpf(v)
                                             for v in self.s))
-
-    @property
-    def tolerance(self) -> mpf:
-        return self.term_tolerance if self.term_tolerance is not None else _default_tolerance()
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "PotentialSpec":
-        """Build from a JSON/TOML-style mapping; unknown keys are rejected."""
-        allowed = {"kind", "degree", "p", "s", "max_terms", "term_tolerance"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise ValueError(f"unknown potential config keys: {sorted(unknown)}")
-        kw = dict(cfg)
-        if "s" in kw:
-            kw["s"] = tuple(mpf(str(v)) for v in kw["s"])
-        if "term_tolerance" in kw and kw["term_tolerance"] is not None:
-            kw["term_tolerance"] = mpf(str(kw["term_tolerance"]))
-        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,7 @@ def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
     """Taylor series of U(x) at 0 through the requested order."""
     if order < 2:
         raise ValueError("expansion order must be >= 2")
-    tol = spec.tolerance
+    tol = _default_tolerance()
     if spec.kind == "riemann":
         phi = _phi_riemann_series(order, spec.max_terms, tol)
         return -series_log(phi)

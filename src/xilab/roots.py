@@ -26,14 +26,15 @@ from .errors import NoConvergence
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
 
-DEFAULT_IM_TOLERANCE = mpf("1e-8")
+#: tolerances are decimal strings, converted at the caller's working precision
+DEFAULT_IM_TOLERANCE = "1e-8"
 
 #: the float64 starts are used when their worst relative Newton correction
 #: |Q/Q'| / max(|z|, 1) is below this; otherwise the circle start is. On
 #: (7,1) models at N = 12..18 starts up to 0.02 converged in at most 5
 #: sweeps, while starts from 0.035 up took 110-170 sweeps, two to three
 #: times as many as from the circle
-FLOAT64_START_TOL = mpf("1e-2")
+FLOAT64_START_TOL = "1e-2"
 
 
 @dataclass(frozen=True)
@@ -142,9 +143,10 @@ def _float64_start(coeffs, radius):
     if not np.all(np.isfinite(xs)) or len(set(xs.tolist())) != n:
         return None
     zs = [mpc(complex(x)) * radius for x in xs]
+    tol = mpf(FLOAT64_START_TOL)
     for z in zs:
         p, dp = _poly_and_deriv(coeffs, z)
-        if p != 0 and (dp == 0 or abs(p / dp) >= FLOAT64_START_TOL * max(abs(z), 1)):
+        if p != 0 and (dp == 0 or abs(p / dp) >= tol * max(abs(z), 1)):
             return None
     return zs
 

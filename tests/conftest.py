@@ -2,16 +2,14 @@ import mpmath as mp
 import pytest
 from mpmath import mpf
 
-from xilab.precision import set_working_dps
 from xilab.pipeline import run_row
 
 
 @pytest.fixture(autouse=True)
 def _fixed_precision():
-    """Every test starts at the default 60-digit working precision."""
-    set_working_dps(60)
-    yield
-    set_working_dps(60)
+    """Every test runs at the default 60-digit working precision."""
+    with mp.workdps(60):
+        yield
 
 
 def rel_err(got, want) -> mpf:
@@ -34,8 +32,8 @@ def rows():
     def get(row_id, N=16):
         key = (row_id, N)
         if key not in cache:
-            set_working_dps(60)
-            cache[key] = run_row(row_id, N=N)
+            with mp.workdps(60):
+                cache[key] = run_row(row_id, N=N)
         return cache[key]
 
     return get

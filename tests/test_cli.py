@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from xilab import cli, pipeline
@@ -43,6 +44,11 @@ class TestExpand:
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--kind", "bogus", "--p", "7"])
         assert exc.value.code == 2
+
+    def test_missing_kind_names_the_flag(self, capsys):
+        code, out, err_text = run_cli(capsys, "expand")
+        assert (code, out) == (2, "")
+        assert err_text == "config error: expand needs a potential: --kind\n"
 
     def test_missing_degree_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--kind", "monomial", "--p", "7")
@@ -159,7 +165,7 @@ class TestZerosAndPsi:
                              "--out", str(path))
         assert code == 0
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("#") and "precision=" in lines[0]
+        assert lines[0].startswith("#") and "precision" not in lines[0]
         assert lines[1] == "z,re_psi,im_psi"
         assert len(lines) == 5
 
@@ -276,22 +282,23 @@ class TestMasterSaddle:
         assert code in (0, 3)
 
 
+HERMITE_JSON = ("solve", "--hermite", "--N", "4", "--json")
+
+
 class TestPrecision:
     def test_flag_changes_metadata(self, capsys):
-        code, out, _ = run_cli(capsys, "--precision", "30", "zeros",
-                               "--function", "gen_airy")
+        code, out, _ = run_cli(capsys, "--precision", "30", *HERMITE_JSON)
         assert code == 0
         assert json.loads(out)["precision"] == 30
 
     def test_too_low_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "--precision", "5", "zeros",
-                               "--function", "gen_airy")
+        code, _, err = run_cli(capsys, "--precision", "5", *HERMITE_JSON)
         assert code == 2
 
     def test_env_var(self):
         env = dict(os.environ, XI_LAB_PRECISION="25")
         out = subprocess.run(
-            [sys.executable, "-m", "xilab.cli", "zeros", "--function", "gen_airy"],
+            [sys.executable, "-m", "xilab.cli", *HERMITE_JSON],
             capture_output=True, text=True, env=env, check=True)
         assert json.loads(out.stdout)["precision"] == 25
 
@@ -299,8 +306,31 @@ class TestPrecision:
     def test_bad_env_var_exits_2(self, value):
         env = dict(os.environ, XI_LAB_PRECISION=value)
         out = subprocess.run(
-            [sys.executable, "-m", "xilab.cli", "zeros", "--function", "gen_airy"],
+            [sys.executable, "-m", "xilab.cli", *HERMITE_JSON],
             capture_output=True, text=True, env=env)
         assert out.returncode == 2
         assert out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
+
+    def test_main_restores_mpmath_precision(self, capsys):
+        with mp.workdps(23):
+            code, _, _ = run_cli(capsys, "--precision", "30", *HERMITE_JSON)
+            assert (code, mp.mp.dps) == (0, 23)
+        code, _, _ = run_cli(capsys, "--precision", "5", *HERMITE_JSON)
+        assert (code, mp.mp.dps) == (2, 60)
+
+    def test_default_after_a_flagged_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("XI_LAB_PRECISION", raising=False)
+        run_cli(capsys, "--precision", "100", *HERMITE_JSON)
+        code, out, _ = run_cli(capsys, *HERMITE_JSON)
+        assert code == 0
+        assert json.loads(out)["precision"] == 60
+
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "--function", "gen_airy"),
+        ("master", "--N", "1", "--p", "2"),
+        ("saddle", "--N", "2", "--p", "2", "--g", "1.0", "--max-iters", "5")])
+    def test_float64_commands_print_no_precision(self, capsys, argv):
+        _, out, _ = run_cli(capsys, "--precision", "30", *argv)
+        doc = json.loads(out)
+        assert "precision" not in doc and "backend" in doc

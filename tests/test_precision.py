@@ -1,15 +1,25 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from mpmath import mpf
 
-from xilab.precision import set_working_dps, to_decimal, working_dps
+from xilab.precision import to_decimal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-class TestWorkingPrecision:
-    def test_floor_enforced(self):
-        with pytest.raises(ValueError):
-            set_working_dps(14)
-        set_working_dps(15)
-        assert working_dps() == 15
+class TestNoPrecisionState:
+    def test_import_changes_no_mpmath_setting(self):
+        # a fresh interpreter: the suite's own fixture holds 60 digits here
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import mpmath, xilab, xilab.cli; print(mpmath.mp.dps, mpmath.mp.prec)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.split() == ["15", "53"]
 
 
 class TestConstructors:

@@ -76,7 +76,7 @@ class TestFindRoots:
     def test_circle_fallback_gives_the_same_roots(self, monkeypatch):
         q = riemann_q16()
         rs = find_roots(q)
-        monkeypatch.setattr(roots, "FLOAT64_START_TOL", mpf(0))
+        monkeypatch.setattr(roots, "FLOAT64_START_TOL", "0")
         fallback = find_roots(q)
         assert fallback.start == "circle"
         assert fallback.sweeps > rs.sweeps
