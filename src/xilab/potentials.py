@@ -1,10 +1,11 @@
 """Catalog of Fourier kernels Phi and potentials U(x) = -log Phi(x).
 
 Point evaluation at extended precision plus Taylor expansion of U at 0.
-Expansions are produced by exact series composition of the kernel terms
-(series_exp / series_log / series_compose), never by finite differences:
-the theta-type sums converge so fast near 0 that a handful of terms gives
-full working precision.
+Expansions are exact series arithmetic on the kernel terms (series_exp /
+series_log), never finite differences: the theta-type sums converge so fast
+near 0 that a handful of terms gives full working precision. The riemann
+kernel is summed as a series and its log taken once; the ramanujan kernel is
+a product, so its U is expanded as a sum of series_log terms, one per factor.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import mpmath as mp
 from mpmath import mpf
 
 from .errors import NonConvergence
-from .series import TaylorSeries, series_compose, series_exp, series_log
+from .series import TaylorSeries, series_exp, series_log
 
 KINDS = ("riemann", "ramanujan", "eta_gamma", "cosh", "monomial", "explicit")
 
@@ -31,7 +32,9 @@ class PotentialSpec:
     kind: one of riemann | ramanujan | eta_gamma | cosh | monomial | explicit
     degree: even monomial degree 2n (monomial kind only)
     p: model degree for explicit couplings
-    s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero)
+    s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero),
+        kept exact (ints and decimal strings; a float becomes its shortest
+        decimal string) and converted at the precision of each expansion
     max_terms: truncation of the kernel sums, which stop once a term falls
         below 10^-(dps+10) at the current working precision
     """
@@ -53,8 +56,12 @@ class PotentialSpec:
                 raise ValueError("explicit couplings need p >= 3")
             if len(self.s) > self.p - 2:
                 raise ValueError(f"explicit coupling list longer than p-2 = {self.p - 2}")
-        object.__setattr__(self, "s", tuple(mpf(str(v)) if isinstance(v, float) else mpf(v)
-                                            for v in self.s))
+        couplings = []
+        for v in self.s:
+            v = str(v) if isinstance(v, float) else v
+            mpf(v)  # rejects a coupling that is not a number
+            couplings.append(v)
+        object.__setattr__(self, "s", tuple(couplings))
 
 
 @dataclass(frozen=True)
@@ -142,22 +149,13 @@ def _phi_riemann_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
     raise NonConvergence(f"riemann kernel series did not settle in {max_terms} terms")
 
 
-def _phi_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
-    # e^{-2 pi n e^{-x}} = e^{-2 pi n} * exp(-2 pi n (e^{-x} - 1)); the inner
-    # series has zero constant term, so plain composition applies.
+def _u_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
+    # U = 6x + 2 pi e^{-x} - 24 sum_n log(1 - e^{-2 pi n e^{-x}}): one
+    # series_exp and one series_log per factor, O(order^2) each
     em = TaylorSeries.exponential(-1, order)
-    em0 = em - em.coeffs[0]
-    exp_ref = TaylorSeries([1 / mp.factorial(n) for n in range(order + 1)])
-
-    def damped(scale) -> TaylorSeries:
-        return series_compose(exp_ref, em0 * scale) * mp.exp(scale)
-
-    total = TaylorSeries.exponential(-6, order) * damped(-2 * mp.pi)
+    total = TaylorSeries.identity(order) * 6 + em * (2 * mp.pi)
     for n in range(1, max_terms + 1):
-        f = 1 - damped(-2 * mp.pi * n)
-        sq = f * f
-        p8 = sq * sq * (sq * sq)
-        total = total * (p8 * p8 * p8)  # f^24
+        total = total - series_log(1 - series_exp(em * (-2 * mp.pi * n))) * 24
         if abs(mp.exp(-2 * mp.pi * n)) * 24 < tol:
             return total
     raise NonConvergence(f"ramanujan kernel series did not settle in {max_terms} factors")
@@ -172,8 +170,7 @@ def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
         phi = _phi_riemann_series(order, spec.max_terms, tol)
         return -series_log(phi)
     if spec.kind == "ramanujan":
-        phi = _phi_ramanujan_series(order, spec.max_terms, tol)
-        return -series_log(phi)
+        return _u_ramanujan_series(order, spec.max_terms, tol)
     if spec.kind == "eta_gamma":
         # (x+log2)/2 + e^{-x}/2 + 1, expanded term by term
         c = [mp.log(2) / 2 + mpf(3) / 2]
@@ -197,6 +194,6 @@ def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
         for i, sv in enumerate(spec.s):
             n = i + 2
             if n <= order:
-                c[n] = sv / n
+                c[n] = mpf(sv) / n
         return TaylorSeries(c)
     raise AssertionError(f"unhandled kind {spec.kind}")

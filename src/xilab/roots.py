@@ -1,11 +1,12 @@
 """Aberth-Ehrlich simultaneous root finding at working precision.
 
 All roots are iterated together. They start from the float64 roots of Q
-(``np.roots`` on the coefficients scaled by the Fujiwara radius) when those
-pass a Newton-correction check, else from a deterministic circle of
-starting points (Fujiwara radius, fixed angular offset). Each root stops
-on its own once its step is below the target or |Q| is at the rounding
-floor; the roots are then polished with Newton steps and
+(``np.roots`` on the coefficients scaled by the Fujiwara radius); when the
+Newton corrections of the first sweep show those starts are poor, the
+iteration restarts from a deterministic circle of starting points (Fujiwara
+radius, fixed angular offset). Each root stops on its own once its step is
+below the target or |Q| is at the rounding floor; the roots are then
+polished with Newton steps, each stopping at that same floor, and
 conjugate-symmetrized. Exact zero roots (vanishing low-order coefficients)
 are split off before the iteration. A root is accepted on backward error:
 |Q(r)| measured against the coefficient magnitudes at |r|.
@@ -30,10 +31,10 @@ from .precision import to_decimal
 DEFAULT_IM_TOLERANCE = "1e-8"
 
 #: the float64 starts are used when their worst relative Newton correction
-#: |Q/Q'| / max(|z|, 1) is below this; otherwise the circle start is. On
-#: (7,1) models at N = 12..18 starts up to 0.02 converged in at most 5
-#: sweeps, while starts from 0.035 up took 110-170 sweeps, two to three
-#: times as many as from the circle
+#: |Q/Q'| / max(|z|, 1), read off the first sweep, is below this; otherwise
+#: the circle start is. On (7,1) models at N = 12..18 starts up to 0.02
+#: converged in at most 5 sweeps, while starts from 0.035 up took 110-170
+#: sweeps, two to three times as many as from the circle
 FLOAT64_START_TOL = "1e-2"
 
 
@@ -107,10 +108,9 @@ def _abs_poly(coeffs, r):
     return s
 
 
-def _backward_error(coeffs, z):
-    p, _ = _poly_and_deriv(coeffs, z)
-    scale = _abs_poly(coeffs, abs(z))
-    return abs(p) / (scale if scale != 0 else mpf(1))
+def _backward_error(Q, z):
+    scale = _abs_poly(Q.coeffs, abs(z))
+    return abs(Q(z)) / (scale if scale != 0 else mpf(1))
 
 
 def _fujiwara_radius(coeffs):
@@ -127,8 +127,8 @@ def _fujiwara_radius(coeffs):
 def _float64_start(coeffs, radius):
     """Roots of Q(radius * x) by ``np.roots`` in float64, lifted to mpc and
     scaled back; None when float64 fails (no convergence, non-finite values,
-    two equal roots) or the worst relative Newton correction |Q/Q'| / max(|z|, 1)
-    at the starts is not below ``FLOAT64_START_TOL``.
+    two equal roots). Whether they are good enough to keep is decided in the
+    first Aberth sweep, from the Newton corrections it computes anyway.
 
     The Fujiwara radius makes the scaled leading coefficient the largest, so
     dividing by it leaves float64 coefficients in [-1, 1]: nothing overflows.
@@ -142,13 +142,7 @@ def _float64_start(coeffs, radius):
         return None
     if not np.all(np.isfinite(xs)) or len(set(xs.tolist())) != n:
         return None
-    zs = [mpc(complex(x)) * radius for x in xs]
-    tol = mpf(FLOAT64_START_TOL)
-    for z in zs:
-        p, dp = _poly_and_deriv(coeffs, z)
-        if p != 0 and (dp == 0 or abs(p / dp) >= tol * max(abs(z), 1)):
-            return None
-    return zs
+    return [mpc(complex(x)) * radius for x in xs]
 
 
 def _circle_start(n, radius):
@@ -179,7 +173,7 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
     zs, sweeps, start = _aberth(coeffs[m:], max_sweeps, target)
     zs = [mpc(0)] * m + zs
 
-    errs = [_backward_error(coeffs, z) for z in zs]
+    errs = [_backward_error(Q, z) for z in zs]
     worst = max(errs)
     if worst > target:
         raise NoConvergence(
@@ -191,7 +185,7 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
     zs = [zs[i] for i in order]
     is_real = [is_real[i] for i in order]
     pair_ids = [pair_ids[i] for i in order]
-    errs = [_backward_error(coeffs, z) for z in zs]
+    errs = [_backward_error(Q, z) for z in zs]
     return RootSet(roots=tuple(zs), residuals=tuple(errs),
                    im_tolerance=mpf(im_tolerance), is_real=tuple(is_real),
                    pair_ids=tuple(pair_ids), sweeps=sweeps, start=start)
@@ -212,37 +206,47 @@ def _aberth(coeffs, max_sweeps, target):
     # step and the Newton polish then reach full precision) or once |Q| is
     # within the rounding error of evaluating it (further steps are noise)
     floor = 4 * n * mp.eps
+    start_tol = mpf(FLOAT64_START_TOL)
     frozen = [False] * n
     sweeps = 0
     while sweeps < max_sweeps and not all(frozen):
+        vals = {i: _poly_and_deriv(coeffs, zs[i]) for i in range(n) if not frozen[i]}
+        if start == "float64" and sweeps == 0 and any(
+                p != 0 and (dp == 0 or abs(p / dp) >= start_tol * max(abs(zs[i]), 1))
+                for i, (p, dp) in vals.items()):
+            zs, start = _circle_start(n, radius), "circle"
+            continue
         sweeps += 1
         new = list(zs)
-        for i in range(n):
-            if frozen[i]:
-                continue
-            p, dp = _poly_and_deriv(coeffs, zs[i])
+        newton = {}
+        for i, (p, dp) in vals.items():
             if abs(p) <= floor * _abs_poly(coeffs, abs(zs[i])):
                 frozen[i] = True
-                continue
-            if dp == 0:
+            elif dp == 0:
                 new[i] = zs[i] * (1 + mpf("1e-10")) + mpf("1e-10")
-                continue
-            w = p / dp
-            ab = mpc(0)
-            for j in range(n):
-                if j != i:
-                    ab += 1 / (zs[i] - zs[j])
-            denom = 1 - w * ab
+            else:
+                newton[i] = p / dp
+        # sum_{j != i} 1/(z_i - z_j) for the roots taking a step: each
+        # reciprocal is computed once and added to both roots of its pair
+        ab = [mpc(0)] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if i in newton or j in newton:
+                    r = 1 / (zs[i] - zs[j])
+                    ab[i] += r
+                    ab[j] -= r
+        for i, w in newton.items():
+            denom = 1 - w * ab[i]
             step = w / denom if denom != 0 else w
             new[i] = zs[i] - step
             frozen[i] = abs(step) < target * max(abs(zs[i]), mpf(1))
         zs = new
 
-    # Newton polish
+    # Newton polish, at most 6 steps, each root stopping at the same floor
     for i in range(n):
         for _ in range(6):
             p, dp = _poly_and_deriv(coeffs, zs[i])
-            if p == 0 or dp == 0:
+            if dp == 0 or abs(p) <= floor * _abs_poly(coeffs, abs(zs[i])):
                 break
             zs[i] = zs[i] - p / dp
     return zs, sweeps, start

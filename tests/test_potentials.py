@@ -110,6 +110,16 @@ class TestTaylorU:
                         (6, "-0.188291"), (8, "0.112629")):
             assert_rel(u[n], want, "1e-5", f"a_{n}")
 
+    def test_ramanujan_against_taylor_oracle(self):
+        # mp.taylor differentiates at raised precision, which needs more factors
+        u = taylor_u(PotentialSpec(kind="ramanujan"), 8)
+        want = mp.taylor(lambda x: -mp.log(phi_ramanujan(x, max_terms=1000).phi), 0, 8)
+        tol = mpf("1e-55")
+        for n in range(9):
+            assert abs(u[n] - want[n]) < tol, f"a_{n}"
+            if n % 2:  # U is even by modularity
+                assert abs(u[n]) < tol, f"odd a_{n}"
+
     def test_cosh(self):
         u = taylor_u(PotentialSpec(kind="cosh"), 6)
         want = [1, 0, mpf(1) / 2, 0, mpf(1) / 24, 0, mpf(1) / 720]
@@ -122,6 +132,13 @@ class TestTaylorU:
         e = taylor_u(PotentialSpec(kind="explicit", p=7, s=("1", "0", "3", "0", "3")), 8)
         assert e[2] == mpf(1) / 2 and e[4] == mpf(3) / 4 and e[6] == mpf(3) / 6
         assert e[8] == mpf(1) / 8
+
+    @pytest.mark.parametrize("coupling", ["0.1", 0.1], ids=["str", "float"])
+    def test_couplings_converted_at_the_expansion_precision(self, coupling):
+        with mp.workdps(15):
+            spec = PotentialSpec(kind="explicit", p=5, s=(coupling,))
+        u = taylor_u(spec, 6)  # at the 60 digits every test runs at
+        assert abs(u[2] - mpf("0.05")) < mpf("1e-61")
 
     def test_even_kernels_have_vanishing_odd_coefficients(self):
         tol = mpf(10) ** (-(mp.mp.dps // 2))

@@ -12,11 +12,11 @@ from xilab.scaling import double_scaling, rescale_potential
 from xilab.series import TaylorSeries
 
 
-def riemann_q16():
+def riemann_q(N=16):
     scaled = rescale_potential(TaylorSeries([mpf(c) for c in RIEMANN_ROW_U]), 7)
-    params = double_scaling(7, 16, scaled.s)
+    params = double_scaling(7, N, scaled.s)
     V = build_potential(params)
-    return q_polynomial(params, V, 16)
+    return q_polynomial(params, V, N)
 
 
 class TestFindRoots:
@@ -38,7 +38,7 @@ class TestFindRoots:
         assert_rel(reals[8], "0.0683703", "1e-4", "inner")
 
     def test_riemann_pair(self):
-        rs = find_roots(riemann_q16())
+        rs = find_roots(riemann_q())
         assert rs.n_complex_pairs == 1
         pair = rs.complex_pairs()[0]
         assert_rel(mp.re(pair), "-0.677917", "1e-3", "re")
@@ -46,7 +46,7 @@ class TestFindRoots:
         assert len(rs.real_roots()) == 14
 
     def test_root_count_and_conjugate_symmetry(self):
-        rs = find_roots(riemann_q16())
+        rs = find_roots(riemann_q())
         assert len(rs.roots) == 16
         roots = set()
         for r in rs.roots:
@@ -55,7 +55,7 @@ class TestFindRoots:
             assert (re, -im) in roots
 
     def test_sum_and_product(self):
-        q = riemann_q16()
+        q = riemann_q()
         rs = find_roots(q)
         total = sum(rs.roots, mpc(0))
         prod = mpc(1)
@@ -65,16 +65,16 @@ class TestFindRoots:
         assert abs(prod - q.coeffs[0] / q.coeffs[16]) / abs(q.coeffs[0]) < mpf("1e-35")
 
     def test_residuals_reported(self):
-        rs = find_roots(riemann_q16())
+        rs = find_roots(riemann_q())
         assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
 
     def test_float64_start_converges_in_few_sweeps(self):
-        rs = find_roots(riemann_q16())
+        rs = find_roots(riemann_q())
         assert rs.start == "float64"
         assert 1 <= rs.sweeps <= 8
 
     def test_circle_fallback_gives_the_same_roots(self, monkeypatch):
-        q = riemann_q16()
+        q = riemann_q()
         rs = find_roots(q)
         monkeypatch.setattr(roots, "FLOAT64_START_TOL", "0")
         fallback = find_roots(q)
@@ -83,6 +83,24 @@ class TestFindRoots:
         assert fallback.is_real == rs.is_real
         for a, b in zip(fallback.roots, rs.roots):
             assert abs(a - b) < mpf("1e-50")
+
+    @pytest.mark.parametrize("N, start", [(16, "float64"), (20, "circle")])
+    def test_stopping_rules_bound_the_evaluations(self, monkeypatch, N, start):
+        """Q/Q' is evaluated once per root per sweep it is live in, plus at
+        most one sweep of start checks and one polish evaluation per root
+        already at the rounding floor: n (sweeps + 2) in all."""
+        q = riemann_q(N)
+        calls = [0]
+        horner = roots._poly_and_deriv
+
+        def counted(coeffs, z):
+            calls[0] += 1
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(roots, "_poly_and_deriv", counted)
+        rs = find_roots(q)
+        assert rs.start == start
+        assert calls[0] <= N * (rs.sweeps + 2)
 
     def test_repeated_float64_roots_rejected(self):
         # b^2 (b - 1): np.roots returns the zero root twice
@@ -122,7 +140,7 @@ class TestFindRoots:
         """Each root is as accurate as the working precision allows: within
         2N eps K of its Newton refinement at 40 more digits, K = sum |q_n|
         |r|^n / |Q'(r)| (the Horner rounding bound over the derivative)."""
-        q = riemann_q16()
+        q = riemann_q()
         rs = find_roots(q)
         eps = +mp.eps
         with mp.workdps(mp.mp.dps + 40):
@@ -141,7 +159,7 @@ class TestFindRoots:
 
 class TestClassify:
     def test_scale_invariance(self):
-        q = riemann_q16()
+        q = riemann_q()
         rs1 = find_roots(q)
         q2 = CharPolynomial(N=16, coeffs=tuple(c * mpf("7.3e5") for c in q.coeffs))
         rs2 = find_roots(q2)
@@ -149,7 +167,7 @@ class TestClassify:
         assert rs1.n_complex_pairs == rs2.n_complex_pairs
 
     def test_retolerance(self):
-        rs = find_roots(riemann_q16())
+        rs = find_roots(riemann_q())
         loose = classify(rs, mpf("10"))  # absurd tolerance flags everything real
         assert loose.on_critical_line
 
@@ -164,7 +182,7 @@ class TestClassify:
 class TestReconstruction:
     @pytest.mark.parametrize("maker", [
         lambda: hermite_q(16, mpf(1) / 16),
-        riemann_q16,
+        riemann_q,
     ])
     def test_roundtrip(self, maker):
         q = maker()
