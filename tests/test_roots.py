@@ -182,7 +182,7 @@ class TestClassify:
 class TestReconstruction:
     @pytest.mark.parametrize("maker", [
         lambda: hermite_q(16, mpf(1) / 16),
-        riemann_q,
+        pytest.param(riemann_q, id="riemann_q16"),
     ])
     def test_roundtrip(self, maker):
         q = maker()
