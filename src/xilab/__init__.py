@@ -7,7 +7,7 @@ saddle-point solvers.
 """
 
 from .precision import DEFAULT_DPS
-from .series import TaylorSeries, series_compose, series_exp, series_log
+from .series import TaylorSeries, series_exp, series_log
 from .potentials import KernelValue, PotentialSpec, phi_ramanujan, phi_riemann, \
     taylor_u, u_eta_gamma, u_eta_gamma_prime
 from .scaling import (ModelParams, ScaledPotential, cosh_couplings,

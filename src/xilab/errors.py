@@ -9,10 +9,6 @@ class NonPositiveConstantTerm(XilabError):
     """log of a series whose constant term is not strictly positive."""
 
 
-class NonzeroInnerConstant(XilabError):
-    """Composition f(g(x)) around 0 requires g(0) = 0."""
-
-
 class NonConvergence(XilabError):
     """A kernel sum/product hit its term cap before reaching tolerance."""
 

@@ -1,15 +1,22 @@
 """Aberth-Ehrlich simultaneous root finding at working precision.
 
-All roots are iterated together. They start from the float64 roots of Q
-(``np.roots`` on the coefficients scaled by the Fujiwara radius); when the
-Newton corrections of the first sweep show those starts are poor, the
-iteration restarts from a deterministic circle of starting points (Fujiwara
-radius, fixed angular offset). Each root stops on its own once its step is
-below the target or |Q| is at the rounding floor; the roots are then
-polished with Newton steps, each stopping at that same floor, and
-conjugate-symmetrized. Exact zero roots (vanishing low-order coefficients)
-are split off before the iteration. A root is accepted on backward error:
-|Q(r)| measured against the coefficient magnitudes at |r|.
+A polynomial Q of degree N with q_N != 0 is a constant times
+f_N(y) = [t^N] exp(C(t) - y t), where C = log(T/T_0) = sum_m c_m t^m and
+T_j = (-1)^{N-j} q_{N-j} (N-j)!/N!. (For the model's Q_N, C is the exponent
+``matrix_model.q_polynomial`` builds it from.) Then f_N' = -f_{N-1} and
+
+    (n+1) f_{n+1} = -y f_n + sum_{m=1}^{n+1} m c_m f_{n+1-m},   f_0 = 1,
+
+which gives Q/Q' = -f_N/f_{N-1} in float64 to ~1e-15 relative at N = 16-48
+(float64 Horner on the monomial coefficients: 1e-8 at N = 16, O(1) at 32).
+The start: the eigenvalues of the recurrence's N x N lower-Hessenberg
+matrix, refined by a vectorised complex128 Aberth on the recurrence. Then
+extended-precision Aberth sweeps, each root stopping once its step is below
+the target or |Q| is at the rounding floor, Newton polish to that floor, and
+conjugate symmetrization. One fused Horner pass (``_eval``) gives Q, Q' and
+sum |q_k| |z|^k; the polish ends on one, whose backward error
+|Q(r)| / sum |q_k| |r|^k accepts the root. Exact zero roots (vanishing
+low-order coefficients) are split off first.
 """
 
 from __future__ import annotations
@@ -22,20 +29,15 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 import numpy as np
 from mpmath import mpc, mpf
+from mpmath.libmp import fzero, mpc_abs, mpc_add, mpc_mul, mpf_abs, mpf_add, mpf_mul
 
 from .errors import NoConvergence
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
+from .series import TaylorSeries, series_log
 
 #: tolerances are decimal strings, converted at the caller's working precision
 DEFAULT_IM_TOLERANCE = "1e-8"
-
-#: the float64 starts are used when their worst relative Newton correction
-#: |Q/Q'| / max(|z|, 1), read off the first sweep, is below this; otherwise
-#: the circle start is. On (7,1) models at N = 12..18 starts up to 0.02
-#: converged in at most 5 sweeps, while starts from 0.035 up took 110-170
-#: sweeps, two to three times as many as from the circle
-FLOAT64_START_TOL = "1e-2"
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,7 @@ class RootSet:
     im_tolerance: mpf
     is_real: tuple          # bool per root
     pair_ids: tuple         # conjugate-pair id or -1, per root
-    sweeps: int = 0         # Aberth sweeps spent
-    start: str = "circle"   # starting points: "float64", "circle", or "none"
-                            # when every root is an exact zero
+    sweeps: int = 0         # extended-precision Aberth sweeps spent
 
     @property
     def on_critical_line(self) -> bool:
@@ -74,7 +74,6 @@ class RootSet:
             "im_tolerance": to_decimal(self.im_tolerance),
             "on_critical_line": self.on_critical_line,
             "sweeps": self.sweeps,
-            "start": self.start,
             "roots": [{"re": to_decimal(mp.re(r)), "im": to_decimal(mp.im(r)),
                        "is_real": bool(flag), "pair": pid,
                        "residual": to_decimal(res)}
@@ -91,68 +90,21 @@ class RootSet:
         return buf.getvalue()
 
 
-def _poly_and_deriv(coeffs, z):
-    p = coeffs[-1]
-    dp = mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _abs_poly(coeffs, r):
-    """sum |q_n| r^n: the scale of Q's values (and of their rounding) at |z| = r."""
-    s = mpf(0)
-    for c in reversed(coeffs):
-        s = s * r + abs(c)
-    return s
-
-
-def _backward_error(Q, z):
-    scale = _abs_poly(Q.coeffs, abs(z))
-    return abs(Q(z)) / (scale if scale != 0 else mpf(1))
-
-
-def _fujiwara_radius(coeffs):
-    n = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    r = mpf(0)
-    for k in range(1, n + 1):
-        c = abs(coeffs[n - k]) / lead
-        if c != 0:
-            r = max(r, 2 * c ** (mpf(1) / k))
-    return r if r > 0 else mpf(1)
-
-
-def _float64_start(coeffs, radius):
-    """Roots of Q(radius * x) by ``np.roots`` in float64, lifted to mpc and
-    scaled back; None when float64 fails (no convergence, non-finite values,
-    two equal roots). Whether they are good enough to keep is decided in the
-    first Aberth sweep, from the Newton corrections it computes anyway.
-
-    The Fujiwara radius makes the scaled leading coefficient the largest, so
-    dividing by it leaves float64 coefficients in [-1, 1]: nothing overflows.
-    """
-    n = len(coeffs) - 1
-    lead = coeffs[-1] * radius ** n
-    scaled = [float(c * radius ** k / lead) for k, c in enumerate(coeffs)]
-    try:
-        xs = np.roots(scaled[::-1])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(xs)) or len(set(xs.tolist())) != n:
-        return None
-    return [mpc(complex(x)) * radius for x in xs]
-
-
-def _circle_start(n, radius):
-    """Deterministic, symmetry-breaking start: a slight spiral off the circle."""
-    zs = []
-    for k in range(n):
-        theta = 2 * mp.pi * k / n + mpf("0.3") / n
-        r = radius * (mpf(1) / 2 + mpf(k) / (4 * n))
-        zs.append(mpc(r * mp.cos(theta), r * mp.sin(theta)))
-    return zs
+def _eval(raw, z):
+    """Q(z), Q'(z) and sum |q_k| |z|^k in one Horner pass over ``raw``, the
+    pairs (q_k, |q_k|) as ``mpmath.libmp`` values, highest degree first: mpc's
+    own arithmetic, without building an mpc per operation."""
+    prec = mp.mp.prec
+    zr = z._mpc_
+    r = mpc_abs(zr, prec, "n")
+    lead, s = raw[0]
+    p, dp = (lead, fzero), (fzero, fzero)
+    for c, a in raw[1:]:
+        dp = mpc_add(mpc_mul(dp, zr, prec, "n"), p, prec, "n")
+        re, im = mpc_mul(p, zr, prec, "n")
+        p = (mpf_add(re, c, prec, "n"), im)
+        s = mpf_add(mpf_mul(s, r, prec, "n"), a, prec, "n")
+    return mp.make_mpc(p), mp.make_mpc(dp), mp.make_mpf(s)
 
 
 def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
@@ -170,57 +122,102 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
         raise ValueError("need degree >= 1 with a nonzero leading coefficient")
     target = mpf(10) ** (-(mp.mp.dps // 2))
     m = next(k for k, c in enumerate(coeffs) if c != 0)
-    zs, sweeps, start = _aberth(coeffs[m:], max_sweeps, target)
-    zs = [mpc(0)] * m + zs
-
-    errs = [_backward_error(Q, z) for z in zs]
-    worst = max(errs)
+    raw = [(c._mpf_, mpf_abs(c._mpf_)) for c in map(mpf, reversed(coeffs[m:]))]
+    zs, sweeps, errs = _aberth(raw, _float64_start(coeffs[m:], max_sweeps),
+                               max_sweeps, target)
+    worst = max(errs, default=0)
     if worst > target:
         raise NoConvergence(
             f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
             "raise the working precision for this coefficient spread")
 
-    zs, is_real, pair_ids = _symmetrize(zs, im_tolerance)
+    zs, is_real, pair_ids = _symmetrize([mpc(0)] * m + zs, im_tolerance)
     order = sorted(range(n), key=lambda i: (mp.re(zs[i]), mp.im(zs[i])))
     zs = [zs[i] for i in order]
     is_real = [is_real[i] for i in order]
     pair_ids = [pair_ids[i] for i in order]
-    errs = [_backward_error(Q, z) for z in zs]
+    # the reported residuals are those of the symmetrized roots
+    errs = []
+    for z in zs:
+        p, _, s = _eval(raw, z)
+        errs.append(abs(p) / s if z != 0 else mpf(0))
     return RootSet(roots=tuple(zs), residuals=tuple(errs),
                    im_tolerance=mpf(im_tolerance), is_real=tuple(is_real),
-                   pair_ids=tuple(pair_ids), sweeps=sweeps, start=start)
+                   pair_ids=tuple(pair_ids), sweeps=sweeps)
 
 
-def _aberth(coeffs, max_sweeps, target):
-    """Roots of a polynomial with q_0 != 0: (roots, sweeps, start)."""
+def _exponent(coeffs):
+    """m c_m / s^m for m = 1..n in float64, the exponent of Q(s x), and s: the
+    power of 2 below max_m |m c_m|^(1/m), which keeps them in float64 range."""
     n = len(coeffs) - 1
-    if n == 0:
-        return [], 0, "none"
-    radius = _fujiwara_radius(coeffs)
-    zs = _float64_start(coeffs, radius)
-    start = "float64"
-    if zs is None:
-        zs, start = _circle_start(n, radius), "circle"
+    lead = coeffs[n] * mp.factorial(n)
+    t = [(-1) ** j * coeffs[n - j] * mp.factorial(n - j) / lead for j in range(n + 1)]
+    c = series_log(TaylorSeries(t)).coeffs
+    mc = [m * c[m] for m in range(1, n + 1)]
+    size = max((abs(v) ** (mpf(1) / m) for m, v in enumerate(mc, 1)), default=1)
+    s = mpf(2) ** int(mp.floor(mp.log(size, 2)))
+    return np.array([float(v / s ** m) for m, v in enumerate(mc, 1)]), s
 
+
+def _float64_start(coeffs, max_sweeps):
+    """Starting points: the recurrence's Hessenberg eigenvalues, polished by
+    float64 Aberth on the recurrence, lifted to mpc."""
+    n = len(coeffs) - 1
+    mc, scale = _exponent(coeffs)
+    k = np.arange(n)
+    lag = k[:, None] - k[None, :]
+    H = np.where(lag >= 0, mc[np.maximum(lag, 0)], 0.0)
+    H[k[:-1], k[1:]] = -(k[:-1] + 1)
+    zs = np.linalg.eigvals(H).astype(complex)
+    sqrt_eps = np.sqrt(np.finfo(float).eps)
+    # a root stops at a relative step of 1e-14, or when a step below sqrt(eps)
+    # fails to shrink: rounding noise (1e-10 on some random polynomials)
+    live = np.ones(n, bool)
+    last = np.full(n, np.inf)
+    with np.errstate(all="ignore"):
+        for _ in range(max_sweeps):
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            f = np.zeros((n + 1, idx.size), complex)
+            f[0] = 1
+            for j in range(n):
+                f[j + 1] = (mc[j::-1] @ f[:j + 1] - zs[idx] * f[j]) / (j + 1)
+            w = -f[n] / f[n - 1]  # Q/Q' by the recurrence
+            diff = zs[idx, None] - zs[None, :]
+            diff[np.arange(idx.size), idx] = np.inf
+            step = w / (1 - w * (1 / diff).sum(axis=1))
+            ok = np.isfinite(step)
+            zs[idx[ok]] -= step[ok]
+            rel = abs(step) / np.maximum(abs(zs[idx]), 1)
+            live[idx] = ok & (rel >= 1e-14) & ((rel < last[idx]) | (rel >= sqrt_eps))
+            last[idx] = rel
+    # equal values (a multiple root; here float64 stops at once) would make the
+    # next Aberth divide by zero: move the k-th repeat off by k sqrt(eps)
+    rep = np.array([np.count_nonzero(zs[:i] == zs[i]) for i in range(n)])
+    zs += rep * sqrt_eps * np.maximum(abs(zs), 1) * np.exp(0.3j)
+    return [mpc(complex(z)) * scale for z in zs]
+
+
+def _aberth(raw, zs, max_sweeps, target):
+    """Roots of a polynomial with q_0 != 0 from the starts ``zs``:
+    (roots, sweeps, backward errors)."""
+    n = len(zs)
     # a root is frozen once its relative step is below the target (the cubic
     # step and the Newton polish then reach full precision) or once |Q| is
     # within the rounding error of evaluating it (further steps are noise)
     floor = 4 * n * mp.eps
-    start_tol = mpf(FLOAT64_START_TOL)
     frozen = [False] * n
     sweeps = 0
     while sweeps < max_sweeps and not all(frozen):
-        vals = {i: _poly_and_deriv(coeffs, zs[i]) for i in range(n) if not frozen[i]}
-        if start == "float64" and sweeps == 0 and any(
-                p != 0 and (dp == 0 or abs(p / dp) >= start_tol * max(abs(zs[i]), 1))
-                for i, (p, dp) in vals.items()):
-            zs, start = _circle_start(n, radius), "circle"
-            continue
         sweeps += 1
         new = list(zs)
         newton = {}
-        for i, (p, dp) in vals.items():
-            if abs(p) <= floor * _abs_poly(coeffs, abs(zs[i])):
+        for i in range(n):
+            if frozen[i]:
+                continue
+            p, dp, s = _eval(raw, zs[i])
+            if abs(p) <= floor * s:
                 frozen[i] = True
             elif dp == 0:
                 new[i] = zs[i] * (1 + mpf("1e-10")) + mpf("1e-10")
@@ -242,14 +239,17 @@ def _aberth(coeffs, max_sweeps, target):
             frozen[i] = abs(step) < target * max(abs(zs[i]), mpf(1))
         zs = new
 
-    # Newton polish, at most 6 steps, each root stopping at the same floor
+    # Newton polish, at most 6 steps, each root stopping at the same floor;
+    # the last evaluation gives the root's backward error
+    errs = []
     for i in range(n):
-        for _ in range(6):
-            p, dp = _poly_and_deriv(coeffs, zs[i])
-            if dp == 0 or abs(p) <= floor * _abs_poly(coeffs, abs(zs[i])):
+        for steps in range(7):
+            p, dp, s = _eval(raw, zs[i])
+            if dp == 0 or abs(p) <= floor * s or steps == 6:
                 break
             zs[i] = zs[i] - p / dp
-    return zs, sweeps, start
+        errs.append(abs(p) / s)
+    return zs, sweeps, errs
 
 
 def _symmetrize(zs, im_tolerance):

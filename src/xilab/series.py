@@ -19,7 +19,7 @@ from typing import Iterable
 import mpmath as mp
 from mpmath import mpf
 
-from .errors import NonPositiveConstantTerm, NonzeroInnerConstant
+from .errors import NonPositiveConstantTerm
 
 
 class TaylorSeries:
@@ -153,16 +153,3 @@ def series_log(s: TaylorSeries) -> TaylorSeries:
             acc -= j * g[j] * f[n - j]
         g[n] = acc / (n * f[0])
     return TaylorSeries(g)
-
-
-def series_compose(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """f(g(x)) around 0, Horner style; needs g(0) = 0."""
-    if g.coeffs[0] != 0:
-        raise NonzeroInnerConstant(
-            f"inner series must vanish at 0, got constant {mp.nstr(g.coeffs[0], 8)}")
-    k = min(f.order, g.order)
-    gt = g.truncated(k)
-    acc = TaylorSeries.zero(k)
-    for c in reversed(f.coeffs[: k + 1]):
-        acc = acc * gt + c
-    return acc

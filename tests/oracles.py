@@ -11,6 +11,12 @@ parameters:
   characteristic polynomial is (-1)^N Q_N;
 * ``hermite_q``: the p = 2 closed form;
 * ``shifted``: the coefficients of Q(b + c), by Horner's rule.
+
+Plain mpmath references for code the package evaluates its own way:
+
+* ``horner``: Q(z), Q'(z) and sum |q_k| |z|^k by Horner's rule on mpc values
+  (``xilab.roots`` runs the same pass on raw ``mpmath.libmp`` values);
+* ``series_compose``: f(g(x)) for truncated series.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from mpmath import mpf
 
 from xilab.matrix_model import CharPolynomial, ModelPotential
 from xilab.scaling import ModelParams
+from xilab.series import TaylorSeries
 
 
 class BiSeries:
@@ -245,3 +252,26 @@ def jacobi_matrix(params: ModelParams, V: ModelPotential, N: int) -> HessenbergM
                     resid[d] -= c * qs[m].coeffs[d]
         rows.append(tuple(coeffs_in_basis[:N]))
     return HessenbergMatrix(N=N, rows=tuple(rows))
+
+
+def horner(coeffs, z):
+    """Q(z), Q'(z) and sum |q_k| |z|^k, coefficients lowest degree first."""
+    p, dp, scale = mpf(0), mpf(0), mpf(0)
+    for c in reversed(coeffs):
+        dp = dp * z + p
+        p = p * z + c
+        scale = scale * abs(z) + abs(c)
+    return p, dp, scale
+
+
+def series_compose(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
+    """f(g(x)) around 0, Horner style; needs g(0) = 0."""
+    if g.coeffs[0] != 0:
+        raise ValueError(
+            f"inner series must vanish at 0, got constant {mp.nstr(g.coeffs[0], 8)}")
+    k = min(f.order, g.order)
+    gt = g.truncated(k)
+    acc = TaylorSeries.zero(k)
+    for c in reversed(f.coeffs[: k + 1]):
+        acc = acc * gt + c
+    return acc

@@ -1,11 +1,12 @@
 import mpmath as mp
+import numpy as np
 import pytest
 from mpmath import mpc, mpf
 
 from conftest import assert_rel
-from oracles import hermite_q
+from oracles import hermite_q, horner
 from xilab.matrix_model import CharPolynomial, build_potential, q_polynomial
-from xilab.pipeline import RIEMANN_ROW_U
+from xilab.pipeline import RIEMANN_ROW_U, ROWS, row_model
 from xilab import roots
 from xilab.roots import classify, find_roots, reconstruct_coefficients
 from xilab.scaling import double_scaling, rescale_potential
@@ -17,6 +18,19 @@ def riemann_q(N=16):
     params = double_scaling(7, N, scaled.s)
     V = build_potential(params)
     return q_polynomial(params, V, N)
+
+
+def row_q(row_id, N):
+    _, _, params = row_model(ROWS[row_id], N)
+    return q_polynomial(params, build_potential(params), N)
+
+
+def from_roots(rs):
+    """Coefficients of prod (b - r), lowest degree first."""
+    cs = [mpf(1)]
+    for r in rs:
+        cs = [-r * cs[0]] + [cs[k - 1] - r * cs[k] for k in range(1, len(cs))] + [cs[-1]]
+    return tuple(cs)
 
 
 class TestFindRoots:
@@ -70,42 +84,65 @@ class TestFindRoots:
 
     def test_float64_start_converges_in_few_sweeps(self):
         rs = find_roots(riemann_q())
-        assert rs.start == "float64"
-        assert 1 <= rs.sweeps <= 8
+        assert 1 <= rs.sweeps <= 3
 
-    def test_circle_fallback_gives_the_same_roots(self, monkeypatch):
+    def test_roots_do_not_depend_on_the_start(self, monkeypatch):
+        """The extended-precision stage sets the roots and the start only its
+        cost: starts moved off by ~1e-6 give the same roots in more sweeps."""
         q = riemann_q()
         rs = find_roots(q)
-        monkeypatch.setattr(roots, "FLOAT64_START_TOL", "0")
-        fallback = find_roots(q)
-        assert fallback.start == "circle"
-        assert fallback.sweeps > rs.sweeps
-        assert fallback.is_real == rs.is_real
-        for a, b in zip(fallback.roots, rs.roots):
+        start = roots._float64_start
+        monkeypatch.setattr(roots, "_float64_start", lambda coeffs, max_sweeps: [
+            z * (1 + mpc("1e-6", "1e-6")) for z in start(coeffs, max_sweeps)])
+        moved = find_roots(q)
+        assert moved.sweeps > rs.sweeps
+        assert moved.is_real == rs.is_real
+        for a, b in zip(moved.roots, rs.roots):
             assert abs(a - b) < mpf("1e-50")
 
-    @pytest.mark.parametrize("N, start", [(16, "float64"), (20, "circle")])
-    def test_stopping_rules_bound_the_evaluations(self, monkeypatch, N, start):
-        """Q/Q' is evaluated once per root per sweep it is live in, plus at
-        most one sweep of start checks and one polish evaluation per root
-        already at the rounding floor: n (sweeps + 2) in all."""
-        q = riemann_q(N)
+    @pytest.mark.parametrize("row, N, dps", [("riemann", 16, 60), ("riemann", 32, 80),
+                                             ("bessel_k", 32, 80)])
+    def test_float64_start_is_near_the_roots(self, row, N, dps):
+        """The float64 Aberth on the recurrence takes the Hessenberg
+        eigenvalues (5e-6 off for riemann at N=32) to ~1e-15."""
+        with mp.workdps(dps):
+            q = row_q(row, N)
+            rs = find_roots(q)
+            for z in roots._float64_start(q.coeffs, 200):
+                assert min(abs(z - r) for r in rs.roots) < mpf("1e-12") * max(abs(z), 1)
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_stopping_rules_bound_the_evaluations(self, monkeypatch, N):
+        """Each root's Q, Q' and scale are evaluated once per sweep it is live
+        in, once in the polish when the sweeps leave it at the rounding floor,
+        and once for its reported residual: n (sweeps + 2) in all."""
         calls = [0]
-        horner = roots._poly_and_deriv
+        fused = roots._eval
 
-        def counted(coeffs, z):
+        def counted(raw, z):
             calls[0] += 1
-            return horner(coeffs, z)
+            return fused(raw, z)
 
-        monkeypatch.setattr(roots, "_poly_and_deriv", counted)
+        monkeypatch.setattr(roots, "_eval", counted)
+        with mp.workdps(60 if N == 16 else 80):
+            rs = find_roots(riemann_q(N))
+        assert 2 * N <= calls[0] <= N * (rs.sweeps + 2)
+
+    @pytest.mark.parametrize("coeffs", [
+        (0, 0, -1, 1),      # b^2 (b - 1)
+        (2, -3, 0, 1),      # (b - 1)^2 (b + 2)
+        (1, -2, 1),         # (b - 1)^2: the eigenvalues repeat exactly
+        (-1, 3, -3, 1),     # (b - 1)^3: likewise
+    ], ids=["zero_double", "double", "exact_double", "exact_triple"])
+    def test_repeated_roots_meet_gate(self, coeffs):
+        q = CharPolynomial(N=len(coeffs) - 1, coeffs=tuple(mpf(c) for c in coeffs))
+        m = next(k for k, c in enumerate(coeffs) if c != 0)
+        start = roots._float64_start(q.coeffs[m:], 200)
+        assert len(set(start)) == len(start)
         rs = find_roots(q)
-        assert rs.start == start
-        assert calls[0] <= N * (rs.sweeps + 2)
-
-    def test_repeated_float64_roots_rejected(self):
-        # b^2 (b - 1): np.roots returns the zero root twice
-        coeffs = (mpf(0), mpf(0), mpf(-1), mpf(1))
-        assert roots._float64_start(coeffs, roots._fujiwara_radius(coeffs)) is None
+        assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
+        assert rs.on_critical_line
+        assert find_roots(q).roots == rs.roots
 
     def test_double_root_meets_gate(self):
         # (b - 1)^2 (b + 2): linear convergence at the double root still stops
@@ -147,14 +184,49 @@ class TestFindRoots:
             for z in rs.roots:
                 r = z
                 for _ in range(2):
-                    p, dp = roots._poly_and_deriv(q.coeffs, r)
+                    p, dp, scale = horner(q.coeffs, r)
                     r -= p / dp
-                limit = 2 * q.N * eps * roots._abs_poly(q.coeffs, abs(r)) / abs(dp)
+                limit = 2 * q.N * eps * scale / abs(dp)
                 assert abs(z - r) <= limit
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             find_roots(CharPolynomial(N=0, coeffs=(mpf(1),)))
+
+
+class TestHighDegree:
+    """The N >= 32 path, and general polynomials, whose exponent comes from
+    their coefficients alone: at most 3 sweeps, and every backward error
+    within the 10^-(dps/2) target."""
+
+    @staticmethod
+    def solve(q):
+        rs = find_roots(q)
+        assert rs.sweeps <= 3
+        assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
+        return rs
+
+    def test_riemann_n32(self):
+        with mp.workdps(80):
+            rs = self.solve(riemann_q(32))
+        assert len(rs.real_roots()) == 30 and rs.n_complex_pairs == 1
+
+    def test_bessel_k_n32(self):
+        with mp.workdps(80):
+            rs = self.solve(row_q("bessel_k", 32))
+        assert rs.on_critical_line
+
+    def test_wilkinson20(self):
+        rs = self.solve(CharPolynomial(N=20, coeffs=from_roots(range(1, 21))))
+        assert rs.on_critical_line
+        for k, r in enumerate(rs.real_roots(), start=1):
+            assert abs(r - k) < mpf("1e-40")
+
+    def test_random_degree_24(self):
+        coeffs = [mpf(float(x)) for x in np.random.default_rng(24).standard_normal(25)]
+        rs = self.solve(CharPolynomial(N=24, coeffs=tuple(coeffs)))
+        for want in mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=100):
+            assert min(abs(r - want) for r in rs.roots) < mpf("1e-40") * max(abs(want), 1)
 
 
 class TestClassify:

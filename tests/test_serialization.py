@@ -34,7 +34,6 @@ def test_rootset_json_fields():
     for entry in doc["roots"]:
         assert set(entry) == {"re", "im", "is_real", "pair", "residual"}
     assert doc["on_critical_line"] in (True, False)
-    assert doc["start"] in ("float64", "circle")
     assert doc["sweeps"] == rs.sweeps >= 1
 
 
