@@ -286,6 +286,7 @@ def cmd_master(args) -> int:
         out.append({"seed": seed, "cost": res.cost,
                     "obstruction": res.obstruction,
                     "iterations": res.iterations,
+                    "stop": res.stop, "restarts": res.restarts,
                     "trace": list(res.trace)})
     _emit({**_meta(), "N": args.N, "g": g, "results": out}, args.json)
     return 0

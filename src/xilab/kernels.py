@@ -19,6 +19,8 @@ BACKEND = "numpy"
 #: phase-matrix terms per block of ``fourier_eval``: 2^20 complex terms, 16 MiB
 FOURIER_CHUNK_TERMS = 1 << 20
 
+_EPS2 = np.finfo(np.float64).eps ** 2  # float64 unit roundoff squared, ~4.9e-32
+
 
 # ---------------------------------------------------------------------------
 # Fourier evaluation: psi(z) = sum_j env_j * exp(i z x_j)
@@ -54,7 +56,12 @@ def _matrix_poly(a, vp_coeffs):
 
 
 def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
-    """Residual matrices (E, F) of the quenched equations."""
+    """Residual matrices (E, F) of the quenched equations, and their floor.
+
+    The floor is eps^2 * sum |t|^2 over the entries of every term t of E
+    and F (d*a, Vp(a)/g, b/g, eta1, d*b, a/g, eta2): the order of the cost
+    that float64 rounding of those terms alone leaves in E and F.
+    """
     p_mom = np.ascontiguousarray(p_mom, dtype=np.float64)
     a = np.ascontiguousarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
@@ -63,10 +70,12 @@ def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
     eta2 = np.ascontiguousarray(eta2, dtype=np.complex128)
     g = float(g)
     d = 1j * (p_mom[:, None] - p_mom[None, :])
-    vp = _matrix_poly(a, vp_coeffs)
-    E = d * a + vp / g - b / g - eta1
-    F = d * b - a / g - eta2
-    return E, F
+    da, db = d * a, d * b
+    vpg, bg, ag = _matrix_poly(a, vp_coeffs) / g, b / g, a / g
+    E = da + vpg - bg - eta1
+    F = db - ag - eta2
+    floor = _EPS2 * sum(np.vdot(t, t).real for t in (da, vpg, bg, eta1, db, ag, eta2))
+    return E, F, float(floor)
 
 
 def master_cost(E, F) -> float:

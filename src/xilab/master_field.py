@@ -11,6 +11,14 @@ damped Gauss-Newton with backtracking and seeded multi-restart. A best cost
 that stays above the threshold tau flags an obstruction: no Hermitian master
 pair reproduces the model within tolerance.
 
+A restart stops when C <= eps^2 * sum |t|^2, the sum running over the
+entries of every term t of E and F: below that floor float64 rounding, not
+the fit, sets the cost (Madsen, Nielsen & Tingleff, Methods for Non-Linear
+Least Squares Problems, 2004, sec. 3.2). A restart that ends at the floor
+ends the search. Otherwise a restart stops when the gradient vanishes, when
+no damping gives a descent step, or after max_iters iterations, and the
+next restart runs. ``MasterResult.stop`` and ``restarts`` report which.
+
 The saddle system couples eigenvalue vectors through unit-strength Coulomb
 repulsion:
 
@@ -94,6 +102,8 @@ class MasterResult:
     obstruction: bool
     trace: tuple
     best_seed: int
+    stop: str       # why the returned solve ended: floor, stalled, max_iters, gradient
+    restarts: int   # restarts run
 
 
 # --- Hermitian (or general) packing ----------------------------------------
@@ -137,7 +147,7 @@ def _fixed_inputs(cfg: MasterConfig) -> tuple:
 def residuals(cfg: MasterConfig, state: MasterState):
     """Exact residual matrices (E, F) for a state."""
     p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
-    return master_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)
+    return master_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)[:2]
 
 
 def _residual_vector(E, F) -> np.ndarray:
@@ -148,8 +158,8 @@ def _residual_vector(E, F) -> np.ndarray:
 def _cost_from_theta(cfg, theta, fixed):
     p_mom, eta1, eta2, vp = fixed
     st = unpack_state(theta, cfg.N, cfg.hermitian)
-    E, F = master_residuals(p_mom, st.a, st.b, vp, cfg.g, eta1, eta2)
-    return master_cost(E, F), E, F
+    E, F, floor = master_residuals(p_mom, st.a, st.b, vp, cfg.g, eta1, eta2)
+    return master_cost(E, F), E, F, floor
 
 
 def _jacobian(cfg, theta, fixed):
@@ -179,7 +189,7 @@ def _jacobian(cfg, theta, fixed):
 def cost_gradient(cfg: MasterConfig, theta: np.ndarray) -> np.ndarray:
     """Analytic gradient of C with respect to the packed parameters."""
     fixed = _fixed_inputs(cfg)
-    _, E, F = _cost_from_theta(cfg, theta, fixed)
+    _, E, F, _ = _cost_from_theta(cfg, theta, fixed)
     return 2.0 * (_jacobian(cfg, theta, fixed).T @ _residual_vector(E, F))
 
 
@@ -187,51 +197,74 @@ def cost_at(cfg: MasterConfig, theta: np.ndarray) -> float:
     return _cost_from_theta(cfg, theta, _fixed_inputs(cfg))[0]
 
 
+def _descend(cfg, theta, fixed):
+    """One damped Gauss-Newton descent from theta.
+
+    Returns (cost, theta, iterations, trace, stop). The floor is checked
+    before each Jacobian is built; the other stops are a vanishing gradient,
+    no damping giving a descent step ("stalled") and max_iters.
+    """
+    npar = len(theta)
+    c, E, F, floor = _cost_from_theta(cfg, theta, fixed)
+    trace = [c]
+    lam = 1e-8
+    iters = 0
+    for iters in range(1, cfg.max_iters + 1):
+        if c <= floor:
+            stop = "floor"
+            break
+        J = _jacobian(cfg, theta, fixed)
+        Jr = J.T @ _residual_vector(E, F)  # half the cost gradient
+        if np.linalg.norm(2.0 * Jr) < 1e-14:
+            stop = "gradient"
+            break
+        A = J.T @ J
+        for _ in range(16):
+            try:
+                step = np.linalg.solve(A + lam * np.eye(npar), -Jr)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            cand = theta + step
+            c2, E2, F2, floor2 = _cost_from_theta(cfg, cand, fixed)
+            if c2 < c:
+                theta, c, E, F, floor = cand, c2, E2, F2, floor2
+                trace.append(c)
+                lam = max(lam / 3, 1e-14)
+                break
+            lam *= 10
+        else:  # no damping gave a descent step
+            stop = "stalled"
+            break
+    else:  # the last step may have reached the floor
+        stop = "floor" if c <= floor else "max_iters"
+    return c, theta, iters, tuple(trace), stop
+
+
 def optimize(cfg: MasterConfig) -> MasterResult:
-    """Multi-restart damped Gauss-Newton minimization of the cost."""
+    """Multi-restart damped Gauss-Newton minimization of the cost.
+
+    The restarts end early only when one of them ends at the rounding floor;
+    a stalled or obstructed solve searches every restart.
+    """
     fixed = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + 100 * restart)
+        seed = cfg.seed + 100 * restart
+        rng = np.random.default_rng(seed)
         theta = 0.5 * rng.standard_normal(npar) if restart else np.zeros(npar)
-        c, E, F = _cost_from_theta(cfg, theta, fixed)
-        trace = [c]
-        lam = 1e-8
-        iters = 0
-        for iters in range(1, cfg.max_iters + 1):
-            J = _jacobian(cfg, theta, fixed)
-            Jr = J.T @ _residual_vector(E, F)  # half the cost gradient
-            if c < 1e-30 or np.linalg.norm(2.0 * Jr) < 1e-14:
-                break
-            A = J.T @ J
-            for _ in range(16):
-                try:
-                    step = np.linalg.solve(A + lam * np.eye(npar), -Jr)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
-                cand = theta + step
-                c2, E2, F2 = _cost_from_theta(cfg, cand, fixed)
-                if c2 < c:
-                    theta, c, E, F = cand, c2, E2, F2
-                    trace.append(c)
-                    lam = max(lam / 3, 1e-14)
-                    break
-                lam *= 10
-            else:  # no damping gave a descent step
-                break
-        cand = (c, unpack_state(theta, cfg.N, cfg.hermitian), iters, tuple(trace),
-                cfg.seed + 100 * restart)
+        c, theta, iters, trace, stop = _descend(cfg, theta, fixed)
         if best is None or c < best[0]:
-            best = cand
-        if best[0] < 1e-30:
+            best = (c, theta, iters, trace, stop, seed)
+        if stop == "floor":
             break
 
-    c, state, iters, trace, seed_used = best
+    c, theta, iters, trace, stop, seed_used = best
     tau = cfg.tau if cfg.tau is not None else 1e-10 * (1.0 + trace[0])
-    return MasterResult(cost=c, state=state, iterations=iters,
-                        obstruction=bool(c > tau), trace=trace, best_seed=seed_used)
+    return MasterResult(cost=c, state=unpack_state(theta, cfg.N, cfg.hermitian),
+                        iterations=iters, obstruction=bool(c > tau), trace=trace,
+                        best_seed=seed_used, stop=stop, restarts=restart + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -89,18 +89,6 @@ class CharPolynomial:
         if len(self.coeffs) != self.N + 1:
             raise ValueError("coefficient count must be N + 1")
 
-    def __call__(self, b):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * b + c
-        return acc
-
-    def derivative(self, b):
-        acc = self.N * self.coeffs[-1]
-        for n in range(self.N - 1, 0, -1):
-            acc = acc * b + n * self.coeffs[n]
-        return acc
-
     def to_json(self) -> str:
         return json.dumps({"N": self.N,
                            "coeffs": [to_decimal(c) for c in self.coeffs]})

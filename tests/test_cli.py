@@ -246,8 +246,12 @@ class TestMasterSaddle:
                                "--sigma", "0.5", "--seed", "3")
         assert code == 0
         doc = json.loads(out)
-        assert doc["results"][0]["cost"] < 1e-20
-        assert doc["results"][0]["obstruction"] is False
+        res = doc["results"][0]
+        assert set(res) == {"seed", "cost", "obstruction", "iterations", "stop",
+                            "restarts", "trace"}
+        assert res["cost"] < 1e-20
+        assert res["obstruction"] is False
+        assert (res["stop"], res["restarts"]) == ("floor", 1)
 
     def test_saddle_row_skips_root_finder(self, capsys, monkeypatch):
         """--row reads the row's potential and g; it does not solve Q_N."""

@@ -12,7 +12,8 @@ def direct_fourier_sum(xs, env, zs):
 
 
 def elementwise_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
-    """The quenched residuals entry by entry, V'(a + I) by Horner's rule."""
+    """The quenched residuals entry by entry, V'(a + I) by Horner's rule, and
+    eps^2 times the sum of |term|^2 over every term of every entry."""
     n = a.shape[0]
     vp = np.zeros((n, n), dtype=complex)
     for c in vp_coeffs[::-1]:
@@ -21,12 +22,16 @@ def elementwise_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
             vp[i, i] += c
     E = np.empty((n, n), dtype=complex)
     F = np.empty((n, n), dtype=complex)
+    sq = 0.0
     for k in range(n):
         for l in range(n):
             d = 1j * (p_mom[k] - p_mom[l])
             E[k, l] = d * a[k, l] + vp[k, l] / g - b[k, l] / g - eta1[k, l]
             F[k, l] = d * b[k, l] - a[k, l] / g - eta2[k, l]
-    return E, F
+            sq += sum(abs(t) ** 2 for t in (d * a[k, l], vp[k, l] / g, b[k, l] / g,
+                                              eta1[k, l], d * b[k, l], a[k, l] / g,
+                                              eta2[k, l]))
+    return E, F, np.finfo(np.float64).eps ** 2 * sq
 
 
 def test_fourier_paths_agree():
@@ -69,8 +74,9 @@ def test_residual_paths_agree():
     vp = np.array([0.3, -1.2, 0.7, 0.05], dtype=complex)
     eta1 = 0.1 * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
     eta2 = 0.1 * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
-    E1, F1 = master_residuals(p, a, b, vp, 0.21, eta1, eta2)
-    E2, F2 = elementwise_residuals(p, a, b, vp, 0.21, eta1, eta2)
+    E1, F1, floor1 = master_residuals(p, a, b, vp, 0.21, eta1, eta2)
+    E2, F2, floor2 = elementwise_residuals(p, a, b, vp, 0.21, eta1, eta2)
     assert np.max(np.abs(E1 - E2)) < 1e-12
     assert np.max(np.abs(F1 - F2)) < 1e-12
+    assert abs(floor1 - floor2) <= 1e-12 * floor2
     assert abs(master_cost(E1, F1) - master_cost(E2, F2)) < 1e-10

@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
-from xilab.kernels import master_cost
+from xilab import master_field as mf
+from xilab.kernels import master_cost, master_residuals
 from xilab.master_field import (MasterConfig, MasterState, _fixed_inputs, _jacobian,
                                 _saddle_jacobian, coulomb_force, cost_at,
                                 cost_gradient, n_params, optimize,
@@ -220,6 +222,47 @@ class TestOptimize:
         with pytest.raises(ValueError):
             MasterConfig(N=2, g=0.5, potential=gaussian_potential(),
                          momenta=(1.0,)).momentum_vector()
+
+    @staticmethod
+    def float64_op_config(seed, **kw):
+        """The float64 benchmark's master op: N=12, p=3, s=1.5, sigma=0.1."""
+        with mp.workdps(60):
+            params = double_scaling(3, 12, ("1.5",))
+            pot = build_potential(params)
+        return MasterConfig(N=12, g=float(params.g), potential=pot, seed=seed,
+                            sigma=0.1, **kw)
+
+    @staticmethod
+    def count_jacobians(monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _jacobian(*args)
+
+        monkeypatch.setattr(mf, "_jacobian", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [4731, 5118])
+    def test_stops_at_rounding_floor(self, seed, monkeypatch):
+        """A solvable fit ends on its first restart, a few Jacobians in,
+        at or below eps^2 * sum |term|^2 of its own residual terms."""
+        calls = self.count_jacobians(monkeypatch)
+        cfg = self.float64_op_config(seed)
+        res = optimize(cfg)
+        p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
+        E, F, floor = master_residuals(p_mom, res.state.a, res.state.b, vp, cfg.g,
+                                       eta1, eta2)
+        assert (res.restarts, res.stop, res.obstruction) == (1, "floor", False)
+        assert len(calls) <= 6
+        assert res.cost == master_cost(E, F) <= floor
+
+    def test_max_iters_runs_every_restart(self, monkeypatch):
+        """Short of the floor no restart ends the search early."""
+        calls = self.count_jacobians(monkeypatch)
+        res = optimize(self.float64_op_config(4731, max_iters=1, restarts=3))
+        assert (res.restarts, res.stop, res.iterations) == (3, "max_iters", 1)
+        assert len(calls) == 3
 
     def test_gradient_matches_finite_differences(self):
         pot, g = septic_potential()
