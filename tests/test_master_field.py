@@ -257,11 +257,14 @@ class TestOptimize:
         assert len(calls) <= 6
         assert res.cost == master_cost(E, F) <= floor
 
-    def test_max_iters_runs_every_restart(self, monkeypatch):
-        """Short of the floor no restart ends the search early."""
+    @pytest.mark.parametrize("max_iters, want", [(1, (3, "max_iters", 1)),
+                                                 (3, (1, "floor", 3))])
+    def test_max_iters_stop(self, max_iters, want, monkeypatch):
+        """Short of the floor no restart ends the search early; a last
+        step that lands on the floor ends it."""
         calls = self.count_jacobians(monkeypatch)
-        res = optimize(self.float64_op_config(4731, max_iters=1, restarts=3))
-        assert (res.restarts, res.stop, res.iterations) == (3, "max_iters", 1)
+        res = optimize(self.float64_op_config(4731, max_iters=max_iters, restarts=3))
+        assert (res.restarts, res.stop, res.iterations) == want
         assert len(calls) == 3
 
     def test_gradient_matches_finite_differences(self):
