@@ -301,7 +301,10 @@ def cmd_saddle(args) -> int:
     _emit({**_meta(), "N": args.N, "g": g,
            "a": [float(x) for x in res.a], "b": [float(x) for x in res.b],
            "residual_norm": res.residual_norm, "iterations": res.iterations,
-           "converged": res.converged}, args.json)
+           "converged": res.converged,
+           "solutions": [{"a": [float(x) for x in a], "b": [float(x) for x in b],
+                          "residual_norm": r} for a, b, r in res.solutions],
+           "n_complex": res.n_complex}, args.json)
     return 0 if res.converged else 3
 
 

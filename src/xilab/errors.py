@@ -51,7 +51,3 @@ class ComplexAnchor(XilabError):
 
 class MissingPipeline(XilabError):
     """Report assembly is missing one of the required rows."""
-
-
-class SingularJacobian(XilabError):
-    """Newton step hit a singular Jacobian even after damping retries."""

@@ -265,11 +265,19 @@ class TestMasterSaddle:
         monkeypatch.setattr(pipeline, "find_roots", no_roots)
         code, out, _ = run_cli(capsys, "saddle", "--row", "riemann", "--N", "4", "--json")
         doc = json.loads(out)
-        assert code == 3
+        assert code == (0 if want.converged else 3)
         assert doc["g"] == 1.3473048130529226
         assert doc["a"] == [float(x) for x in want.a]
         assert doc["b"] == [float(x) for x in want.b]
         assert doc["residual_norm"] == want.residual_norm
+        assert doc["solutions"] == [{"a": list(a), "b": list(b), "residual_norm": r}
+                                    for a, b, r in want.solutions]
+        assert doc["n_complex"] == want.n_complex
+
+    def test_master_rejects_zero_restarts(self, capsys):
+        code, out, err_text = run_cli(capsys, "master", "--N", "2", "--restarts", "0")
+        assert (code, out) == (2, "")
+        assert err_text == "config error: restarts must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("command", ["master", "saddle"])
     @pytest.mark.parametrize("flag", [("--p", "5"), ("--s", "9")])

@@ -78,7 +78,7 @@ def saddle_residual_loop(pot, g, a, b):
     """The saddle equations evaluated one component at a time."""
     vp = v_prime_coeffs(pot)
     N = len(a)
-    out = np.empty(2 * N)
+    out = np.empty(2 * N, dtype=np.result_type(a, b))
     for i in range(N):
         coul_a = coul_b = 0.0
         for j in range(N):
@@ -307,31 +307,45 @@ class TestSaddle:
 
     @pytest.mark.parametrize("N", [2, 4, 9])
     def test_residual_matches_elementwise_loop(self, N):
+        """Real and complex points, one at a time and as a stacked batch."""
         pot, g = septic_potential()
         rng = np.random.default_rng(N)
         a = np.linspace(-2, 2, N) + 0.1 * rng.standard_normal(N)
         b = np.linspace(2, -2, N) + 0.1 * rng.standard_normal(N)
-        got = saddle_residual(pot, g, a, b)
-        want = saddle_residual_loop(pot, g, a, b)
-        assert np.max(np.abs(got - want)) < 1e-14 * max(np.max(np.abs(want)), 1.0)
+        ac, bc = a + 0.3j * rng.standard_normal(N), b + 0.3j * rng.standard_normal(N)
+        for x, y in [(a, b), (ac, bc)]:
+            got = saddle_residual(pot, g, x, y)
+            want = saddle_residual_loop(pot, g, x, y)
+            assert np.max(np.abs(got - want)) < 1e-14 * max(np.max(np.abs(want)), 1.0)
+            stacked = saddle_residual(pot, g, np.stack([x, x[::-1]]), np.stack([y, y[::-1]]))
+            assert np.array_equal(stacked[0], got)
+            assert np.array_equal(stacked[1], saddle_residual(pot, g, x[::-1], y[::-1]))
 
     def test_jacobian_matches_finite_differences(self):
+        """A real direction's difference quotient is the complex derivative
+        at a complex point too; a stacked batch gives each point's J."""
         pot, g = septic_potential()
-        rng = np.random.default_rng(4)
-        a = np.linspace(-1.5, 1.5, 5) + 0.1 * rng.standard_normal(5)
-        b = np.linspace(1.5, -1.5, 5) + 0.1 * rng.standard_normal(5)
-        J = _saddle_jacobian(np.polynomial.polynomial.polyder(v_prime_coeffs(pot)),
-                             g, a, b)
-        x = np.concatenate([a, b])
-        h = 1e-6
-        for k in range(10):
-            e = np.zeros(10)
-            e[k] = h
-            xp, xm = x + e, x - e
-            fd = (saddle_residual(pot, g, xp[:5], xp[5:])
-                  - saddle_residual(pot, g, xm[:5], xm[5:])) / (2 * h)
-            scale = max(np.max(np.abs(fd)), 1.0)
-            assert np.max(np.abs(J[:, k] - fd)) < 1e-7 * scale, f"column {k}"
+        vpp = np.polynomial.polynomial.polyder(v_prime_coeffs(pot))
+        for imag in (0.0, 0.2):
+            rng = np.random.default_rng(4)
+            a = np.linspace(-1.5, 1.5, 5) + 0.1 * rng.standard_normal(5) \
+                + imag * 1j * rng.standard_normal(5)
+            b = np.linspace(1.5, -1.5, 5) + 0.1 * rng.standard_normal(5) \
+                + imag * 1j * rng.standard_normal(5)
+            J = _saddle_jacobian(vpp, g, a, b)
+            stacked = _saddle_jacobian(vpp, g, np.stack([a, -a]), np.stack([b, -b]))
+            assert np.array_equal(stacked[0], J)
+            assert np.array_equal(stacked[1], _saddle_jacobian(vpp, g, -a, -b))
+            x = np.concatenate([a, b])
+            h = 1e-6
+            for k in range(10):
+                e = np.zeros(10)
+                e[k] = h
+                xp, xm = x + e, x - e
+                fd = (saddle_residual(pot, g, xp[:5], xp[5:])
+                      - saddle_residual(pot, g, xm[:5], xm[5:])) / (2 * h)
+                scale = max(np.max(np.abs(fd)), 1.0)
+                assert np.max(np.abs(J[:, k] - fd)) < 1e-7 * scale, f"imag {imag} column {k}"
 
     def test_permutation_symmetry_of_residual(self):
         pot, g = septic_potential()
@@ -345,9 +359,92 @@ class TestSaddle:
         assert np.allclose(np.sort(f[4:]), np.sort(fp[4:]))
 
     def test_best_found_reported(self):
-        res = saddle_solve(gaussian_potential(), 1.0, 2, restarts=2, max_iters=60)
+        res = saddle_solve(gaussian_potential(), 1.0, 2, max_iters=60)
         assert np.isfinite(res.residual_norm)
         assert isinstance(res.converged, bool)
+
+    @staticmethod
+    def readme_potential():
+        """The README example's potential: p=3, s=1.5, built at N=4, 60 digits."""
+        with mp.workdps(60):
+            return build_potential(double_scaling(3, 4, ("1.5",)))
+
+    @staticmethod
+    def count_jacobians(monkeypatch, corrupt=None):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            J = _saddle_jacobian(*args)
+            if corrupt is not None:
+                corrupt(J)
+            return J
+
+        monkeypatch.setattr(mf, "_saddle_jacobian", counting)
+        return calls
+
+    def test_readme_example_converges(self):
+        res = saddle_solve(self.readme_potential(), 1.0, 4)
+        assert res.converged and res.residual_norm < 1e-10
+        assert len(res.a) == len(res.b) == 4
+
+    def test_quartic_small_g(self):
+        # V'(1+u) = u^3 - u at g = 0.2: a = (-1, 1), b = (g/2, -g/2)
+        quartic = ModelPotential(p=4, s_coeffs=(0.0, 0.5, 0.0, -0.25))
+        res = saddle_solve(quartic, 0.2, 2)
+        # below tol a start still steps while that halves its residual, so it
+        # ends near the rounding floor, not just under tol
+        assert res.converged and res.residual_norm < 1e-13
+        got = np.concatenate([res.a, res.b])
+        assert np.max(np.abs(got - [-1.0, 1.0, 0.1, -0.1])) < 1e-8
+
+    def test_solutions_real_canonical_distinct(self):
+        tol, pot = 1e-10, self.readme_potential()
+        res = saddle_solve(pot, 1.0, 4, tol=tol)
+        assert len(res.solutions) >= 2
+        assert np.array_equal(res.a, res.solutions[0][0])
+        rows = []
+        for a, b, r in res.solutions:
+            assert a.dtype == b.dtype == np.float64
+            assert np.all(np.diff(a) > 0)
+            assert r == np.linalg.norm(saddle_residual(pot, 1.0, a, b)) < tol
+            rows.append(np.concatenate([a, b]))
+        for i in range(len(rows)):
+            for j in range(i):
+                assert np.max(np.abs(rows[i] - rows[j])) > 1e-6
+
+    def test_same_seed_bit_identical(self):
+        r1 = saddle_solve(self.readme_potential(), 1.0, 4, seed=3)
+        r2 = saddle_solve(self.readme_potential(), 1.0, 4, seed=3)
+        assert np.array_equal(r1.a, r2.a) and np.array_equal(r1.b, r2.b)
+        assert (r1.residual_norm, r1.iterations, r1.n_complex) == \
+            (r2.residual_norm, r2.iterations, r2.n_complex)
+        assert len(r1.solutions) == len(r2.solutions)
+        for s1, s2 in zip(r1.solutions, r2.solutions):
+            assert np.array_equal(s1[0], s2[0]) and np.array_equal(s1[1], s2[1])
+            assert s1[2] == s2[2]
+
+    def test_cost_guard(self, monkeypatch):
+        """One stacked Jacobian per sweep; the starts stop well before
+        max_iters (46 sweeps measured on the README example at seed 0)."""
+        calls = self.count_jacobians(monkeypatch)
+        res = saddle_solve(self.readme_potential(), 1.0, 4, max_iters=250)
+        assert len(calls) == res.iterations <= 250
+        assert res.iterations <= 92
+        calls.clear()
+        res = saddle_solve(self.readme_potential(), 1.0, 4, max_iters=5)
+        assert len(calls) == res.iterations == 5
+        assert not res.converged
+
+    def test_singular_jacobian_drops_start(self, monkeypatch):
+        """An exactly singular Jacobian ends its start; the others go on."""
+        def zero_first(J):
+            J[0] = 0.0
+
+        calls = self.count_jacobians(monkeypatch, corrupt=zero_first)
+        res = saddle_solve(self.readme_potential(), 1.0, 4)
+        assert res.converged and res.residual_norm < 1e-10
+        assert len(calls) == res.iterations
 
     def test_reduced_ansatz_n2_gaussian_has_no_root(self):
         # the symmetric-slice equation reduces to a1 * D(a1) = 0 with
