@@ -407,7 +407,8 @@ class TestSaddle:
         for a, b, r in res.solutions:
             assert a.dtype == b.dtype == np.float64
             assert np.all(np.diff(a) > 0)
-            assert r == np.linalg.norm(saddle_residual(pot, 1.0, a, b)) < tol
+            assert r < tol
+            assert np.isclose(r, np.linalg.norm(saddle_residual(pot, 1.0, a, b)), rtol=1e-12)
             rows.append(np.concatenate([a, b]))
         for i in range(len(rows)):
             for j in range(i):
