@@ -17,10 +17,9 @@ from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
 from .roots import RootSet, classify, find_roots, reconstruct_coefficients
 from .baker_akhiezer import (BAFunction, ReferenceZeros, magnitude_minima,
                              psi_zeros, quadrature_zeros, reference_table)
-from .calibration import (Calibration, TableRow, ZeroReport, airy_fixed_map,
-                          estimate_zeros, fit_linear)
-from .pipeline import (ROW_IDS, ModelRun, RowResult, build_table1, run_from_spec,
-                       run_model, run_row)
+from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
+from .pipeline import (ROW_IDS, ModelRun, RowResult, ZeroReport, build_model,
+                       build_table1, run_from_spec, run_model, run_row)
 from .master_field import (MasterConfig, MasterResult, MasterState, SaddleResult,
                            cost_at, cost_gradient, optimize, residuals,
                            saddle_residual, saddle_solve)

@@ -40,14 +40,13 @@ from . import errors as err
 from . import master_field as mf
 from .kernels import BACKEND
 from .matrix_model import build_potential
-from .pipeline import (ROW_IDS, ROWS, build_table1, expand_spec, row_model,
+from .pipeline import (ROW_IDS, ROWS, build_model, build_table1, expand_spec,
                        run_from_spec, run_model, run_row)
 from .potentials import KINDS, PotentialSpec
 from .precision import DEFAULT_DPS, MIN_DPS, pretty, to_decimal
-from .scaling import double_scaling
 # not called here; kept because perfbench/layers.py wraps these cli attributes
 from .potentials import taylor_u  # noqa: F401
-from .scaling import cosh_couplings, rescale_potential  # noqa: F401
+from .scaling import cosh_couplings, double_scaling, rescale_potential  # noqa: F401
 
 CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference, err.MissingPipeline)
 
@@ -68,6 +67,11 @@ def _reject_ignored(args, dests, reason: str) -> None:
         raise ValueError(f"{reason}; drop {', '.join(given)}")
 
 
+def _couplings(args) -> tuple:
+    """--s as a tuple of decimal strings."""
+    return tuple(v.strip() for v in args.s.split(","))
+
+
 def _spec_from_args(args) -> PotentialSpec:
     kw = {"kind": args.kind}
     if args.kind == "monomial":
@@ -78,7 +82,7 @@ def _spec_from_args(args) -> PotentialSpec:
         if not args.s:
             raise ValueError("--s is required for the explicit kind")
         kw["p"] = _model_p(args)
-        kw["s"] = tuple(v.strip() for v in args.s.split(","))
+        kw["s"] = _couplings(args)
     if args.max_terms is not None:
         kw["max_terms"] = args.max_terms
     return PotentialSpec(**kw)
@@ -133,22 +137,18 @@ def cmd_expand(args) -> int:
 
 
 def _solve_run(args):
-    N = args.N
     if args.row:
-        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms", "g", "g_mode",
-                               "hermite"),
+        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms", "g", "hermite"),
                         f"--row {args.row} takes its potential and g from the row")
-        return run_row(args.row, N=N).run
+        scaled, params = ROWS[args.row].model(args.N)
+        return run_model(params, scaled=scaled)
     if args.hermite:
-        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms", "g_mode"),
+        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms"),
                         "--hermite solves the quadratic model")
-        g = mpf(args.g) if args.g else mpf(1) / N
-        params = double_scaling(2, N, (), g_mode="plain", g_override=g)
-        return run_model(params)
+        return run_from_spec(None, 2, args.N, g=args.g)
     if args.kind is None:
         raise ValueError("solve needs a potential: --kind, --row or --hermite")
-    return run_from_spec(_spec_from_args(args), _model_p(args), N,
-                         g_mode=args.g_mode or "corrected", g_override=args.g)
+    return run_from_spec(_spec_from_args(args), _model_p(args), args.N, g=args.g)
 
 
 def cmd_solve(args) -> int:
@@ -223,8 +223,8 @@ def cmd_calibrate(args) -> int:
                "c": to_decimal(res.calibration.c),
                "estimated_zeros": [to_decimal(z) for z in res.estimated_zeros[:args.count]],
                "reference_zeros": list(res.reference.zeros[:args.count]),
-               "on_critical_line": res.table_row.on_critical_line,
-               "n_complex_pairs": res.table_row.n_complex_pairs}
+               "on_critical_line": res.run.roots.on_critical_line,
+               "n_complex_pairs": res.run.roots.n_complex_pairs}
     _emit(payload, args.json)
     return 0
 
@@ -237,7 +237,7 @@ def cmd_table1(args) -> int:
         if rid not in ROW_IDS:
             raise ValueError(f"unknown row {rid!r}; known: {ROW_IDS}")
         try:
-            results[rid] = run_row(rid, N=args.N).table_row
+            results[rid] = run_row(rid, N=args.N)
         except Exception as exc:  # partial table with failure markers
             failures[rid] = f"{type(exc).__name__}: {exc}"
     if set(rows) == set(ROW_IDS) and not failures:
@@ -253,21 +253,25 @@ def cmd_table1(args) -> int:
         for rid in rows:
             if rid in results:
                 r = results[rid]
-                print(f"{rid:>14s}: z3 = {pretty(r.z3_estimated)} "
-                      f"(exact {pretty(r.z3_exact)})  on-CL {r.on_critical_line}  "
-                      f"A = {pretty(r.A)}  c = {pretty(r.c)}")
+                print(f"{rid:>14s}: z3 = {pretty(r.estimated_zeros[2])} "
+                      f"(exact {pretty(r.exact_zeros[2])})  "
+                      f"on-CL {r.run.roots.on_critical_line}  "
+                      f"A = {pretty(r.calibration.A)}  c = {pretty(r.calibration.c)}")
             else:
                 print(f"{rid:>14s}: FAILED  {failures[rid]}")
     return 3 if failures else 0
 
 
 def _master_potential(args, default_p: int):
+    """The model potential and g of --row, or of --p and --s as an explicit
+    potential (no --s: the model with no couplings)."""
     if args.row:
         _reject_ignored(args, ("p", "s"), f"--row {args.row} takes its potential from the row")
-        _, _, params = row_model(ROWS[args.row], args.N)
+        _, params = ROWS[args.row].model(args.N)
     else:
         p = default_p if args.p is None else args.p
-        params = double_scaling(p, args.N, tuple(args.s.split(",")) if args.s else ())
+        spec = PotentialSpec(kind="explicit", p=p, s=_couplings(args)) if args.s else None
+        _, params = build_model(spec, p, args.N)
     return build_potential(params), float(params.g)
 
 
@@ -344,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "Hermite closed form")
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--g", default=None, help="override the coupling constant g")
-    sp.add_argument("--g-mode", choices=("corrected", "plain"), default=None,
-                    dest="g_mode", help="default corrected")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH", help="roots as CSV")
     sp.set_defaults(func=cmd_solve)

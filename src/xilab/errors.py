@@ -10,7 +10,8 @@ class NonPositiveConstantTerm(XilabError):
 
 
 class NonConvergence(XilabError):
-    """A kernel sum/product hit its term cap before reaching tolerance."""
+    """A kernel sum, quadrature or root iteration hit its cap before reaching
+    its tolerance."""
 
 
 class NonPositiveLeadingCoefficient(XilabError):
@@ -19,10 +20,6 @@ class NonPositiveLeadingCoefficient(XilabError):
 
 class NonPositiveG(XilabError):
     """Double-scaling produced a non-positive coupling constant g."""
-
-
-class NoConvergence(XilabError):
-    """Root iteration failed to meet its backward-error target."""
 
 
 class InsufficientZerosFound(XilabError):

@@ -1,8 +1,10 @@
-"""End-to-end model runs and the eight standard report rows.
+"""End-to-end model runs, the eight standard report rows and their report.
 
-``run_model`` chains expansion -> normalization -> double scaling ->
-characteristic polynomial -> roots. ``ROWS`` catalogues the eight report
-rows as data; ``run_row`` runs any of them along one path.
+``build_model`` turns a potential into normalized couplings and model
+parameters; every model runs from it. ``run_model`` chains the
+characteristic polynomial and its roots. ``ROWS`` catalogues the eight
+report rows as data; ``run_row`` runs any of them along one path, and
+``build_table1`` assembles their results into a ``ZeroReport``.
 
 Row-specific reference data
 ---------------------------
@@ -11,7 +13,7 @@ Row-specific reference data
   x^4 but differs at x^6 and x^8; the published couplings are what the
   row's polynomial, root and calibration tables correspond to.
 * ramanujan: the row's published tables were generated with the riemann
-  row's g, so the row pins g to that value for comparability.
+  row's g, so the row names that row in ``RowSpec.g_from`` and borrows its g.
 * gen_airy_133: the row's reference integrand carries the coefficient list
   in ``baker_akhiezer._GEN_AIRY_133`` (x^6 weight 3/4).
 * eta_gamma: the row is compared with the riemann row's zeros.
@@ -19,17 +21,21 @@ Row-specific reference data
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 
+import mpmath as mp
 from mpmath import mpf
 
 from . import baker_akhiezer as ba
-from .calibration import (Calibration, TableRow, ZeroReport, airy_fixed_map,
-                          estimate_zeros, fit_linear)
+from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
 from .errors import MissingPipeline, TooFewRealRoots
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
 from .potentials import PotentialSpec, taylor_u
+from .precision import pretty, to_decimal
 from .roots import RootSet, find_roots
 from .scaling import (ModelParams, ScaledPotential, cosh_couplings,
                       double_scaling, rescale_potential)
@@ -40,15 +46,43 @@ RIEMANN_ROW_U = ("0.112728", "0", "9.3634", "0", "5.95896", "0",
                  "-2.09194", "0", "3.53296")
 
 
+def expand_spec(spec: PotentialSpec, p: int):
+    """U's Taylor series through x^{p+1} and its normal form for the degree-p model.
+
+    The gamma-eta family keeps its degree-p term as the coupling s_{p-1}.
+    """
+    u = taylor_u(spec, p + 1)
+    return u, rescale_potential(u, p, couplings_through=p if spec.kind == "eta_gamma" else None)
+
+
+def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
+                g=None) -> tuple[ScaledPotential | None, ModelParams]:
+    """Normalized couplings and double-scaled parameters of a degree-p model.
+
+    potential: a ``PotentialSpec`` (the cosh family takes its closed-form
+    couplings), a published Taylor coefficient list (degrees 0..p+1), or None
+    for the model with no couplings, whose scaled potential is None.
+    g: replaces the double-scaling g when given.
+    """
+    if potential is None:
+        scaled = None
+    elif not isinstance(potential, PotentialSpec):  # a published expansion
+        scaled = rescale_potential(TaylorSeries([mpf(c) for c in potential]), p)
+    elif potential.kind == "cosh":
+        scaled = cosh_couplings(p)
+    else:
+        scaled = expand_spec(potential, p)[1]
+    return scaled, double_scaling(p, N, scaled.s if scaled else (), g_override=g)
+
+
 @dataclass(frozen=True)
 class RowSpec:
     """One catalogued report row, as data.
 
-    potential: a ``PotentialSpec``, a published Taylor coefficient list
-    (degrees 0..p+1), or None for the quadratic model, which has no couplings.
+    potential: what ``build_model`` takes; None for the quadratic model.
     reference: id of the reference zero table the roots are fitted onto.
-    g_mode: "corrected" or "plain" (see ``double_scaling``), or the id of the
-    row whose g this row borrows.
+    g_from: id of the row whose g this row uses, or None for its own
+    double-scaling g.
     calibration: "fit_linear" anchors the two lowest real roots, ascending;
     "airy_fixed_map" maps the real roots, largest first.
     """
@@ -59,17 +93,21 @@ class RowSpec:
     p: int
     potential: PotentialSpec | tuple | None
     reference: str
-    g_mode: str = "corrected"
+    g_from: str | None = None
     calibration: str = "fit_linear"
+
+    def model(self, N: int) -> tuple[ScaledPotential | None, ModelParams]:
+        """The row's ``build_model`` result at matrix size N."""
+        g = ROWS[self.g_from].model(N)[1].g if self.g_from else None
+        return build_model(self.potential, self.p, N, g)
 
 
 #: the report rows by id, in report order
 ROWS = {row.id: row for row in (
-    RowSpec("airy", "Ai(z)", "i x^3/3", 2, None, "airy",
-            g_mode="plain", calibration="airy_fixed_map"),
+    RowSpec("airy", "Ai(z)", "i x^3/3", 2, None, "airy", calibration="airy_fixed_map"),
     RowSpec("riemann", "Riemann Xi(z)", "-log(Phi(x))", 7, RIEMANN_ROW_U, "riemann"),
     RowSpec("ramanujan", "Ramanujan Xi_L(z)", "-log(Phi_L(x))", 7,
-            PotentialSpec(kind="ramanujan"), "ramanujan", g_mode="riemann"),
+            PotentialSpec(kind="ramanujan"), "ramanujan", g_from="riemann"),
     RowSpec("gen_airy", "Ai_(7,1)(z)", "x^8/8", 7,
             PotentialSpec(kind="monomial", degree=8), "gen_airy"),
     RowSpec("gen_airy_m130", "Ai_(7,1)(z,-1,3,0)", "x^8/8 + 3x^4/4 - x^2/2", 7,
@@ -93,7 +131,6 @@ REPORTED_ZEROS = 3
 class ModelRun:
     """Artifacts of one pipeline run."""
 
-    spec: PotentialSpec | None
     scaled: ScaledPotential | None
     params: ModelParams
     potential: ModelPotential
@@ -103,70 +140,40 @@ class ModelRun:
 
 @dataclass(frozen=True)
 class RowResult:
-    row_id: str
-    run: ModelRun | None
+    row: RowSpec
+    run: ModelRun
     calibration: Calibration
     estimated_zeros: tuple
     reference: ba.ReferenceZeros
-    table_row: TableRow
+
+    @property
+    def exact_zeros(self) -> tuple:
+        """The reported reference zeros, read from their decimal forms."""
+        return tuple(mpf(str(z)) for z in self.reference.zeros[:REPORTED_ZEROS])
 
 
-def run_model(params: ModelParams, *, spec: PotentialSpec | None = None,
-              scaled: ScaledPotential | None = None) -> ModelRun:
+def run_model(params: ModelParams, *, scaled: ScaledPotential | None = None) -> ModelRun:
     """Characteristic polynomial and roots for one parameter set."""
     V = build_potential(params)
     q = q_polynomial(params, V, params.N)
     rts = find_roots(q)
-    return ModelRun(spec=spec, scaled=scaled, params=params, potential=V,
-                    q=q, roots=rts)
+    return ModelRun(scaled=scaled, params=params, potential=V, q=q, roots=rts)
 
 
-def expand_spec(spec: PotentialSpec, p: int):
-    """U's Taylor series through x^{p+1} and its normal form for the degree-p model.
-
-    The gamma-eta family keeps its degree-p term as the coupling s_{p-1}.
-    """
-    u = taylor_u(spec, p + 1)
-    return u, rescale_potential(u, p, couplings_through=p if spec.kind == "eta_gamma" else None)
-
-
-def spec_couplings(spec: PotentialSpec, p: int) -> ScaledPotential:
-    """Normalized couplings of a spec; the cosh family takes its closed form."""
-    return cosh_couplings(p) if spec.kind == "cosh" else expand_spec(spec, p)[1]
-
-
-def run_from_spec(spec: PotentialSpec, p: int, N: int, *, g_mode: str = "corrected",
-                  g_override=None) -> ModelRun:
-    """Normalize and run a potential spec as a (p,1) model."""
-    scaled = spec_couplings(spec, p)
-    params = double_scaling(p, N, scaled.s, g_mode=g_mode, g_override=g_override)
-    return run_model(params, spec=spec, scaled=scaled)
-
-
-def row_model(row: RowSpec, N: int):
-    """The row's spec, normalized potential and model parameters; no polynomial."""
-    spec = row.potential if isinstance(row.potential, PotentialSpec) else None
-    if spec is not None:
-        scaled = spec_couplings(spec, row.p)
-    elif row.potential is not None:  # a published expansion
-        scaled = rescale_potential(TaylorSeries([mpf(c) for c in row.potential]), row.p)
-    else:
-        scaled = None
-    s = scaled.s if scaled is not None else ()
-    if row.g_mode in ROWS:  # the named row's g
-        _, _, donor = row_model(ROWS[row.g_mode], N)
-        return spec, scaled, double_scaling(row.p, N, s, g_override=donor.g)
-    return spec, scaled, double_scaling(row.p, N, s, g_mode=row.g_mode)
+def run_from_spec(potential: PotentialSpec | None, p: int, N: int, *, g=None) -> ModelRun:
+    """Build and run a potential as a (p,1) model (see ``build_model``)."""
+    scaled, params = build_model(potential, p, N, g)
+    return run_model(params, scaled=scaled)
 
 
 def run_row(row_id: str, N: int = 16) -> RowResult:
-    """One of the eight standard rows at matrix size N."""
+    """One of the eight standard rows at matrix size N, calibrated."""
     if row_id not in ROWS:
         raise ValueError(f"unknown row {row_id!r}; known: {ROW_IDS}")
     row = ROWS[row_id]
     ref = ba.reference_table(row.reference)
-    spec, scaled, params = row_model(row, N)
-    run = run_model(params, spec=spec, scaled=scaled)
+    scaled, params = row.model(N)
+    run = run_model(params, scaled=scaled)
     n_real = len(run.roots.real_roots())
     if n_real < REPORTED_ZEROS:
         raise TooFewRealRoots(
@@ -180,15 +187,60 @@ def run_row(row_id: str, N: int = 16) -> RowResult:
     else:
         reals = run.roots.real_roots()
         cal = fit_linear(reals, ref)
-    est = estimate_zeros(cal, reals)
-    table_row = TableRow(
-        function_id=row_id, label=row.label, u_description=row.u_description,
-        z3_estimated=est[2], z3_exact=mpf(str(ref.zeros[2])),
-        on_critical_line=run.roots.on_critical_line,
-        n_complex_pairs=run.roots.n_complex_pairs,
-        A=cal.A, c=cal.c,
-        estimated_zeros=tuple(est[:3]), reference_zeros=tuple(ref.zeros[:3]))
-    return RowResult(row_id, run, cal, tuple(est), ref, table_row)
+    return RowResult(row, run, cal, tuple(estimate_zeros(cal, reals)), ref)
+
+
+@dataclass(frozen=True)
+class ZeroReport:
+    """The report rows, rendered from their results and catalogue entries."""
+
+    rows: tuple  # RowResult, in ``ROWS`` order
+    N: int
+    precision: int
+
+    def to_json(self) -> str:
+        return json.dumps({"N": self.N, "precision": self.precision, "rows": [{
+            "function": r.row.id,
+            "label": r.row.label,
+            "U": r.row.u_description,
+            "z3_estimated": to_decimal(r.estimated_zeros[2]),
+            "z3_exact": to_decimal(r.exact_zeros[2]),
+            "on_critical_line": r.run.roots.on_critical_line,
+            "n_complex_pairs": r.run.roots.n_complex_pairs,
+            "A": to_decimal(r.calibration.A),
+            "c": to_decimal(r.calibration.c),
+            "estimated_zeros": [to_decimal(z) for z in r.estimated_zeros[:REPORTED_ZEROS]],
+            "reference_zeros": [to_decimal(z) for z in r.exact_zeros],
+        } for r in self.rows]}, indent=2)
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["function", "z3_estimated", "z3_exact", "on_critical_line",
+                    "n_complex_pairs", "A", "c"])
+        for r in self.rows:
+            roots = r.run.roots
+            w.writerow([r.row.id, mp.nstr(r.estimated_zeros[2], 8),
+                        mp.nstr(r.exact_zeros[2], 8), "Y" if roots.on_critical_line else "N",
+                        roots.n_complex_pairs, mp.nstr(r.calibration.A, 8),
+                        mp.nstr(r.calibration.c, 8)])
+        return buf.getvalue()
+
+    def to_text(self) -> str:
+        head = ["function", "U(x)", "z3 (N={})".format(self.N), "z3 exact",
+                "on CL", "pairs", "A", "c"]
+        body = [[r.row.label, r.row.u_description, pretty(r.estimated_zeros[2]),
+                 pretty(r.exact_zeros[2]), "Y" if r.run.roots.on_critical_line else "N",
+                 str(r.run.roots.n_complex_pairs), pretty(r.calibration.A),
+                 pretty(r.calibration.c)]
+                for r in self.rows]
+        widths = [max(len(h), *(len(row[i]) for row in body))
+                  for i, h in enumerate(head)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths))]
+        lines.append("  ".join("-" * w for w in widths))
+        for row in body:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        return "\n".join(lines)
 
 
 def build_table1(rows_by_id: dict, *, N: int, precision: int) -> ZeroReport:

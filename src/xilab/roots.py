@@ -31,7 +31,7 @@ import numpy as np
 from mpmath import mpc, mpf
 from mpmath.libmp import fzero, mpc_abs, mpc_add, mpc_mul, mpf_abs, mpf_add, mpf_mul
 
-from .errors import NoConvergence
+from .errors import NonConvergence
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
 from .series import TaylorSeries, series_log
@@ -127,7 +127,7 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
                                max_sweeps, target)
     worst = max(errs, default=0)
     if worst > target:
-        raise NoConvergence(
+        raise NonConvergence(
             f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
             "raise the working precision for this coefficient spread")
 

@@ -120,23 +120,18 @@ def cosh_couplings(p: int) -> ScaledPotential:
                            residuals={1: mpf(0), p: mpf(0)})
 
 
-def double_scaling(p: int, N: int, s: tuple = (), *, g_mode: str = "corrected",
-                   g_override=None) -> ModelParams:
-    """epsilon = N^{-1/(p+1)}; g = (1/N)(1 + sum_k s_k eps^{p-k}) or plain 1/N.
+def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelParams:
+    """epsilon = N^{-1/(p+1)}; g = (1/N)(1 + sum_k s_k eps^{p-k}).
 
     g_override replaces the computed g (used to reproduce rows whose
     reference tables were generated with a foreign g).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if g_mode not in ("corrected", "plain"):
-        raise ValueError(f"unknown g mode {g_mode!r}")
     s = tuple(mpf(str(v)) if isinstance(v, float) else mpf(v) for v in s)
     eps = (mpf(1) / N) ** (mpf(1) / (p + 1))
     if g_override is not None:
         g = mpf(g_override)
-    elif g_mode == "plain":
-        g = mpf(1) / N
     else:
         corr = sum((sv * eps ** (p - (k + 1)) for k, sv in enumerate(s)), mpf(0))
         g = (1 + corr) / N

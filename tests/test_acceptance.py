@@ -123,7 +123,7 @@ def single_pair_check(ck, rootset, re_want, im_want, tol, label):
 
 def test_criterion_01_hermite_closed_form(rows):
     ck = Checker(1)
-    params = double_scaling(2, 16, (), g_mode="plain")
+    params = double_scaling(2, 16, ())
     V = build_potential(params)
     q = q_polynomial(params, V, 16)
     coeff_table_check(ck, q, HERMITE_Q16_TABLE, "1e-4", "Q16")
@@ -177,7 +177,7 @@ def test_criterion_03_riemann_pipeline(rows):
         ck.rel(f"computed s_{k} vs oracle", direct.coupling(k), oracle.coupling(k), "1e-12")
     # model clauses from the published-coefficient row
     res = rows("riemann")
-    ck.notes.append("g-mode: corrected")
+    ck.notes.append("g corrected by the couplings")
     for k, want in RIEMANN_COUPLING_TABLE.items():
         ck.rel(f"row s_{k}", res.run.params.s[k - 1], want, "1e-3")
     coeff_table_check(ck, res.run.q, RIEMANN_Q16_TABLE, "1e-3", "Q16")
@@ -307,7 +307,7 @@ def test_criterion_09_root_properties(rows):
 
 def test_criterion_10_master_field():
     ck = Checker(10)
-    gaussian = build_potential(double_scaling(2, 16, (), g_mode="plain"))
+    gaussian = build_potential(double_scaling(2, 16, ()))
     # N=1 closed-form case
     r1 = optimize(MasterConfig(N=1, g=0.3, potential=gaussian, seed=5,
                                sigma=0.4, restarts=2))
@@ -378,7 +378,7 @@ def test_criterion_10_saddle_n2():
     ck.check("solver matches closed form to 1e-8", np.max(np.abs(got - closed)) < 1e-8,
              f"a {res.a} b {res.b}")
 
-    gaussian = build_potential(double_scaling(2, 16, (), g_mode="plain"))
+    gaussian = build_potential(double_scaling(2, 16, ()))
     try:
         reduced_ansatz_n2(gaussian, g)
         ck.check("gaussian: oracle finds no root", False)

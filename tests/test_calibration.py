@@ -1,3 +1,5 @@
+import json
+
 import mpmath as mp
 import pytest
 from mpmath import mpf
@@ -86,28 +88,38 @@ class TestAiryRow:
 
 class TestTable:
     def test_flags(self, rows):
-        assert rows("riemann").table_row.on_critical_line is False
-        assert rows("riemann").table_row.n_complex_pairs == 1
-        assert rows("airy").table_row.on_critical_line is True
-        assert rows("gen_airy_133").table_row.on_critical_line is True
-        assert rows("eta_gamma").table_row.n_complex_pairs == 1
+        assert rows("riemann").run.roots.on_critical_line is False
+        assert rows("riemann").run.roots.n_complex_pairs == 1
+        assert rows("airy").run.roots.on_critical_line is True
+        assert rows("gen_airy_133").run.roots.on_critical_line is True
+        assert rows("eta_gamma").run.roots.n_complex_pairs == 1
 
     def test_flag_matches_rootset(self, rows):
-        for rid in ("riemann", "bessel_k", "gen_airy"):
-            res = rows(rid)
-            assert res.table_row.on_critical_line == res.run.roots.on_critical_line
+        table = {rid: rows(rid) for rid in ROW_IDS}
+        report = json.loads(build_table1(table, N=16, precision=60).to_json())
+        for row in report["rows"]:
+            roots = table[row["function"]].run.roots
+            assert row["on_critical_line"] == roots.on_critical_line
+            assert row["n_complex_pairs"] == roots.n_complex_pairs
 
     def test_missing_row_raises(self, rows):
         with pytest.raises(MissingPipeline):
-            build_table1({"airy": rows("airy").table_row}, N=16, precision=60)
+            build_table1({"airy": rows("airy")}, N=16, precision=60)
 
     def test_full_report_renders(self, rows):
-        table = {rid: rows(rid).table_row for rid in ROW_IDS}
+        table = {rid: rows(rid) for rid in ROW_IDS}
         report = build_table1(table, N=16, precision=60)
         text = report.to_text()
         assert "Riemann" in text and "K_iz(1)" in text
         assert len(report.to_csv().strip().splitlines()) == 9
         assert '"z3_estimated"' in report.to_json()
+
+    def test_reference_zeros_are_exact(self, rows):
+        """Reference zeros print from their decimal forms, as z3_exact does."""
+        report = build_table1({rid: rows(rid) for rid in ROW_IDS}, N=16, precision=60)
+        for row in json.loads(report.to_json())["rows"]:
+            assert row["reference_zeros"][2] == row["z3_exact"], row["function"]
+            assert row["z3_exact"].endswith("0" * 40), row["function"]
 
     def test_eta_gamma_pair_location(self, rows):
         pair = rows("eta_gamma").run.roots.complex_pairs()[0]

@@ -14,7 +14,7 @@ from xilab.scaling import double_scaling
 
 
 def gaussian_potential():
-    params = double_scaling(2, 16, (), g_mode="plain")
+    params = double_scaling(2, 16, ())
     return build_potential(params)
 
 

@@ -5,7 +5,7 @@ from mpmath import mpf
 from conftest import assert_rel
 from oracles import hermite_q, horner, jacobi_matrix, q_sequence, shifted
 from xilab.matrix_model import build_potential, q_polynomial
-from xilab.pipeline import RIEMANN_ROW_U, ROWS, row_model
+from xilab.pipeline import RIEMANN_ROW_U, ROWS
 from xilab.roots import find_roots
 from xilab.scaling import double_scaling, rescale_potential
 from xilab.series import TaylorSeries
@@ -45,7 +45,7 @@ class TestHermite:
 
     def test_quadratic_model_equals_closed_form(self):
         for N in (2, 4, 8, 16):
-            params = double_scaling(2, N, (), g_mode="plain")
+            params = double_scaling(2, N, ())
             V = build_potential(params)
             qa = q_polynomial(params, V, N)
             qb = hermite_q(N, params.g)
@@ -114,7 +114,7 @@ class TestGeneratingFunctionOracle:
             assert abs(a - b) / denom < mpf("1e-45")
 
     def test_hermite_table_via_gf(self):
-        params = double_scaling(2, 16, (), g_mode="plain")
+        params = double_scaling(2, 16, ())
         V = build_potential(params)
         q = q_polynomial(params, V, 16)
         check_table(q, HERMITE_Q16, "1e-5", "gf-hermite")
@@ -127,7 +127,7 @@ class TestCataloguedRowsAgainstOracle:
     @pytest.mark.parametrize("row_id", list(ROWS))
     def test_coefficients(self, row_id, N, dps):
         with mp.workdps(dps):
-            _, _, params = row_model(ROWS[row_id], N)
+            _, params = ROWS[row_id].model(N)
             V = build_potential(params)
             got = q_polynomial(params, V, N)
             want = q_sequence(params, V, N)[N]
@@ -138,7 +138,7 @@ class TestCataloguedRowsAgainstOracle:
 
     @pytest.mark.parametrize("row_id", list(ROWS))
     def test_roots_at_n16(self, row_id):
-        _, _, params = row_model(ROWS[row_id], 16)
+        _, params = ROWS[row_id].model(16)
         V = build_potential(params)
         got = find_roots(q_polynomial(params, V, 16))
         want = find_roots(q_sequence(params, V, 16)[16])
@@ -158,7 +158,7 @@ class TestJacobiMatrix:
         assert abs(J.entry(0, 0) - root) < mpf("1e-50")
 
     def test_quadratic_model_tridiagonal(self):
-        params = double_scaling(2, 8, (), g_mode="plain")
+        params = double_scaling(2, 8, ())
         V = build_potential(params)
         J = jacobi_matrix(params, V, 8)
         for i in range(8):
@@ -182,7 +182,7 @@ class TestJacobiMatrix:
 
 class TestBuildPotential:
     def test_quadratic_exponent(self):
-        params = double_scaling(2, 16, (), g_mode="plain")
+        params = double_scaling(2, 16, ())
         V = build_potential(params)
         assert V.s_coeffs == (mpf(0), -mpf(1) / 4)
 

@@ -6,8 +6,9 @@ from mpmath import mpc, mpf
 from conftest import assert_rel
 from oracles import hermite_q, horner
 from xilab.matrix_model import CharPolynomial, build_potential, q_polynomial
-from xilab.pipeline import RIEMANN_ROW_U, ROWS, row_model
+from xilab.pipeline import RIEMANN_ROW_U, ROWS
 from xilab import roots
+from xilab.errors import NonConvergence
 from xilab.roots import classify, find_roots, reconstruct_coefficients
 from xilab.scaling import double_scaling, rescale_potential
 from xilab.series import TaylorSeries
@@ -21,7 +22,7 @@ def riemann_q(N=16):
 
 
 def row_q(row_id, N):
-    _, _, params = row_model(ROWS[row_id], N)
+    _, params = ROWS[row_id].model(N)
     return q_polynomial(params, build_potential(params), N)
 
 
@@ -188,6 +189,16 @@ class TestFindRoots:
                     r -= p / dp
                 limit = 2 * q.N * eps * scale / abs(dp)
                 assert abs(z - r) <= limit
+
+    def test_backward_error_gate(self):
+        """One sweep leaves the riemann row at N=48 at a worst backward error
+        near 1e-35, above the 1e-50 target: the gate raises. The default
+        sweep budget meets it."""
+        with mp.workdps(100):
+            q = riemann_q(48)
+            with pytest.raises(NonConvergence, match="above target"):
+                find_roots(q, max_sweeps=1)
+            assert max(find_roots(q).residuals) < mpf(10) ** -50
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -127,8 +127,6 @@ class TestDoubleScaling:
         params = double_scaling(7, 16, sp.s)
         # (1/16)(1 + s_1/8 + s_3/4 + s_5/2)
         assert_rel(params.g, "0.16400865", "1e-5", "g")
-        plain = double_scaling(7, 16, sp.s, g_mode="plain")
-        assert plain.g == mpf(1) / 16
 
     def test_g_override(self):
         params = double_scaling(7, 16, (), g_override="0.25")
