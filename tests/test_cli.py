@@ -294,6 +294,13 @@ class TestMasterSaddle:
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and flag[0] in err
 
+    @pytest.mark.parametrize("command", ["master", "saddle"])
+    def test_s_follows_the_explicit_kind(self, capsys, command):
+        """--s holds at most p - 2 couplings, as with solve --kind explicit."""
+        code, out, err_text = run_cli(capsys, command, "--N", "2", "--p", "3", "--s", "1,2")
+        assert (code, out) == (2, "")
+        assert err_text == "config error: explicit coupling list longer than p-2 = 1\n"
+
     def test_saddle_gaussian_reports(self, capsys):
         code, out, _ = run_cli(capsys, "saddle", "--N", "2", "--p", "2",
                                "--g", "1.0", "--max-iters", "40")
