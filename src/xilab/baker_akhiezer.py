@@ -246,6 +246,9 @@ REFERENCE_TABLE = {
     "gen_airy_m130": ReferenceZeros("gen_airy_m130", (2.89881, 5.99627, 8.6996), "published-table"),
     "gen_airy_133": ReferenceZeros("gen_airy_133", (4.17486, 7.69736, 10.9217), "published-table"),
 }
+# the corrected gamma-eta transform's |psi| dips sit at the zeta zeros
+REFERENCE_TABLE["eta_gamma_corrected"] = REFERENCE_TABLE["riemann"]
+
 
 def _u_eta_gamma_f64(x):
     # the catalogued row potential; its transform is 2^{-iz} Gamma(1/2-iz)/e,

@@ -3,30 +3,33 @@
 One subcommand per pipeline stage so intermediate artifacts stay
 inspectable:
 
-    expand     Taylor-expand a potential and print normalized couplings
-    solve      build Q_N, find and classify its roots
-    psi        evaluate a Baker-Akhiezer function on a z-grid (CSV)
-    zeros      locate Baker-Akhiezer zeros by quadrature scan
-    calibrate  fit roots onto reference zeros for one report row
-    table1     run all eight report rows
-    master     quenched master-field least squares
-    saddle     saddle-point eigenvalue solver
+    expand  Taylor-expand a potential and print normalized couplings
+    solve   build Q_N, find and classify its roots
+    psi     evaluate a Baker-Akhiezer function on a z-grid (CSV)
+    zeros   locate Baker-Akhiezer zeros by quadrature scan
+    table1  run the report rows (all eight, or --rows) and render the report
+    master  quenched master-field least squares
+    saddle  saddle-point eigenvalue solver
 
-Exit codes: 0 ok, 2 config/spec error, 3 numerical failure.
+Exit codes: 0 ok, 2 config/spec error, 3 numerical failure. A table1 row
+that fails prints its failure on stderr; the other rows still render.
 
 ``main`` is the one place that decides the working precision: --precision,
 else the XI_LAB_PRECISION environment variable, else 60 digits, at least 15.
 It runs the subcommand inside ``mp.workdps`` and leaves mpmath's precision
-as it found it. The extended-precision commands (expand, solve, calibrate,
-table1) report that precision; the float64 ones (psi, zeros, master, saddle)
-accept the flag but do not use it, and do not print it.
-Numbers in JSON are decimal strings at full working precision; tables round
-to 6 significant digits.
+as it found it. The extended-precision commands (expand, solve, table1)
+report that precision; the float64 ones (psi, zeros, master, saddle) accept
+the flag but do not use it, and do not print it.
+In JSON, extended-precision numbers are decimal strings at full working
+precision, published reference zeros are decimal strings as published,
+zeros' quadrature zeros are 12-decimal strings, and master and saddle print
+float64 JSON numbers. Tables round to 6 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +51,7 @@ from .precision import DEFAULT_DPS, MIN_DPS, pretty, to_decimal
 from .potentials import taylor_u  # noqa: F401
 from .scaling import cosh_couplings, double_scaling, rescale_potential  # noqa: F401
 
-CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference, err.MissingPipeline)
+CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference)
 
 #: model degree when --p is not given
 DEFAULT_P = 7
@@ -94,13 +97,17 @@ def _meta(dps: int | None = None) -> dict:
     return ({} if dps is None else {"precision": dps}) | {"backend": BACKEND}
 
 
-def _emit(payload: dict, path: str | None):
-    text = json.dumps(payload, indent=2)
+def _write(text: str, path: str | None) -> None:
+    """``text`` to the file at ``path``, or to stdout when ``path`` is None or "-"."""
     if path and path != "-":
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, path: str | None) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", path)
 
 
 def cmd_expand(args) -> int:
@@ -113,7 +120,7 @@ def cmd_expand(args) -> int:
     if args.json is not None:
         _emit({**_meta(args.precision),
                "a": [to_decimal(u[n]) for n in range(order + 1)],
-               "scaled": json.loads(scaled.to_json())}, args.json)
+               "scaled": scaled.as_dict()}, args.json)
         return 0
     print(f"# kind={spec.kind} p={p} precision={args.precision}")
     # display floor: values below half the working digits of their scale are
@@ -138,16 +145,12 @@ def cmd_expand(args) -> int:
 
 def _solve_run(args):
     if args.row:
-        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms", "g", "hermite"),
-                        f"--row {args.row} takes its potential and g from the row")
-        scaled, params = ROWS[args.row].model(args.N)
-        return run_model(params, scaled=scaled)
-    if args.hermite:
         _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms"),
-                        "--hermite solves the quadratic model")
-        return run_from_spec(None, 2, args.N, g=args.g)
+                        f"--row {args.row} takes its potential from the row")
+        scaled, params = ROWS[args.row].model(args.N, args.g)
+        return run_model(params, scaled=scaled)
     if args.kind is None:
-        raise ValueError("solve needs a potential: --kind, --row or --hermite")
+        raise ValueError("solve needs a potential: --kind or --row")
     return run_from_spec(_spec_from_args(args), _model_p(args), args.N, g=args.g)
 
 
@@ -159,8 +162,8 @@ def cmd_solve(args) -> int:
                           "g": to_decimal(run.params.g),
                           "epsilon": to_decimal(run.params.epsilon),
                           "s": [to_decimal(v) for v in run.params.s]},
-               "q": json.loads(run.q.to_json()),
-               "roots": json.loads(run.roots.to_json())}, args.json)
+               "q": run.q.as_dict(),
+               "roots": run.roots.as_dict()}, args.json)
     else:
         print(f"# p={run.params.p} N={run.params.N} g={pretty(run.params.g, 9)} "
               f"precision={args.precision}")
@@ -173,8 +176,7 @@ def cmd_solve(args) -> int:
         print(f"on critical line: {run.roots.on_critical_line} "
               f"({run.roots.n_complex_pairs} complex pairs)")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(run.roots.to_csv())
+        _write(run.roots.to_csv(), args.csv)
     return 0
 
 
@@ -196,90 +198,60 @@ def cmd_psi(args) -> int:
     lines = [f"# function={args.function} backend={BACKEND}",
              "z,re_psi,im_psi"]
     lines += [f"{z:.12g},{v.real:.15e},{v.imag:.15e}" for z, v in zip(zs, vals)]
-    text = "\n".join(lines)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_zeros(args) -> int:
-    got = ba.quadrature_zeros(args.function, args.count)
     table = ba.reference_table(args.function)
-    payload = {**_meta(), "function": args.function,
-               "quadrature_zeros": [f"{z:.12f}" for z in got.zeros],
-               "reference_zeros": list(table.zeros),
-               "reference_provenance": table.provenance}
-    _emit(payload, args.json)
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    res = run_row(args.row, N=args.N)
-    payload = {**_meta(args.precision), "row": args.row,
-               "A": to_decimal(res.calibration.A),
-               "c": to_decimal(res.calibration.c),
-               "estimated_zeros": [to_decimal(z) for z in res.estimated_zeros[:args.count]],
-               "reference_zeros": list(res.reference.zeros[:args.count]),
-               "on_critical_line": res.run.roots.on_critical_line,
-               "n_complex_pairs": res.run.roots.n_complex_pairs}
-    _emit(payload, args.json)
+    got = ba.quadrature_zeros(args.function, args.count)
+    _emit({**_meta(), "function": args.function,
+           "quadrature_zeros": [f"{z:.12f}" for z in got.zeros],
+           "reference_zeros": [str(z) for z in table.zeros],
+           "reference_provenance": table.provenance}, args.json)
     return 0
 
 
 def cmd_table1(args) -> int:
-    rows = [r.strip() for r in args.rows.split(",")] if args.rows else list(ROW_IDS)
+    rows = [r.strip() for r in args.rows.split(",")] if args.rows else ROW_IDS
+    unknown = [r for r in rows if r not in ROWS]
+    if unknown:
+        raise ValueError(f"unknown rows {unknown}; known: {ROW_IDS}")
     results = {}
-    failures = {}
+    failed = False
     for rid in rows:
-        if rid not in ROW_IDS:
-            raise ValueError(f"unknown row {rid!r}; known: {ROW_IDS}")
         try:
             results[rid] = run_row(rid, N=args.N)
-        except Exception as exc:  # partial table with failure markers
-            failures[rid] = f"{type(exc).__name__}: {exc}"
-    if set(rows) == set(ROW_IDS) and not failures:
+        except err.XilabError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            failed = True
+    if results:
         report = build_table1(results, N=args.N, precision=args.precision)
         if args.json is not None:
-            _emit(json.loads(report.to_json()), args.json)
+            _emit(report.as_dict(), args.json)
         else:
             print(report.to_text())
         if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(report.to_csv())
-    else:
-        for rid in rows:
-            if rid in results:
-                r = results[rid]
-                print(f"{rid:>14s}: z3 = {pretty(r.estimated_zeros[2])} "
-                      f"(exact {pretty(r.exact_zeros[2])})  "
-                      f"on-CL {r.run.roots.on_critical_line}  "
-                      f"A = {pretty(r.calibration.A)}  c = {pretty(r.calibration.c)}")
-            else:
-                print(f"{rid:>14s}: FAILED  {failures[rid]}")
-    return 3 if failures else 0
+            _write(report.to_csv(), args.csv)
+    return 3 if failed else 0
 
 
 def _master_potential(args, default_p: int):
     """The model potential and g of --row, or of --p and --s as an explicit
-    potential (no --s: the model with no couplings)."""
+    potential (no --s: the model with no couplings); --g replaces g."""
     if args.row:
         _reject_ignored(args, ("p", "s"), f"--row {args.row} takes its potential from the row")
-        _, params = ROWS[args.row].model(args.N)
+        _, params = ROWS[args.row].model(args.N, args.g)
     else:
         p = default_p if args.p is None else args.p
         spec = PotentialSpec(kind="explicit", p=p, s=_couplings(args)) if args.s else None
-        _, params = build_model(spec, p, args.N)
+        _, params = build_model(spec, p, args.N, args.g)
     return build_potential(params), float(params.g)
 
 
 def cmd_master(args) -> int:
     potential, g = _master_potential(args, default_p=2)
-    if args.g is not None:
-        g = args.g
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    seeds = [int(s) for s in args.seeds.split(",")]
     out = []
     for seed in seeds:
         cfg = mf.MasterConfig(N=args.N, g=g, potential=potential, seed=seed,
@@ -298,8 +270,6 @@ def cmd_master(args) -> int:
 
 def cmd_saddle(args) -> int:
     potential, g = _master_potential(args, default_p=3)
-    if args.g is not None:
-        g = args.g
     res = mf.saddle_solve(potential, g, args.N, seed=args.seed,
                           max_iters=args.max_iters)
     _emit({**_meta(), "N": args.N, "g": g,
@@ -323,7 +293,7 @@ def _add_potential_args(sp):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="xilab",
+        prog="xilab", allow_abbrev=False,
         description="(p,1) two-matrix-model laboratory: characteristic polynomials, "
                     "root classification, Baker-Akhiezer zeros, calibration reports, "
                     "master-field and saddle solvers.")
@@ -331,28 +301,30 @@ def build_parser() -> argparse.ArgumentParser:
                     help="working precision in decimal digits (>= 15); "
                          "default from XI_LAB_PRECISION or 60")
     sub = ap.add_subparsers(dest="command", required=True)
+    # one spelling per flag: argparse would otherwise take a prefix of a flag
+    # (--seed for --seeds) as that flag
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("expand", help="Taylor expansion and normalized couplings")
+    sp = add("expand", help="Taylor expansion and normalized couplings")
     _add_potential_args(sp)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_expand)
 
-    sp = sub.add_parser(
+    sp = add(
         "solve", help="characteristic polynomial and roots",
         description="--csv writes the root list with columns: re, im, is_real.")
     _add_potential_args(sp)
     sp.add_argument("--row", choices=ROW_IDS,
-                    help="run a catalogued report row, with its own potential and g")
-    sp.add_argument("--hermite", action="store_true", default=None,
-                    help="the quadratic (p = 2) model, whose Q_N is the scaled "
-                         "Hermite closed form")
+                    help="solve a catalogued report row's model, with its own "
+                         "potential and g (airy: the quadratic model, whose Q_N "
+                         "is the scaled Hermite closed form)")
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--g", default=None, help="override the coupling constant g")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH", help="roots as CSV")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser(
+    sp = add(
         "psi", help="Baker-Akhiezer function on a z grid (CSV)",
         description="CSV columns: z, re_psi, im_psi. A leading '#' comment "
                     "line records the function and backend.")
@@ -364,28 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="-", metavar="PATH")
     sp.set_defaults(func=cmd_psi)
 
-    sp = sub.add_parser("zeros", help="Baker-Akhiezer zeros by quadrature scan")
+    sp = add("zeros", help="Baker-Akhiezer zeros by quadrature scan")
     sp.add_argument("--function", required=True,
                     help=f"one of {sorted(ba.QUADRATURE_INTEGRANDS)}")
     sp.add_argument("--count", type=int, default=3)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_zeros)
 
-    sp = sub.add_parser("calibrate", help="fit one row's roots onto reference zeros")
-    sp.add_argument("--row", choices=ROW_IDS, required=True)
-    sp.add_argument("--N", type=int, default=16)
-    sp.add_argument("--count", type=int, default=3)
-    sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-    sp.set_defaults(func=cmd_calibrate)
-
-    sp = sub.add_parser("table1", help="all eight report rows")
+    sp = add(
+        "table1", help="the report rows, fitted onto their reference zeros",
+        description="A row that fails prints its failure on stderr; the rows "
+                    "that ran still render, and the exit code is 3.")
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--rows", default=None, help="comma-separated subset of rows")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_table1)
 
-    sp = sub.add_parser("master", help="quenched master-field least squares")
+    sp = add("master", help="quenched master-field least squares")
     sp.add_argument("--N", type=int, default=4)
     sp.add_argument("--p", type=int, default=None, help="model degree (default 2)")
     sp.add_argument("--row", choices=ROW_IDS, default=None,
@@ -393,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", default=None, help="explicit couplings for the potential")
     sp.add_argument("--g", type=float, default=None)
     sp.add_argument("--sigma", type=float, default=0.0, help="noise scale")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--seeds", default=None, help="comma-separated seed list")
+    sp.add_argument("--seeds", default="0", help="comma-separated seed list (default 0)")
     sp.add_argument("--tau", type=float, default=None, help="obstruction threshold")
     sp.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     sp.add_argument("--restarts", type=int, default=4)
@@ -403,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_master)
 
-    sp = sub.add_parser("saddle", help="saddle-point eigenvalue solver")
+    sp = add("saddle", help="saddle-point eigenvalue solver")
     sp.add_argument("--N", type=int, default=4)
     sp.add_argument("--p", type=int, default=None, help="model degree (default 3)")
     sp.add_argument("--row", choices=ROW_IDS, default=None)

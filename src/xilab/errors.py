@@ -44,7 +44,3 @@ class DegenerateFit(XilabError):
 
 class ComplexAnchor(XilabError):
     """A root selected as a calibration anchor is not real."""
-
-
-class MissingPipeline(XilabError):
-    """Report assembly is missing one of the required rows."""

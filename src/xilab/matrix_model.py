@@ -22,7 +22,6 @@ and the p = 2 closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -89,14 +88,8 @@ class CharPolynomial:
         if len(self.coeffs) != self.N + 1:
             raise ValueError("coefficient count must be N + 1")
 
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N,
-                           "coeffs": [to_decimal(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, payload: str) -> "CharPolynomial":
-        d = json.loads(payload)
-        return cls(N=d["N"], coeffs=tuple(mpf(c) for c in d["coeffs"]))
+    def as_dict(self) -> dict:
+        return {"N": self.N, "coeffs": [to_decimal(c) for c in self.coeffs]}
 
 
 def q_polynomial(params: ModelParams, V: ModelPotential, N: int) -> CharPolynomial:

@@ -4,7 +4,7 @@
 parameters; every model runs from it. ``run_model`` chains the
 characteristic polynomial and its roots. ``ROWS`` catalogues the eight
 report rows as data; ``run_row`` runs any of them along one path, and
-``build_table1`` assembles their results into a ``ZeroReport``.
+``build_table1`` assembles the results of any subset into a ``ZeroReport``.
 
 Row-specific reference data
 ---------------------------
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -31,7 +30,7 @@ from mpmath import mpf
 
 from . import baker_akhiezer as ba
 from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
-from .errors import MissingPipeline, TooFewRealRoots
+from .errors import TooFewRealRoots
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
 from .potentials import PotentialSpec, taylor_u
@@ -96,9 +95,11 @@ class RowSpec:
     g_from: str | None = None
     calibration: str = "fit_linear"
 
-    def model(self, N: int) -> tuple[ScaledPotential | None, ModelParams]:
-        """The row's ``build_model`` result at matrix size N."""
-        g = ROWS[self.g_from].model(N)[1].g if self.g_from else None
+    def model(self, N: int, g=None) -> tuple[ScaledPotential | None, ModelParams]:
+        """The row's ``build_model`` result at matrix size N; ``g``, when
+        given, replaces the row's g."""
+        if g is None and self.g_from:
+            g = ROWS[self.g_from].model(N)[1].g
         return build_model(self.potential, self.p, N, g)
 
 
@@ -198,8 +199,8 @@ class ZeroReport:
     N: int
     precision: int
 
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "precision": self.precision, "rows": [{
+    def as_dict(self) -> dict:
+        return {"N": self.N, "precision": self.precision, "rows": [{
             "function": r.row.id,
             "label": r.row.label,
             "U": r.row.u_description,
@@ -211,7 +212,7 @@ class ZeroReport:
             "c": to_decimal(r.calibration.c),
             "estimated_zeros": [to_decimal(z) for z in r.estimated_zeros[:REPORTED_ZEROS]],
             "reference_zeros": [to_decimal(z) for z in r.exact_zeros],
-        } for r in self.rows]}, indent=2)
+        } for r in self.rows]}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -234,7 +235,7 @@ class ZeroReport:
                  str(r.run.roots.n_complex_pairs), pretty(r.calibration.A),
                  pretty(r.calibration.c)]
                 for r in self.rows]
-        widths = [max(len(h), *(len(row[i]) for row in body))
+        widths = [max([len(h), *(len(row[i]) for row in body)])
                   for i, h in enumerate(head)]
         lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths))]
         lines.append("  ".join("-" * w for w in widths))
@@ -244,9 +245,6 @@ class ZeroReport:
 
 
 def build_table1(rows_by_id: dict, *, N: int, precision: int) -> ZeroReport:
-    """Assemble the eight-row report in ``ROWS`` order; every row must be present."""
-    missing = [r for r in ROW_IDS if r not in rows_by_id]
-    if missing:
-        raise MissingPipeline(f"missing rows: {missing}")
-    return ZeroReport(rows=tuple(rows_by_id[r] for r in ROW_IDS),
+    """Assemble the report of the rows in ``rows_by_id`` (any subset), in ``ROWS`` order."""
+    return ZeroReport(rows=tuple(rows_by_id[r] for r in ROW_IDS if r in rows_by_id),
                       N=N, precision=precision)

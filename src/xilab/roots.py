@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, replace
 
 import mpmath as mp
@@ -69,8 +68,8 @@ class RootSet:
         return [r for r, real in zip(self.roots, self.is_real)
                 if not real and mp.im(r) > 0]
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        return {
             "im_tolerance": to_decimal(self.im_tolerance),
             "on_critical_line": self.on_critical_line,
             "sweeps": self.sweeps,
@@ -79,7 +78,7 @@ class RootSet:
                        "residual": to_decimal(res)}
                       for r, flag, pid, res in zip(self.roots, self.is_real,
                                                    self.pair_ids, self.residuals)],
-        })
+        }
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -12,7 +12,6 @@ through degree p.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -56,13 +55,13 @@ class ScaledPotential:
             c[self.p + 1] = mpf(1) / (self.p + 1)
         return TaylorSeries(c)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def as_dict(self) -> dict:
+        return {
             "p": self.p,
             "lambda": to_decimal(self.lam),
             "a0": to_decimal(self.a0),
             "s": [to_decimal(v) for v in self.s],
-        })
+        }
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from mpmath import mpf
 from conftest import assert_rel
 from xilab.baker_akhiezer import ReferenceZeros
 from xilab.calibration import estimate_zeros, fit_linear
-from xilab.errors import ComplexAnchor, DegenerateFit, MissingPipeline
+from xilab.errors import ComplexAnchor, DegenerateFit
 from xilab.pipeline import ROW_IDS, build_table1
 
 
@@ -96,15 +96,19 @@ class TestTable:
 
     def test_flag_matches_rootset(self, rows):
         table = {rid: rows(rid) for rid in ROW_IDS}
-        report = json.loads(build_table1(table, N=16, precision=60).to_json())
+        report = build_table1(table, N=16, precision=60).as_dict()
         for row in report["rows"]:
             roots = table[row["function"]].run.roots
             assert row["on_critical_line"] == roots.on_critical_line
             assert row["n_complex_pairs"] == roots.n_complex_pairs
 
-    def test_missing_row_raises(self, rows):
-        with pytest.raises(MissingPipeline):
-            build_table1({"airy": rows("airy")}, N=16, precision=60)
+    def test_subset_keeps_rows_order(self, rows):
+        report = build_table1({rid: rows(rid) for rid in ("bessel_k", "riemann", "airy")},
+                              N=16, precision=60)
+        assert [r.row.id for r in report.rows] == ["airy", "riemann", "bessel_k"]
+        assert [r["function"] for r in report.as_dict()["rows"]] == \
+            ["airy", "riemann", "bessel_k"]
+        assert len(build_table1({}, N=16, precision=60).to_text().splitlines()) == 2
 
     def test_full_report_renders(self, rows):
         table = {rid: rows(rid) for rid in ROW_IDS}
@@ -112,12 +116,12 @@ class TestTable:
         text = report.to_text()
         assert "Riemann" in text and "K_iz(1)" in text
         assert len(report.to_csv().strip().splitlines()) == 9
-        assert '"z3_estimated"' in report.to_json()
+        assert '"z3_estimated"' in json.dumps(report.as_dict())
 
     def test_reference_zeros_are_exact(self, rows):
         """Reference zeros print from their decimal forms, as z3_exact does."""
         report = build_table1({rid: rows(rid) for rid in ROW_IDS}, N=16, precision=60)
-        for row in json.loads(report.to_json())["rows"]:
+        for row in report.as_dict()["rows"]:
             assert row["reference_zeros"][2] == row["z3_exact"], row["function"]
             assert row["z3_exact"].endswith("0" * 40), row["function"]
 

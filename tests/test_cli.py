@@ -6,6 +6,7 @@ import sys
 import mpmath as mp
 import pytest
 
+from oracles import hermite_q
 from xilab import cli, pipeline
 from xilab import errors as err
 from xilab import master_field as mf
@@ -64,12 +65,25 @@ class TestExpand:
 
 class TestSolve:
     def test_hermite_table(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--hermite", "--N", "16",
+        """The airy row is the quadratic model: with g = 1/16 its Q_16 is the
+        scaled Hermite closed form."""
+        code, out, _ = run_cli(capsys, "solve", "--row", "airy", "--N", "16",
                                "--g", "0.0625")
         assert code == 0
         assert "-3.75" in out
         assert "1.84357" in out
         assert "on critical line: True" in out
+        code, out, _ = run_cli(capsys, "solve", "--row", "airy", "--N", "16",
+                               "--g", "0.0625", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["g"].startswith("0.0625000")
+        with mp.workdps(doc["precision"]):
+            want = hermite_q(16, mp.mpf("0.0625")).coeffs
+            got = [mp.mpf(c) for c in doc["q"]["coeffs"]]
+            assert len(got) == len(want) == 17
+            assert all(abs(a - b) <= mp.mpf("1e-50") * max(1, abs(b))
+                       for a, b in zip(got, want))
 
     def test_explicit_model_json(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -102,7 +116,7 @@ class TestSolve:
     def test_no_potential_names_the_choices(self, capsys):
         code, out, err_text = run_cli(capsys, "solve", "--N", "4")
         assert (code, out) == (2, "")
-        assert all(flag in err_text for flag in ("--kind", "--row", "--hermite"))
+        assert err_text == "config error: solve needs a potential: --kind or --row\n"
 
     def test_row_airy(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4")
@@ -120,7 +134,6 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [
         ("--kind", "cosh"), ("--p", "7"), ("--s", "1"), ("--degree", "0"),
-        ("--g", "0.5"), ("--hermite",),
         ("--max-terms", "3")])
     def test_row_rejects_potential_flags(self, capsys, flag):
         code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4", *flag)
@@ -131,9 +144,20 @@ class TestSolve:
         ("--kind", "cosh"), ("--p", "9"), ("--s", "1"), ("--degree", "4"),
         ("--max-terms", "3")])
     def test_hermite_rejects_model_flags(self, capsys, flag):
-        code, out, err = run_cli(capsys, "solve", "--hermite", "--N", "4", *flag)
+        """--g overrides the row's g; the potential still comes from the row."""
+        code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4",
+                                 "--g", "0.0625", *flag)
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and flag[0] in err
+
+    @pytest.mark.parametrize("argv", [
+        ("calibrate", "--row", "riemann"),
+        ("solve", "--hermite", "--N", "4"),
+        ("master", "--N", "1", "--seed", "3")])
+    def test_removed_entry_points_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("row, roots", [
         ("riemann", ("-26.4753", "-7.59472")), ("airy", ("-0.5", "0.5"))])
@@ -151,7 +175,7 @@ class TestSolve:
 
     def test_csv_export(self, capsys, tmp_path):
         path = tmp_path / "roots.csv"
-        code, _, _ = run_cli(capsys, "solve", "--hermite", "--N", "4",
+        code, _, _ = run_cli(capsys, "solve", "--row", "airy", "--N", "4",
                              "--csv", str(path))
         assert code == 0
         lines = path.read_text().strip().splitlines()
@@ -165,6 +189,8 @@ class TestZerosAndPsi:
         assert code == 0
         doc = json.loads(out)
         assert abs(float(doc["quadrature_zeros"][0]) - 2.96255) < 1e-3
+        assert all(len(z.split(".")[1]) == 12 for z in doc["quadrature_zeros"])
+        assert doc["reference_zeros"] == ["2.96255", "4.53449", "5.87987"]
 
     def test_psi_grid_csv(self, capsys, tmp_path):
         path = tmp_path / "psi.csv"
@@ -195,12 +221,32 @@ class TestZerosAndPsi:
         code, _, err = run_cli(capsys, "zeros", "--function", "nope")
         assert code == 2
 
+    def test_zeros_without_reference_exits_2_before_quadrature(self, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(cli.ba, "quadrature_zeros", no_scan)
+        code, out, err_text = run_cli(capsys, "zeros", "--function", "eta_gamma")
+        assert (code, out) == (2, "")
+        assert err_text.startswith("config error: no reference zeros for 'eta_gamma'")
+
+    def test_corrected_eta_gamma_uses_the_riemann_table(self, capsys):
+        """Its |psi| dips sit at the zeta zeros, so it has the riemann table."""
+        code, out, err_text = run_cli(capsys, "zeros", "--function", "eta_gamma_corrected",
+                                      "--count", "2")
+        assert (code, err_text) == (0, "")
+        doc = json.loads(out)
+        assert doc["reference_zeros"] == ["14.1347", "21.022", "25.0109"]
+        for got, want in zip(doc["quadrature_zeros"], doc["reference_zeros"]):
+            assert abs(float(got) - float(want)) < 0.02
+
 
 class TestTable:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--rows", "airy")
         assert code == 0
-        assert "airy" in out and "-5.56709" in out
+        assert out.splitlines()[2].split()[:3] == ["Ai(z)", "i", "x^3/3"]
+        assert "-5.56709" in out
 
     def test_full_table_json(self, capsys, tmp_path):
         path = tmp_path / "table.json"
@@ -216,42 +262,68 @@ class TestTable:
         assert (tmp_path / "table.csv").read_text().startswith("function,")
 
     def test_calibrate_row(self, capsys):
-        code, out, _ = run_cli(capsys, "calibrate", "--row", "bessel_k")
+        """A one-row report holds the row's calibration and zeros."""
+        code, out, _ = run_cli(capsys, "table1", "--rows", "bessel_k", "--json")
         assert code == 0
-        doc = json.loads(out)
-        assert abs(float(doc["A"]) - 0.193542) < 1e-4
+        (row,) = json.loads(out)["rows"]
+        assert abs(float(row["A"]) - 0.193542) < 1e-4
+        assert [z[:7] for z in row["reference_zeros"]] == ["2.96255", "4.53449", "5.87987"]
+        assert len(row["estimated_zeros"]) == 3
+        assert (row["on_critical_line"], row["n_complex_pairs"]) == (True, 0)
 
+    def test_subset_writes_json_and_csv_in_row_order(self, capsys, tmp_path):
+        jpath, cpath = tmp_path / "t.json", tmp_path / "t.csv"
+        code, out, _ = run_cli(capsys, "table1", "--rows", "riemann,airy",
+                               "--json", str(jpath), "--csv", str(cpath))
+        assert (code, out) == (0, "")
+        assert [r["function"] for r in json.loads(jpath.read_text())["rows"]] == \
+            ["airy", "riemann"]
+        lines = cpath.read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines] == ["function", "airy", "riemann"]
 
     @pytest.mark.parametrize("row", ["riemann", "airy"])
     def test_calibrate_too_few_real_roots_exits_3(self, capsys, row):
-        code, out, err_text = run_cli(capsys, "calibrate", "--row", row, "--N", "2")
+        code, out, err_text = run_cli(capsys, "table1", "--rows", row, "--N", "2")
         assert (code, out) == (3, "")
         assert err_text.startswith("numerical failure: ")
         assert f"row {row} at N=2 has 2 real roots" in err_text and "needs 3" in err_text
 
     def test_table_too_few_real_roots_lists_each_row(self, capsys):
-        code, out, _ = run_cli(capsys, "table1", "--N", "2")
-        assert code == 3
-        lines = out.splitlines()
+        code, out, err_text = run_cli(capsys, "table1", "--N", "2")
+        assert (code, out) == (3, "")
+        lines = err_text.splitlines()
         assert len(lines) == len(pipeline.ROW_IDS)
         for rid, line in zip(pipeline.ROW_IDS, lines):
-            assert f"FAILED  TooFewRealRoots: row {rid} at N=2" in line
-        assert "IndexError" not in out
+            assert line.startswith(f"numerical failure: row {rid} at N=2 has 2 real roots")
 
     def test_any_package_error_exits_3(self, capsys, monkeypatch):
-        def degenerate(row_id, N):
-            raise err.DegenerateFit("anchor roots coincide")
+        """A failing row prints its failure on stderr; the other rows render."""
+        def fail_riemann(row_id, N):
+            if row_id == "riemann":
+                raise err.DegenerateFit("anchor roots coincide")
+            return pipeline.run_row(row_id, N)
 
-        monkeypatch.setattr(cli, "run_row", degenerate)
-        code, out, err_text = run_cli(capsys, "calibrate", "--row", "riemann")
-        assert (code, out) == (3, "")
+        monkeypatch.setattr(cli, "run_row", fail_riemann)
+        code, out, err_text = run_cli(capsys, "table1", "--rows", "airy,riemann", "--json")
+        assert code == 3
         assert err_text == "numerical failure: anchor roots coincide\n"
+        assert [r["function"] for r in json.loads(out)["rows"]] == ["airy"]
+
+    def test_row_config_error_exits_2(self, capsys, monkeypatch):
+        """Only package errors are a row's numerical failure."""
+        def bad_config(row_id, N):
+            raise ValueError("bad row setting")
+
+        monkeypatch.setattr(cli, "run_row", bad_config)
+        code, out, err_text = run_cli(capsys, "table1", "--rows", "airy,riemann")
+        assert (code, out) == (2, "")
+        assert err_text == "config error: bad row setting\n"
 
 
 class TestMasterSaddle:
     def test_master_n1(self, capsys):
         code, out, _ = run_cli(capsys, "master", "--N", "1", "--p", "2",
-                               "--sigma", "0.5", "--seed", "3")
+                               "--sigma", "0.5", "--seeds", "3")
         assert code == 0
         doc = json.loads(out)
         res = doc["results"][0]
@@ -309,7 +381,7 @@ class TestMasterSaddle:
         assert code in (0, 3)
 
 
-HERMITE_JSON = ("solve", "--hermite", "--N", "4", "--json")
+HERMITE_JSON = ("solve", "--row", "airy", "--N", "4", "--json")
 
 
 class TestPrecision:
