@@ -134,8 +134,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag", [
         ("--kind", "cosh"), ("--p", "7"), ("--s", "1"), ("--degree", "0"),
+        ("--p", "2"), ("--s", "0.5,0.25"),
         ("--max-terms", "3")])
     def test_row_rejects_potential_flags(self, capsys, flag):
+        """Rejected even when the flag agrees with the row (airy is p=2)."""
         code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4", *flag)
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and flag[0] in err
