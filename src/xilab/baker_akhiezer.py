@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (InsufficientZerosFound, NonConvergence, TailNotNegligible,
                      UnknownReference)
 from .kernels import fourier_eval
-from .scaling import ScaledPotential
 
 LN10 = float(np.log(10.0))
 
@@ -107,15 +106,6 @@ class BAFunction:
             return np.polynomial.polynomial.polyval(x, cs)
 
         return cls.from_callable(u, name=name, even=even)
-
-    @classmethod
-    def from_scaled_potential(cls, sp: ScaledPotential, *,
-                              name: str | None = None) -> "BAFunction":
-        cs = [0.0] * (sp.p + 2)
-        for n in range(2, sp.p + 1):
-            cs[n] = float(sp.coefficient(n))
-        cs[sp.p + 1] = 1.0 / (sp.p + 1)
-        return cls.from_poly(cs, name=name or f"scaled(p={sp.p})")
 
     def psi(self, z) -> complex:
         """psi(z) for one z; for even U and real z the imaginary part is zeroed."""

