@@ -8,13 +8,12 @@ saddle-point solvers.
 
 from .precision import DEFAULT_DPS
 from .series import TaylorSeries, series_exp, series_log
-from .potentials import KernelValue, PotentialSpec, phi_ramanujan, phi_riemann, \
-    taylor_u, u_eta_gamma, u_eta_gamma_prime
+from .potentials import PotentialSpec, taylor_u
 from .scaling import (ModelParams, ScaledPotential, cosh_couplings,
                       double_scaling, rescale_potential)
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
-from .roots import RootSet, classify, find_roots, reconstruct_coefficients
+from .roots import RootSet, find_roots
 from .baker_akhiezer import (BAFunction, ReferenceZeros, magnitude_minima,
                              psi_zeros, quadrature_zeros, reference_table)
 from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear

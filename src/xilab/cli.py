@@ -288,7 +288,7 @@ def _add_potential_args(sp):
     sp.add_argument("--degree", type=int, default=None, help="monomial degree 2n")
     sp.add_argument("--s", default=None, help="comma-separated explicit couplings s_1..s_{p-2}")
     sp.add_argument("--max-terms", type=int, default=None, dest="max_terms",
-                    help="kernel-sum truncation (default 64)")
+                    help="kernel-sum truncation (default 96)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,22 +14,24 @@ Q_N is exactly (-1)^N. The block T_n carries the degree-n interaction; the
 quadratic model (p = 2) is the exactly Gaussian case with S(a) = -a^2/4,
 whose Q_N is the scaled Hermite closed form.
 
-Q_N is built one way, from the generating function (see ``q_polynomial``).
-The tests check it against independent routes kept in ``tests/oracles.py``:
-series extraction of the bivariate exponential, the Hessenberg determinant
-and the p = 2 closed form.
+Q_N is built one way, from the generating function (see ``q_polynomial``),
+and keeps the exponent it was built from: the root finder's float64 start
+reads it. The tests check Q_N against independent routes kept in
+``tests/oracles.py``: series extraction of the bivariate exponential, the
+Hessenberg determinant and the p = 2 closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import mpmath as mp
-from mpmath import binomial, mpf
+from mpmath import mpf
 
 from .precision import to_decimal
 from .scaling import ModelParams
-from .series import TaylorSeries, series_exp
+from .series import TaylorSeries, series_exp, series_log
 
 MAX_N = 64
 
@@ -44,19 +46,6 @@ class ModelPotential:
     def v_shifted_prime_coeffs(self) -> tuple:
         """Coefficients (degree 0..p-1) of V'(1+u) = -S'(u)."""
         return tuple(-(m + 1) * c for m, c in enumerate(self.s_coeffs))
-
-    def v_shifted(self, u) -> mpf:
-        """V(1+u) = -S(u)."""
-        acc = mpf(0)
-        for c in reversed(self.s_coeffs):
-            acc = (acc + c) * u
-        return -acc
-
-    def v_shifted_prime(self, u):
-        acc = 0 * u
-        for c in reversed(self.v_shifted_prime_coeffs()):
-            acc = acc * u + c
-        return acc
 
 
 def build_potential(params: ModelParams) -> ModelPotential:
@@ -73,20 +62,43 @@ def build_potential(params: ModelParams) -> ModelPotential:
         weights[k] = weights.get(k, mpf(0)) + w
     for n, w in weights.items():
         for m in range(1, n + 1):
-            sigma[m] += w * (-1) ** (m + 1) * binomial(n, m) / m
+            sigma[m] += w * (-1) ** (m + 1) * comb(n, m) / m
     return ModelPotential(p=p, s_coeffs=tuple(sigma[1:]))
 
 
 @dataclass(frozen=True)
 class CharPolynomial:
-    """Q_N(b) with extended-precision coefficients, lowest degree first."""
+    """Q_N(b) with extended-precision coefficients, lowest degree first, and
+    its exponent c_1 .. c_k (k <= N):
+
+        Q_N(b) = q_N (-1)^N N! [t^N] exp(c_1 t + ... + c_k t^k - b t).
+
+    ``q_polynomial`` stores the exponent it builds Q_N from (k = min(p, N)).
+    A polynomial known only by its coefficients gets it from
+    ``from_coeffs``.
+    """
 
     N: int
     coeffs: tuple
+    exponent: tuple
 
     def __post_init__(self):
         if len(self.coeffs) != self.N + 1:
             raise ValueError("coefficient count must be N + 1")
+        if len(self.exponent) > self.N:
+            raise ValueError("exponent longer than the degree")
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "CharPolynomial":
+        """The polynomial with these coefficients; its exponent is
+        log(T / T_0) with T_j = (-1)^j q_{N-j} (N-j)!, by ``series_log``."""
+        coeffs = tuple(coeffs)
+        n = len(coeffs) - 1
+        if coeffs[n] == 0:
+            raise ValueError("need a nonzero leading coefficient")
+        lead = coeffs[n] * mp.factorial(n)
+        t = [(-1) ** j * coeffs[n - j] * mp.factorial(n - j) / lead for j in range(n + 1)]
+        return cls(N=n, coeffs=coeffs, exponent=series_log(TaylorSeries(t)).coeffs[1:])
 
     def as_dict(self) -> dict:
         return {"N": self.N, "coeffs": [to_decimal(c) for c in self.coeffs]}
@@ -103,11 +115,12 @@ def q_polynomial(params: ModelParams, V: ModelPotential, N: int) -> CharPolynomi
         raise ValueError(f"N = {N} exceeds the default cap {MAX_N}; "
                          "raise precision and MAX_N deliberately if you mean it")
     g = params.g
+    k = min(V.p, N)
     c = [mpf(0)] * (N + 1)
-    for m in range(1, min(V.p, N) + 1):
+    for m in range(1, k + 1):
         c[m] = V.s_coeffs[m - 1] * (-g) ** m / g
     T = series_exp(TaylorSeries(c))
     out = [mpf(0)] * (N + 1)
-    for k in range(N + 1):
-        out[k] = mp.factorial(N) * T[N - k] * (-1) ** k / mp.factorial(k)
-    return CharPolynomial(N=N, coeffs=tuple(out))
+    for j in range(N + 1):
+        out[j] = mp.factorial(N) * T[N - j] * (-1) ** j / mp.factorial(j)
+    return CharPolynomial(N=N, coeffs=tuple(out), exponent=tuple(c[1:k + 1]))

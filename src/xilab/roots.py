@@ -1,14 +1,16 @@
 """Aberth-Ehrlich simultaneous root finding at working precision.
 
 A polynomial Q of degree N with q_N != 0 is a constant times
-f_N(y) = [t^N] exp(C(t) - y t), where C = log(T/T_0) = sum_m c_m t^m and
-T_j = (-1)^{N-j} q_{N-j} (N-j)!/N!. (For the model's Q_N, C is the exponent
-``matrix_model.q_polynomial`` builds it from.) Then f_N' = -f_{N-1} and
+f_N(y) = [t^N] exp(C(t) - y t), where C = sum_{m<=k} c_m t^m is the
+exponent the ``CharPolynomial`` carries: for the model's Q_N the k = min(p, N)
+terms ``matrix_model.q_polynomial`` builds it from, read here, not recovered
+from the rounded coefficients. Then f_N' = -f_{N-1} and
 
-    (n+1) f_{n+1} = -y f_n + sum_{m=1}^{n+1} m c_m f_{n+1-m},   f_0 = 1,
+    (n+1) f_{n+1} = -y f_n + sum_{m=1}^{min(k,n+1)} m c_m f_{n+1-m},   f_0 = 1,
 
 which gives Q/Q' = -f_N/f_{N-1} in float64 to ~1e-15 relative at N = 16-48
-(float64 Horner on the monomial coefficients: 1e-8 at N = 16, O(1) at 32).
+(float64 Horner on the monomial coefficients: 1e-8 at N = 16, O(1) at 32),
+at O(N k) per evaluation.
 The start: the eigenvalues of the recurrence's N x N lower-Hessenberg
 matrix, refined by a vectorised complex128 Aberth on the recurrence. Then
 extended-precision Aberth sweeps, each root stopping once its step is below
@@ -16,14 +18,15 @@ the target or |Q| is at the rounding floor, Newton polish to that floor, and
 conjugate symmetrization. One fused Horner pass (``_eval``) gives Q, Q' and
 sum |q_k| |z|^k; the polish ends on one, whose backward error
 |Q(r)| / sum |q_k| |r|^k accepts the root. Exact zero roots (vanishing
-low-order coefficients) are split off first.
+low-order coefficients) are split off first; the quotient gets its exponent
+from ``CharPolynomial.from_coeffs``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -33,7 +36,6 @@ from mpmath.libmp import fzero, mpc_abs, mpc_add, mpc_mul, mpf_abs, mpf_add, mpf
 from .errors import NonConvergence
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
-from .series import TaylorSeries, series_log
 
 #: tolerances are decimal strings, converted at the caller's working precision
 DEFAULT_IM_TOLERANCE = "1e-8"
@@ -121,9 +123,9 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
         raise ValueError("need degree >= 1 with a nonzero leading coefficient")
     target = mpf(10) ** (-(mp.mp.dps // 2))
     m = next(k for k, c in enumerate(coeffs) if c != 0)
-    raw = [(c._mpf_, mpf_abs(c._mpf_)) for c in map(mpf, reversed(coeffs[m:]))]
-    zs, sweeps, errs = _aberth(raw, _float64_start(coeffs[m:], max_sweeps),
-                               max_sweeps, target)
+    core = Q if m == 0 else CharPolynomial.from_coeffs(coeffs[m:])
+    raw = [(c._mpf_, mpf_abs(c._mpf_)) for c in map(mpf, reversed(core.coeffs))]
+    zs, sweeps, errs = _aberth(raw, _float64_start(core, max_sweeps), max_sweeps, target)
     worst = max(errs, default=0)
     if worst > target:
         raise NonConvergence(
@@ -145,27 +147,26 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
                    pair_ids=tuple(pair_ids), sweeps=sweeps)
 
 
-def _exponent(coeffs):
-    """m c_m / s^m for m = 1..n in float64, the exponent of Q(s x), and s: the
+def _scaled_exponent(exponent):
+    """m c_m / s^m for m = 1..k in float64, the exponent of Q(s x), and s: the
     power of 2 below max_m |m c_m|^(1/m), which keeps them in float64 range."""
-    n = len(coeffs) - 1
-    lead = coeffs[n] * mp.factorial(n)
-    t = [(-1) ** j * coeffs[n - j] * mp.factorial(n - j) / lead for j in range(n + 1)]
-    c = series_log(TaylorSeries(t)).coeffs
-    mc = [m * c[m] for m in range(1, n + 1)]
+    mc = [m * c for m, c in enumerate(exponent, 1)]
     size = max((abs(v) ** (mpf(1) / m) for m, v in enumerate(mc, 1)), default=1)
     s = mpf(2) ** int(mp.floor(mp.log(size, 2)))
     return np.array([float(v / s ** m) for m, v in enumerate(mc, 1)]), s
 
 
-def _float64_start(coeffs, max_sweeps):
-    """Starting points: the recurrence's Hessenberg eigenvalues, polished by
-    float64 Aberth on the recurrence, lifted to mpc."""
-    n = len(coeffs) - 1
-    mc, scale = _exponent(coeffs)
+def _float64_start(Q, max_sweeps):
+    """Starting points for Q (q_0 != 0): the recurrence's Hessenberg
+    eigenvalues, polished by float64 Aberth on the recurrence, lifted to mpc."""
+    n = Q.N
+    mc, scale = _scaled_exponent(Q.exponent)
+    p = len(mc)
     k = np.arange(n)
     lag = k[:, None] - k[None, :]
-    H = np.where(lag >= 0, mc[np.maximum(lag, 0)], 0.0)
+    band = np.zeros(n)
+    band[:p] = mc
+    H = np.where(lag >= 0, band[np.maximum(lag, 0)], 0.0)
     H[k[:-1], k[1:]] = -(k[:-1] + 1)
     zs = np.linalg.eigvals(H).astype(complex)
     sqrt_eps = np.sqrt(np.finfo(float).eps)
@@ -181,7 +182,8 @@ def _float64_start(coeffs, max_sweeps):
             f = np.zeros((n + 1, idx.size), complex)
             f[0] = 1
             for j in range(n):
-                f[j + 1] = (mc[j::-1] @ f[:j + 1] - zs[idx] * f[j]) / (j + 1)
+                lo = max(j + 1 - p, 0)
+                f[j + 1] = (mc[j - lo::-1] @ f[lo:j + 1] - zs[idx] * f[j]) / (j + 1)
             w = -f[n] / f[n - 1]  # Q/Q' by the recurrence
             diff = zs[idx, None] - zs[None, :]
             diff[np.arange(idx.size), idx] = np.inf
@@ -283,23 +285,3 @@ def _symmetrize(zs, im_tolerance):
         used[i] = used[best] = True
     return out, is_real, pair_ids
 
-
-def classify(rs: RootSet, im_tolerance) -> RootSet:
-    """Re-flag an existing root set under a different imaginary tolerance."""
-    tol = mpf(im_tolerance)
-    zs, is_real, pair_ids = _symmetrize(list(rs.roots), tol)
-    return replace(rs, roots=tuple(zs), im_tolerance=tol,
-                   is_real=tuple(is_real), pair_ids=tuple(pair_ids))
-
-
-def reconstruct_coefficients(rs: RootSet, lead) -> list:
-    """Expand lead * prod (b - r_i); oracle for backward-error checks."""
-    cs = [mpc(lead)]
-    for r in rs.roots:
-        nxt = [mpc(0)] * (len(cs) + 1)
-        for d, c in enumerate(cs):
-            nxt[d + 1] += c
-            nxt[d] -= c * r
-        cs = nxt
-    # imaginary dust cancels for conjugate-symmetric sets
-    return [mp.re(c) for c in cs]

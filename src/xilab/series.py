@@ -59,14 +59,6 @@ class TaylorSeries:
         return cls([mpf(0)] * (order + 1))
 
     @classmethod
-    def identity(cls, order: int) -> "TaylorSeries":
-        """The series x."""
-        c = [mpf(0)] * (order + 1)
-        if order >= 1:
-            c[1] = mpf(1)
-        return cls(c)
-
-    @classmethod
     def exponential(cls, scale, order: int) -> "TaylorSeries":
         """Series of exp(scale * x)."""
         s = mpf(scale)
@@ -130,10 +122,15 @@ def series_exp(s: TaylorSeries) -> TaylorSeries:
     f = s.coeffs
     g = [mpf(0)] * (k + 1)
     g[0] = mp.exp(f[0])
+    # exact zeros of f add nothing: the sum runs over the nonzero terms only
+    # (a p-term exponent costs O(k p), not O(k^2))
+    terms = [(j, j * f[j]) for j in range(1, k + 1) if f[j] != 0]
     for n in range(1, k + 1):
         acc = mpf(0)
-        for j in range(1, n + 1):
-            acc += j * f[j] * g[n - j]
+        for j, jf in terms:
+            if j > n:
+                break
+            acc += jf * g[n - j]
         g[n] = acc / n
     return TaylorSeries(g)
 

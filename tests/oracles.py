@@ -12,25 +12,39 @@ parameters:
 * ``hermite_q``: the p = 2 closed form;
 * ``shifted``: the coefficients of Q(b + c), by Horner's rule.
 
+The polynomials they return get their exponent from
+``CharPolynomial.from_coeffs``, as any polynomial known only by its
+coefficients does.
+
 Plain mpmath references for code the package evaluates its own way:
 
 * ``horner``: Q(z), Q'(z) and sum |q_k| |z|^k by Horner's rule on mpc values
   (``xilab.roots`` runs the same pass on raw ``mpmath.libmp`` values);
 * ``series_compose``: f(g(x)) for truncated series;
 * ``scaled_ba_function``: the quadrature integrand of a rescaled potential,
-  truncated at degree p+1.
+  truncated at degree p+1;
+* ``phi_riemann``, ``phi_ramanujan``, ``u_eta_gamma`` and
+  ``u_eta_gamma_prime``: point values of the kernels and potentials that
+  ``xilab.potentials`` expands in series;
+* ``v_shifted`` and ``v_shifted_prime``: V(1+u) and V'(1+u) of a
+  ``ModelPotential``;
+* ``reconstruct_coefficients``: lead * prod (b - r) over a root set;
+* ``classify``: a root set re-flagged under another imaginary tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import mpmath as mp
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from xilab.baker_akhiezer import BAFunction
+from xilab.errors import NonConvergence
 from xilab.matrix_model import CharPolynomial, ModelPotential
+from xilab.potentials import _default_tolerance
+from xilab.roots import RootSet, _symmetrize
 from xilab.scaling import ModelParams, ScaledPotential
 from xilab.series import TaylorSeries
 
@@ -152,7 +166,7 @@ def q_sequence(params: ModelParams, V: ModelPotential, N: int) -> list[CharPolyn
         fac = (-params.g) ** n * mp.factorial(n)
         poly = ex.poly(n)
         cs = [fac * c for c in poly] + [mpf(0)] * (n + 1 - len(poly))
-        out.append(CharPolynomial(N=n, coeffs=tuple(cs[: n + 1])))
+        out.append(CharPolynomial.from_coeffs(cs[: n + 1]))
     return out
 
 
@@ -166,7 +180,7 @@ def hermite_q(N: int, g) -> CharPolynomial:
     # physicists' Hermite coefficients by recurrence H_{n+1} = 2x H_n - 2n H_{n-1}
     h_prev = [mpf(1)]
     if N == 0:
-        return CharPolynomial(N=0, coeffs=(mpf(1),))
+        return CharPolynomial.from_coeffs((mpf(1),))
     h = [mpf(0), mpf(2)]
     for n in range(1, N):
         nxt = [mpf(0)] * (n + 2)
@@ -177,7 +191,7 @@ def hermite_q(N: int, g) -> CharPolynomial:
         h_prev, h = h, nxt
     scale = (g / 4) ** (mpf(N) / 2)
     rg = mp.sqrt(g)
-    return CharPolynomial(N=N, coeffs=tuple(scale * h[d] * rg ** (-d) for d in range(N + 1)))
+    return CharPolynomial.from_coeffs([scale * h[d] * rg ** (-d) for d in range(N + 1)])
 
 
 def shifted(q: CharPolynomial, c) -> CharPolynomial:
@@ -194,7 +208,7 @@ def shifted(q: CharPolynomial, c) -> CharPolynomial:
                 nxt[d] += out[d] * c
         nxt[0] += q.coeffs[n]
         out = nxt
-    return CharPolynomial(N=N, coeffs=tuple(out))
+    return CharPolynomial.from_coeffs(out)
 
 
 @dataclass(frozen=True)
@@ -285,3 +299,102 @@ def scaled_ba_function(sp: ScaledPotential) -> BAFunction:
     sum_{n=2}^{p+1} coefficient(n) x^n, the constant and linear terms dropped."""
     cs = [0.0, 0.0] + [float(sp.coefficient(n)) for n in range(2, sp.p + 2)]
     return BAFunction.from_poly(cs, name=f"scaled(p={sp.p})")
+
+
+@dataclass(frozen=True)
+class KernelValue:
+    phi: mpf
+    phi_prime: mpf | None = None
+
+
+def phi_riemann(x, max_terms: int = 64, term_tolerance=None) -> KernelValue:
+    """Theta-type kernel whose Fourier transform is the Riemann Xi function.
+
+    Phi(x)  = sum_n (4 pi^2 n^4 e^{9x/2} - 6 pi n^2 e^{5x/2}) exp(-pi n^2 e^{2x})
+    Phi'(x) = sum_n (30 pi^2 n^4 e^{9x/2} - 15 pi n^2 e^{5x/2}
+                     - 8 pi^3 n^6 e^{13x/2}) exp(-pi n^2 e^{2x})
+    """
+    x = mpf(x)
+    tol = mpf(term_tolerance) if term_tolerance is not None else _default_tolerance()
+    e2 = mp.exp(2 * x)
+    e92 = mp.exp(mpf(9) / 2 * x)
+    e52 = mp.exp(mpf(5) / 2 * x)
+    e132 = mp.exp(mpf(13) / 2 * x)
+    phi = mpf(0)
+    dphi = mpf(0)
+    for n in range(1, max_terms + 1):
+        w = mp.exp(-mp.pi * n * n * e2)
+        t = (4 * mp.pi ** 2 * n ** 4 * e92 - 6 * mp.pi * n ** 2 * e52) * w
+        dt = (30 * mp.pi ** 2 * n ** 4 * e92 - 15 * mp.pi * n ** 2 * e52
+              - 8 * mp.pi ** 3 * n ** 6 * e132) * w
+        phi += t
+        dphi += dt
+        if abs(t) < tol and abs(dt) < tol:
+            return KernelValue(phi, dphi)
+    raise NonConvergence(f"riemann kernel sum did not reach tolerance in {max_terms} terms")
+
+
+def phi_ramanujan(x, max_terms: int = 64, term_tolerance=None) -> KernelValue:
+    """Modular-discriminant kernel: e^{-6x} e^{-2 pi e^{-x}} prod_n (1 - e^{-2 pi n e^{-x}})^24."""
+    x = mpf(x)
+    tol = mpf(term_tolerance) if term_tolerance is not None else _default_tolerance()
+    q = mp.exp(-x)
+    phi = mp.exp(-6 * x) * mp.exp(-2 * mp.pi * q)
+    for n in range(1, max_terms + 1):
+        f = 1 - mp.exp(-2 * mp.pi * n * q)
+        phi *= f ** 24
+        if abs(1 - f ** 24) < tol:
+            return KernelValue(phi)
+    raise NonConvergence(f"ramanujan kernel product did not reach tolerance in {max_terms} factors")
+
+
+def u_eta_gamma(x) -> mpf:
+    """Closed-form potential of the gamma-times-eta kernel.
+
+    U(x) = -log( e^{-(x+log 2)/2} / exp(e^{-(x+log 2)} + 1) )
+         = (x + log 2)/2 + e^{-(x+log 2)} + 1
+    """
+    x = mpf(x)
+    return (x + mp.log(2)) / 2 + mp.exp(-(x + mp.log(2))) + 1
+
+
+def u_eta_gamma_prime(x) -> mpf:
+    """d/dx of the closed form: 1/2 - e^{-(x+log 2)}."""
+    return mpf(1) / 2 - mp.exp(-(mpf(x) + mp.log(2)))
+
+
+def v_shifted(V: ModelPotential, u) -> mpf:
+    """V(1+u) = -S(u)."""
+    acc = mpf(0)
+    for c in reversed(V.s_coeffs):
+        acc = (acc + c) * u
+    return -acc
+
+
+def v_shifted_prime(V: ModelPotential, u):
+    """V'(1+u) = -S'(u)."""
+    acc = 0 * u
+    for c in reversed(V.v_shifted_prime_coeffs()):
+        acc = acc * u + c
+    return acc
+
+
+def classify(rs: RootSet, im_tolerance) -> RootSet:
+    """Re-flag an existing root set under a different imaginary tolerance."""
+    tol = mpf(im_tolerance)
+    zs, is_real, pair_ids = _symmetrize(list(rs.roots), tol)
+    return replace(rs, roots=tuple(zs), im_tolerance=tol,
+                   is_real=tuple(is_real), pair_ids=tuple(pair_ids))
+
+
+def reconstruct_coefficients(rs: RootSet, lead) -> list:
+    """Expand lead * prod (b - r_i); oracle for backward-error checks."""
+    cs = [mpc(lead)]
+    for r in rs.roots:
+        nxt = [mpc(0)] * (len(cs) + 1)
+        for d, c in enumerate(cs):
+            nxt[d + 1] += c
+            nxt[d] -= c * r
+        cs = nxt
+    # imaginary dust cancels for conjugate-symmetric sets
+    return [mp.re(c) for c in cs]

@@ -22,14 +22,14 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from oracles import hermite_q, horner, jacobi_matrix, q_sequence
+from oracles import hermite_q, horner, jacobi_matrix, q_sequence, reconstruct_coefficients
 from xilab.baker_akhiezer import quadrature_zeros, reference_table
 from xilab.master_field import (MasterConfig, cost_at, cost_gradient, n_params,
                                 optimize, reduced_ansatz_n2, saddle_solve)
 from xilab.matrix_model import (CharPolynomial, ModelPotential, build_potential,
                                 q_polynomial)
 from xilab.potentials import PotentialSpec, taylor_u
-from xilab.roots import find_roots, reconstruct_coefficients
+from xilab.roots import find_roots
 from xilab.scaling import cosh_couplings, double_scaling, rescale_potential
 from xilab.series import TaylorSeries
 
@@ -298,7 +298,7 @@ def test_criterion_09_root_properties(rows):
         pts = {(mp.re(r), mp.im(r)) for r in rs.roots}
         ck.check(f"{name} conjugate symmetry",
                  all((re, -im) in pts for re, im in pts))
-        q2 = CharPolynomial(N=q.N, coeffs=tuple(c * mpf("31.7") for c in q.coeffs))
+        q2 = CharPolynomial.from_coeffs([c * mpf("31.7") for c in q.coeffs])
         rs2 = find_roots(q2)
         ck.check(f"{name} scale-invariant classification",
                  rs.is_real == rs2.is_real)

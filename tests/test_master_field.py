@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import v_shifted_prime
 from xilab import master_field as mf
 from xilab.kernels import master_cost, master_residuals
 from xilab.master_field import (MasterConfig, MasterState, _fixed_inputs, _jacobian,
@@ -126,7 +127,7 @@ class TestResiduals:
                            seed=3, sigma=0.7)
         eta1, eta2 = cfg.noise()
         a = np.array([[-cfg.g * eta2[0, 0]]])
-        b = np.array([[cfg.potential.v_shifted_prime(a[0, 0]) - cfg.g * eta1[0, 0]]])
+        b = np.array([[v_shifted_prime(cfg.potential, a[0, 0]) - cfg.g * eta1[0, 0]]])
         E, F = residuals(cfg, MasterState(a=a, b=b))
         assert master_cost(E, F) < 1e-28
 

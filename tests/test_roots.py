@@ -4,12 +4,12 @@ import pytest
 from mpmath import mpc, mpf
 
 from conftest import assert_rel
-from oracles import hermite_q, horner
+from oracles import classify, hermite_q, horner, reconstruct_coefficients
+from xilab import matrix_model, roots
 from xilab.matrix_model import CharPolynomial, build_potential, q_polynomial
 from xilab.pipeline import RIEMANN_ROW_U, ROWS
-from xilab import roots
 from xilab.errors import NonConvergence
-from xilab.roots import classify, find_roots, reconstruct_coefficients
+from xilab.roots import find_roots
 from xilab.scaling import double_scaling, rescale_potential
 from xilab.series import TaylorSeries
 
@@ -36,7 +36,7 @@ def from_roots(rs):
 
 class TestFindRoots:
     def test_quadratic_plus_one(self):
-        rs = find_roots(CharPolynomial(N=2, coeffs=(mpf(1), mpf(0), mpf(1))))
+        rs = find_roots(CharPolynomial.from_coeffs((mpf(1), mpf(0), mpf(1))))
         ims = sorted(mp.im(r) for r in rs.roots)
         assert abs(ims[0] + 1) < mpf("1e-50") and abs(ims[1] - 1) < mpf("1e-50")
         assert rs.n_complex_pairs == 1
@@ -93,8 +93,8 @@ class TestFindRoots:
         q = riemann_q()
         rs = find_roots(q)
         start = roots._float64_start
-        monkeypatch.setattr(roots, "_float64_start", lambda coeffs, max_sweeps: [
-            z * (1 + mpc("1e-6", "1e-6")) for z in start(coeffs, max_sweeps)])
+        monkeypatch.setattr(roots, "_float64_start", lambda Q, max_sweeps: [
+            z * (1 + mpc("1e-6", "1e-6")) for z in start(Q, max_sweeps)])
         moved = find_roots(q)
         assert moved.sweeps > rs.sweeps
         assert moved.is_real == rs.is_real
@@ -109,7 +109,7 @@ class TestFindRoots:
         with mp.workdps(dps):
             q = row_q(row, N)
             rs = find_roots(q)
-            for z in roots._float64_start(q.coeffs, 200):
+            for z in roots._float64_start(q, 200):
                 assert min(abs(z - r) for r in rs.roots) < mpf("1e-12") * max(abs(z), 1)
 
     @pytest.mark.parametrize("N", [16, 32])
@@ -136,9 +136,9 @@ class TestFindRoots:
         (-1, 3, -3, 1),     # (b - 1)^3: likewise
     ], ids=["zero_double", "double", "exact_double", "exact_triple"])
     def test_repeated_roots_meet_gate(self, coeffs):
-        q = CharPolynomial(N=len(coeffs) - 1, coeffs=tuple(mpf(c) for c in coeffs))
+        q = CharPolynomial.from_coeffs([mpf(c) for c in coeffs])
         m = next(k for k, c in enumerate(coeffs) if c != 0)
-        start = roots._float64_start(q.coeffs[m:], 200)
+        start = roots._float64_start(CharPolynomial.from_coeffs(q.coeffs[m:]), 200)
         assert len(set(start)) == len(start)
         rs = find_roots(q)
         assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
@@ -147,7 +147,7 @@ class TestFindRoots:
 
     def test_double_root_meets_gate(self):
         # (b - 1)^2 (b + 2): linear convergence at the double root still stops
-        rs = find_roots(CharPolynomial(N=3, coeffs=(mpf(2), mpf(-3), mpf(0), mpf(1))))
+        rs = find_roots(CharPolynomial.from_coeffs((mpf(2), mpf(-3), mpf(0), mpf(1))))
         assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
         assert rs.sweeps < 200
         assert rs.on_critical_line
@@ -163,8 +163,7 @@ class TestFindRoots:
     def test_multiple_root_at_zero_is_exact(self, coeffs, m, others):
         # the vanishing low-order coefficients give exact zero roots; near a
         # multiple zero root no iterate could meet the backward-error gate
-        rs = find_roots(CharPolynomial(N=len(coeffs) - 1,
-                                       coeffs=tuple(mpf(c) for c in coeffs)))
+        rs = find_roots(CharPolynomial.from_coeffs([mpf(c) for c in coeffs]))
         zeros = [r for r in rs.roots if r == 0]
         assert len(zeros) == m
         assert all(flag for r, flag in zip(rs.roots, rs.is_real) if r == 0)
@@ -200,9 +199,23 @@ class TestFindRoots:
                 find_roots(q, max_sweeps=1)
             assert max(find_roots(q).residuals) < mpf(10) ** -50
 
+    @pytest.mark.parametrize("row_id", list(ROWS))
+    def test_model_roots_read_the_exponent(self, monkeypatch, row_id):
+        """find_roots on a q_polynomial result reads the exponent Q_N was
+        built from: no series_log runs."""
+        q = row_q(row_id, 16)
+
+        def refuse(s):
+            raise AssertionError("series_log on the model path")
+
+        monkeypatch.setattr(matrix_model, "series_log", refuse)
+        with pytest.raises(AssertionError, match="model path"):
+            CharPolynomial.from_coeffs(q.coeffs)
+        assert len(find_roots(q).roots) == 16
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            find_roots(CharPolynomial(N=0, coeffs=(mpf(1),)))
+            find_roots(CharPolynomial.from_coeffs((mpf(1),)))
 
 
 class TestHighDegree:
@@ -228,14 +241,14 @@ class TestHighDegree:
         assert rs.on_critical_line
 
     def test_wilkinson20(self):
-        rs = self.solve(CharPolynomial(N=20, coeffs=from_roots(range(1, 21))))
+        rs = self.solve(CharPolynomial.from_coeffs(from_roots(range(1, 21))))
         assert rs.on_critical_line
         for k, r in enumerate(rs.real_roots(), start=1):
             assert abs(r - k) < mpf("1e-40")
 
     def test_random_degree_24(self):
         coeffs = [mpf(float(x)) for x in np.random.default_rng(24).standard_normal(25)]
-        rs = self.solve(CharPolynomial(N=24, coeffs=tuple(coeffs)))
+        rs = self.solve(CharPolynomial.from_coeffs(coeffs))
         for want in mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=100):
             assert min(abs(r - want) for r in rs.roots) < mpf("1e-40") * max(abs(want), 1)
 
@@ -244,7 +257,7 @@ class TestClassify:
     def test_scale_invariance(self):
         q = riemann_q()
         rs1 = find_roots(q)
-        q2 = CharPolynomial(N=16, coeffs=tuple(c * mpf("7.3e5") for c in q.coeffs))
+        q2 = CharPolynomial.from_coeffs([c * mpf("7.3e5") for c in q.coeffs])
         rs2 = find_roots(q2)
         assert rs1.is_real == rs2.is_real
         assert rs1.n_complex_pairs == rs2.n_complex_pairs
@@ -256,8 +269,7 @@ class TestClassify:
 
     def test_relative_tolerance_form(self):
         # root at 100 + 5e-7 i is "real" at 1e-8 relative tolerance (scale 101)
-        q = CharPolynomial(N=2, coeffs=(mpf(100) ** 2 + mpf("25e-14"),
-                                        mpf(-200), mpf(1)))
+        q = CharPolynomial.from_coeffs((mpf(100) ** 2 + mpf("25e-14"), mpf(-200), mpf(1)))
         rs = find_roots(q)
         assert all(rs.is_real)
 
@@ -276,3 +288,45 @@ class TestReconstruction:
         bound = mpf(10) ** (-(mp.mp.dps - 15 - mp.log10(spread))) * big
         for got, want in zip(back, q.coeffs):
             assert abs(got - want) < bound
+
+
+class TestExponent:
+    """The exponent q_polynomial stores against the one the coefficient
+    constructor recovers from the rounded coefficients. The recovery
+    carries their rounding: T_j = (-1)^j q_{N-j} (N-j)!/(q_N N!) off by
+    eps |T_j| moves log T at t^m by up to eps K_m, with
+    K_m = sum_j |T_j| |[t^(m-j)] 1/T| (0.03-0.4 eps K_m measured, 3e-49 of
+    max |c_m| for bessel_k at N=16). So each entry, the dust past p
+    included, must be within 10^-(dps-5) max |c_m| + N eps K_m."""
+
+    @staticmethod
+    def rounding_bound(q):
+        n = q.N
+        lead = q.coeffs[n] * mp.factorial(n)
+        t = [(-1) ** j * q.coeffs[n - j] * mp.factorial(n - j) / lead for j in range(n + 1)]
+        inv = [mpf(1)]
+        for k in range(1, n + 1):
+            inv.append(-sum(t[j] * inv[k - j] for j in range(1, k + 1)))
+        return [n * mp.eps * sum(abs(t[j] * inv[m - j]) for j in range(m + 1))
+                for m in range(1, n + 1)]
+
+    @pytest.mark.parametrize("N, dps", [(16, 60), (48, 100)])
+    @pytest.mark.parametrize("row_id", list(ROWS))
+    def test_stored_exponent_matches_recovered(self, row_id, N, dps):
+        with mp.workdps(dps):
+            q = row_q(row_id, N)
+            got = q.exponent
+            back = CharPolynomial.from_coeffs(q.coeffs).exponent
+            assert len(got) == min(ROWS[row_id].p, N) and len(back) == N
+            floor = mpf(10) ** -(dps - 5) * max(abs(c) for c in got)
+            full = list(got) + [mpf(0)] * (N - len(got))
+            for m, (a, b, k) in enumerate(zip(full, back, self.rounding_bound(q)), start=1):
+                assert abs(a - b) <= floor + k, f"{row_id} c_{m}"
+
+    def test_exponent_longer_than_degree_rejected(self):
+        with pytest.raises(ValueError, match="exponent"):
+            CharPolynomial(N=1, coeffs=(mpf(0), mpf(1)), exponent=(mpf(1), mpf(2)))
+
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="leading"):
+            CharPolynomial.from_coeffs((mpf(1), mpf(0)))
