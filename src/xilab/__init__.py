@@ -20,7 +20,6 @@ from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
 from .pipeline import (ROW_IDS, ModelRun, RowResult, ZeroReport, build_model,
                        build_table1, run_from_spec, run_model, run_row)
 from .master_field import (MasterConfig, MasterResult, MasterState, SaddleResult,
-                           cost_at, cost_gradient, optimize, residuals,
-                           saddle_residual, saddle_solve)
+                           optimize, saddle_solve)
 
 __version__ = "0.1.0"

@@ -291,6 +291,8 @@ def quadrature_zeros(function_id: str, count: int = 3) -> ReferenceZeros:
         raise UnknownReference(
             f"no quadrature integrand for {function_id!r}; "
             f"known: {sorted(QUADRATURE_INTEGRANDS)}")
+    if count < 1:
+        raise ValueError(f"zero count must be >= 1, got {count}")
     f = QUADRATURE_INTEGRANDS[function_id]()
     if not f.even:
         dips = magnitude_minima(f, count, depth=1e-2)

@@ -45,7 +45,7 @@ from .kernels import BACKEND
 from .matrix_model import build_potential
 from .pipeline import (ROW_IDS, ROWS, build_model, build_table1, expand_spec,
                        run_from_spec, run_model, run_row)
-from .potentials import KINDS, PotentialSpec
+from .potentials import KIND_FIELDS, KINDS, PotentialSpec
 from .precision import DEFAULT_DPS, MIN_DPS, pretty, to_decimal
 # not called here; kept because perfbench/layers.py wraps these cli attributes
 from .potentials import taylor_u  # noqa: F401
@@ -76,19 +76,18 @@ def _couplings(args) -> tuple:
 
 
 def _spec_from_args(args) -> PotentialSpec:
-    kw = {"kind": args.kind}
-    if args.kind == "monomial":
-        if not args.degree:
-            raise ValueError("--degree is required for the monomial kind")
-        kw["degree"] = args.degree
-    if args.kind == "explicit":
-        if not args.s:
-            raise ValueError("--s is required for the explicit kind")
-        kw["p"] = _model_p(args)
-        kw["s"] = _couplings(args)
-    if args.max_terms is not None:
-        kw["max_terms"] = args.max_terms
-    return PotentialSpec(**kw)
+    """The --kind potential. --degree, --s and --max-terms set the spec field
+    of their name, so a kind that does not read that field rejects the flag;
+    --p is the model degree of every kind."""
+    reads = KIND_FIELDS[args.kind]
+    _reject_ignored(args, [f for f in ("degree", "s", "max_terms") if f not in reads],
+                    f"the {args.kind} potential does not read these flags")
+    for f in ("degree", "s"):
+        if f in reads and not getattr(args, f):
+            raise ValueError(f"--{f} is required for the {args.kind} kind")
+    given = {"degree": args.degree, "p": _model_p(args),
+             "s": args.s and _couplings(args), "max_terms": args.max_terms}
+    return PotentialSpec(args.kind, **{f: given[f] for f in reads if given[f] is not None})
 
 
 def _meta(dps: int | None = None) -> dict:
@@ -147,8 +146,7 @@ def _solve_run(args):
     if args.row:
         _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms"),
                         f"--row {args.row} takes its potential from the row")
-        scaled, params = ROWS[args.row].model(args.N, args.g)
-        return run_model(params, scaled=scaled)
+        return run_model(ROWS[args.row].model(args.N, args.g)[1])
     if args.kind is None:
         raise ValueError("solve needs a potential: --kind or --row")
     return run_from_spec(_spec_from_args(args), _model_p(args), args.N, g=args.g)
@@ -256,8 +254,7 @@ def cmd_master(args) -> int:
     for seed in seeds:
         cfg = mf.MasterConfig(N=args.N, g=g, potential=potential, seed=seed,
                               sigma=args.sigma, max_iters=args.max_iters,
-                              restarts=args.restarts, tau=args.tau,
-                              hermitian=not args.general)
+                              restarts=args.restarts, hermitian=not args.general)
         res = mf.optimize(cfg)
         out.append({"seed": seed, "cost": res.cost,
                     "obstruction": res.obstruction,
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", type=float, default=None)
     sp.add_argument("--sigma", type=float, default=0.0, help="noise scale")
     sp.add_argument("--seeds", default="0", help="comma-separated seed list (default 0)")
-    sp.add_argument("--tau", type=float, default=None, help="obstruction threshold")
     sp.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     sp.add_argument("--restarts", type=int, default=4)
     sp.add_argument("--general", action="store_true",

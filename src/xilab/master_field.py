@@ -8,8 +8,9 @@ diagonal master momenta p are packed into residuals
 
 and the cost C = sum |E|^2 + |F|^2 is minimized over Hermitian (a, b) by
 damped Gauss-Newton with backtracking and seeded multi-restart. A best cost
-that stays above the threshold tau flags an obstruction: no Hermitian master
-pair reproduces the model within tolerance.
+above 1e-10 (1 + C_0), C_0 the cost at the start of the restart that found
+it, flags an obstruction: no Hermitian master pair reproduces the model
+within tolerance.
 
 A restart stops when C <= eps^2 * sum |t|^2, the sum running over the
 entries of every term t of E and F: below that floor float64 rounding, not
@@ -38,11 +39,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
-from .kernels import master_cost, master_residuals
 from .matrix_model import ModelPotential
 
 
 _MOMENTUM_BOUND = float(np.pi)  # half-width of the seeded uniform momentum draw
+_EPS2 = np.finfo(np.float64).eps ** 2  # float64 unit roundoff squared, ~4.9e-32
 
 
 def _vp_float(potential: ModelPotential) -> np.ndarray:
@@ -56,21 +57,15 @@ class MasterConfig:
     g: float
     potential: ModelPotential
     seed: int = 0
-    momenta: tuple | None = None       # explicit values; None: seeded uniform draw
     sigma: float = 0.0
     max_iters: int = 200
     restarts: int = 4
-    tau: float | None = None           # obstruction threshold; default relative
     hermitian: bool = True
 
     def momentum_vector(self) -> np.ndarray:
-        if self.momenta is None:
-            rng = np.random.default_rng(self.seed)
-            return rng.uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, self.N)
-        p = np.asarray(self.momenta, dtype=np.float64)
-        if p.shape != (self.N,):
-            raise ValueError("explicit momenta must have length N")
-        return p
+        """The diagonal master momenta: a seeded uniform draw on [-pi, pi]."""
+        rng = np.random.default_rng(self.seed)
+        return rng.uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, self.N)
 
     def noise(self) -> tuple[np.ndarray, np.ndarray]:
         """Hermitian Gaussian noise pair at scale sigma (zero when sigma=0)."""
@@ -102,7 +97,6 @@ class MasterResult:
     iterations: int
     obstruction: bool
     trace: tuple
-    best_seed: int
     stop: str       # why the returned solve ended: floor, stalled, max_iters, gradient
     restarts: int   # restarts run
 
@@ -145,10 +139,36 @@ def _fixed_inputs(cfg: MasterConfig) -> tuple:
     return (cfg.momentum_vector(), *cfg.noise(), cfg.vp_coeffs())
 
 
-def residuals(cfg: MasterConfig, state: MasterState):
-    """Exact residual matrices (E, F) for a state."""
-    p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
-    return master_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)[:2]
+def _matrix_poly(a, vp_coeffs):
+    """V'(a + I) as the matrix polynomial sum_m c_m a^m, by Horner's rule."""
+    n = a.shape[0]
+    acc = np.zeros((n, n), dtype=np.complex128)
+    for c in vp_coeffs[::-1]:
+        acc = acc @ a
+        acc += c * np.eye(n)
+    return acc
+
+
+def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
+    """Residual matrices (E, F) of the quenched equations, and their floor.
+
+    p_mom is float64, the matrices and V' coefficients complex128. The floor
+    is eps^2 * sum |t|^2 over the entries of every term t of E and F (d*a,
+    Vp(a)/g, b/g, eta1, d*b, a/g, eta2), d = i(p_k - p_l): the order of the
+    cost that float64 rounding of those terms alone leaves in E and F.
+    """
+    d = 1j * (p_mom[:, None] - p_mom[None, :])
+    da, db = d * a, d * b
+    vpg, bg, ag = _matrix_poly(a, vp_coeffs) / g, b / g, a / g
+    E = da + vpg - bg - eta1
+    F = db - ag - eta2
+    floor = _EPS2 * sum(np.vdot(t, t).real for t in (da, vpg, bg, eta1, db, ag, eta2))
+    return E, F, float(floor)
+
+
+def master_cost(E, F) -> float:
+    """C = sum |E_kl|^2 + |F_kl|^2."""
+    return float(np.sum(np.abs(E) ** 2) + np.sum(np.abs(F) ** 2))
 
 
 def _residual_vector(E, F) -> np.ndarray:
@@ -187,17 +207,6 @@ def _jacobian(cfg, theta, fixed):
     return np.vstack([JE.real, JE.imag, JF.real, JF.imag])
 
 
-def cost_gradient(cfg: MasterConfig, theta: np.ndarray) -> np.ndarray:
-    """Analytic gradient of C with respect to the packed parameters."""
-    fixed = _fixed_inputs(cfg)
-    _, E, F, _ = _cost_from_theta(cfg, theta, fixed)
-    return 2.0 * (_jacobian(cfg, theta, fixed).T @ _residual_vector(E, F))
-
-
-def cost_at(cfg: MasterConfig, theta: np.ndarray) -> float:
-    return _cost_from_theta(cfg, theta, _fixed_inputs(cfg))[0]
-
-
 def _descend(cfg, theta, fixed):
     """One damped Gauss-Newton descent from theta.
 
@@ -209,7 +218,6 @@ def _descend(cfg, theta, fixed):
     c, E, F, floor = _cost_from_theta(cfg, theta, fixed)
     trace = [c]
     lam = 1e-8
-    iters = 0
     for iters in range(1, cfg.max_iters + 1):
         if c <= floor:
             stop = "floor"
@@ -250,24 +258,24 @@ def optimize(cfg: MasterConfig) -> MasterResult:
     """
     if cfg.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {cfg.restarts}")
+    if cfg.max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")
     fixed = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
     for restart in range(cfg.restarts):
-        seed = cfg.seed + 100 * restart
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.seed + 100 * restart)
         theta = 0.5 * rng.standard_normal(npar) if restart else np.zeros(npar)
         c, theta, iters, trace, stop = _descend(cfg, theta, fixed)
         if best is None or c < best[0]:
-            best = (c, theta, iters, trace, stop, seed)
+            best = (c, theta, iters, trace, stop)
         if stop == "floor":
             break
 
-    c, theta, iters, trace, stop, seed_used = best
-    tau = cfg.tau if cfg.tau is not None else 1e-10 * (1.0 + trace[0])
+    c, theta, iters, trace, stop = best
     return MasterResult(cost=c, state=unpack_state(theta, cfg.N, cfg.hermitian),
-                        iterations=iters, obstruction=bool(c > tau), trace=trace,
-                        best_seed=seed_used, stop=stop, restarts=restart + 1)
+                        iterations=iters, obstruction=bool(c > 1e-10 * (1.0 + trace[0])),
+                        trace=trace, stop=stop, restarts=restart + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +312,8 @@ def coulomb_force(v: np.ndarray) -> np.ndarray:
     return _inverse_differences(v).sum(axis=-1)
 
 
-def saddle_residual(potential: ModelPotential, g: float, a: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
-    """Stacked residual [a-equations, b-equations]."""
-    return _saddle_residual(_vp_float(potential), g, a, b)
-
-
 def _saddle_residual(vp, g, a, b):
+    """Stacked residual [a-equations, b-equations]; vp holds V'(1+u)'s coefficients."""
     return np.concatenate([-polyval(a, vp) / g + b / g + coulomb_force(a),
                            a / g + coulomb_force(b)], axis=-1)
 
@@ -344,6 +347,8 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
     """
     if N < 2:
         raise ValueError("the saddle system needs N >= 2")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     vp = _vp_float(potential)
     vpp = polyder(vp)
     rng, grid = np.random.default_rng(seed), np.linspace(-1.0, 1.0, N)
@@ -354,7 +359,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
     last, halved_at = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     live = np.ones(len(x), dtype=bool)
     with np.errstate(all="ignore"):
-        for sweeps in range(max(max_iters, 0) + 1):
+        for sweeps in range(max_iters + 1):
             size = 1.0 + np.max(np.abs(x.real), axis=1)
             near_real = live & (np.max(np.abs(x.imag), axis=1) <= _REAL_TOL * size)
             x[near_real] = x[near_real].real
@@ -389,43 +394,3 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
                         iterations=sweeps, converged=bool(sols), solutions=sols,
                         n_complex=int(_distinct_rows(x[(norm < tol) & ~real]).sum()))
 
-
-def reduced_ansatz_n2(potential: ModelPotential, g: float, *,
-                      a_max: float = 50.0, n_scan: int = 20000) -> float:
-    """Bisection oracle for the N=2 system on the symmetric slice a2 = -a1.
-
-    The two b-equations force a1 + a2 = 0, and the a-equations determine
-    b1, b2 from a1, leaving one scalar equation
-        h(a1) = a1/g + 1/(D(a1) - g/a1) = 0,   D(a) = V'(1+a) - V'(1-a).
-    h has poles, but h(a1) = 0 exactly when a1 * D(a1) = 0, so the
-    nondegenerate roots are the positive zeros of the polynomial D, which
-    do not depend on g (g enters only b1 = -b2 = V'(1+a1) - g/(2 a1)).
-    Scans a1 in (0, a_max] for a sign change of D and bisects.
-    Raises ValueError when no root bracket exists or D vanishes identically.
-    """
-    vp = _vp_float(potential)
-    # D is twice the odd part of V'(1+u)
-    d = np.where(np.arange(len(vp)) % 2 == 1, 2 * vp, 0.0)
-    if not np.any(d):
-        raise ValueError("V'(1+a) - V'(1-a) vanishes identically: every a1 "
-                         "solves the reduced N=2 equation")
-
-    def gap(a1):
-        return polyval(a1, d)
-
-    xs = np.linspace(a_max / n_scan, a_max, n_scan)
-    vals = gap(xs)
-    brackets = np.flatnonzero(vals[:-1] * vals[1:] <= 0)
-    if not len(brackets):
-        raise ValueError("no sign change of V'(1+a) - V'(1-a) for a > 0: "
-                         "the symmetric slice admits no nondegenerate solution")
-    i = brackets[0]
-    lo, hi, flo = xs[i], xs[i + 1], vals[i]
-    for _ in range(200):
-        m = 0.5 * (lo + hi)
-        fm = gap(m)
-        if flo * fm <= 0:
-            hi = m
-        else:
-            lo, flo = m, fm
-    return 0.5 * (lo + hi)

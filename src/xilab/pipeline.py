@@ -132,7 +132,6 @@ REPORTED_ZEROS = 3
 class ModelRun:
     """Artifacts of one pipeline run."""
 
-    scaled: ScaledPotential | None
     params: ModelParams
     potential: ModelPotential
     q: CharPolynomial
@@ -153,18 +152,16 @@ class RowResult:
         return tuple(mpf(str(z)) for z in self.reference.zeros[:REPORTED_ZEROS])
 
 
-def run_model(params: ModelParams, *, scaled: ScaledPotential | None = None) -> ModelRun:
+def run_model(params: ModelParams) -> ModelRun:
     """Characteristic polynomial and roots for one parameter set."""
     V = build_potential(params)
     q = q_polynomial(params, V, params.N)
-    rts = find_roots(q)
-    return ModelRun(scaled=scaled, params=params, potential=V, q=q, roots=rts)
+    return ModelRun(params=params, potential=V, q=q, roots=find_roots(q))
 
 
 def run_from_spec(potential: PotentialSpec | None, p: int, N: int, *, g=None) -> ModelRun:
     """Build and run a potential as a (p,1) model (see ``build_model``)."""
-    scaled, params = build_model(potential, p, N, g)
-    return run_model(params, scaled=scaled)
+    return run_model(build_model(potential, p, N, g)[1])
 
 
 def run_row(row_id: str, N: int = 16) -> RowResult:
@@ -173,8 +170,7 @@ def run_row(row_id: str, N: int = 16) -> RowResult:
         raise ValueError(f"unknown row {row_id!r}; known: {ROW_IDS}")
     row = ROWS[row_id]
     ref = ba.reference_table(row.reference)
-    scaled, params = row.model(N)
-    run = run_model(params, scaled=scaled)
+    run = run_model(row.model(N)[1])
     n_real = len(run.roots.real_roots())
     if n_real < REPORTED_ZEROS:
         raise TooFewRealRoots(

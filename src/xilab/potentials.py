@@ -20,7 +20,16 @@ from mpmath import mpf
 from .errors import NonConvergence
 from .series import TaylorSeries, series_exp, series_log
 
-KINDS = ("riemann", "ramanujan", "eta_gamma", "cosh", "monomial", "explicit")
+#: the ``PotentialSpec`` fields each kind reads, besides ``kind``
+KIND_FIELDS = {
+    "riemann": ("max_terms",),
+    "ramanujan": ("max_terms",),
+    "eta_gamma": (),
+    "cosh": (),
+    "monomial": ("degree",),
+    "explicit": ("p", "s"),
+}
+KINDS = tuple(KIND_FIELDS)
 
 
 def _default_tolerance() -> mpf:
@@ -29,7 +38,8 @@ def _default_tolerance() -> mpf:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """One potential family instance.
+    """One potential family instance; ``KIND_FIELDS`` names the fields
+    each kind reads.
 
     kind: one of riemann | ramanujan | eta_gamma | cosh | monomial | explicit
     degree: even monomial degree 2n (monomial kind only)

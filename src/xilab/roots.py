@@ -10,7 +10,8 @@ from the rounded coefficients. Then f_N' = -f_{N-1} and
 
 which gives Q/Q' = -f_N/f_{N-1} in float64 to ~1e-15 relative at N = 16-48
 (float64 Horner on the monomial coefficients: 1e-8 at N = 16, O(1) at 32),
-at O(N k) per evaluation.
+at O(N k) per evaluation. Exact power-of-two rescaling keeps the f_n inside
+float64's range, so the start holds at N = 200 too (2e-14 on the riemann row).
 The start: the eigenvalues of the recurrence's N x N lower-Hessenberg
 matrix, refined by a vectorised complex128 Aberth on the recurrence. Then
 extended-precision Aberth sweeps, each root stopping once its step is below
@@ -183,6 +184,13 @@ def _float64_start(Q, max_sweeps):
             f[0] = 1
             for j in range(n):
                 lo = max(j + 1 - p, 0)
+                # f_n falls like 1/n!: where the terms a column reads leave
+                # [2^-500, 2^500], scale them by a power of 2 (exact, so no
+                # ratio f_n/f_{n-1} moves) before they underflow or overflow
+                e = np.frexp(np.abs(f[lo:j + 1]).max(axis=0))[1]
+                far = np.abs(e) > 500
+                if far.any():
+                    f[lo:j + 1, far] *= np.ldexp(1.0, -e[far])
                 f[j + 1] = (mc[j - lo::-1] @ f[lo:j + 1] - zs[idx] * f[j]) / (j + 1)
             w = -f[n] / f[n - 1]  # Q/Q' by the recurrence
             diff = zs[idx, None] - zs[None, :]

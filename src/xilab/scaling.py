@@ -44,17 +44,6 @@ class ScaledPotential:
             return mpf(1) / n
         return self.coupling(n - 1) / n
 
-    def u_series(self, order: int | None = None) -> TaylorSeries:
-        """Rebuild the normalized series (constant term included)."""
-        k = order if order is not None else self.p + 1
-        c = [mpf(0)] * (k + 1)
-        c[0] = self.a0
-        for n in range(2, min(len(self.s) + 2, k + 1)):
-            c[n] = self.coupling(n - 1) / n
-        if self.p + 1 <= k:
-            c[self.p + 1] = mpf(1) / (self.p + 1)
-        return TaylorSeries(c)
-
     def as_dict(self) -> dict:
         return {
             "p": self.p,

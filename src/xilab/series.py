@@ -110,11 +110,6 @@ class TaylorSeries:
             acc = acc * x + c
         return acc
 
-    def differentiate(self) -> "TaylorSeries":
-        if self.order == 0:
-            return TaylorSeries([mpf(0)])
-        return TaylorSeries([n * c for n, c in enumerate(self.coeffs)][1:])
-
 
 def series_exp(s: TaylorSeries) -> TaylorSeries:
     """exp of a series via the recurrence (exp f)' = f' exp f."""

@@ -28,6 +28,10 @@ Plain mpmath references for code the package evaluates its own way:
   ``xilab.potentials`` expands in series;
 * ``v_shifted`` and ``v_shifted_prime``: V(1+u) and V'(1+u) of a
   ``ModelPotential``;
+* ``u_series``: the normalized series a ``ScaledPotential`` stands for;
+* ``differentiate``: the derivative of a ``TaylorSeries``;
+* ``reduced_ansatz_n2``: the N=2 saddle solution on the symmetric slice,
+  by bisection;
 * ``reconstruct_coefficients``: lead * prod (b - r) over a root set;
 * ``classify``: a root set re-flagged under another imaginary tolerance.
 """
@@ -38,7 +42,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 from mpmath import mpc, mpf
+from numpy.polynomial.polynomial import polyval
 
 from xilab.baker_akhiezer import BAFunction
 from xilab.errors import NonConvergence
@@ -377,6 +383,55 @@ def v_shifted_prime(V: ModelPotential, u):
     for c in reversed(V.v_shifted_prime_coeffs()):
         acc = acc * u + c
     return acc
+
+
+def u_series(sp: ScaledPotential) -> TaylorSeries:
+    """a0 + sum_n coefficient(n) x^n through x^{p+1}."""
+    return TaylorSeries([sp.a0, mpf(0)] + [sp.coefficient(n) for n in range(2, sp.p + 2)])
+
+
+def differentiate(u: TaylorSeries) -> TaylorSeries:
+    """The derivative series, one order shorter (the zero series at order 0)."""
+    if u.order == 0:
+        return TaylorSeries([mpf(0)])
+    return TaylorSeries([n * c for n, c in enumerate(u.coeffs)][1:])
+
+
+def reduced_ansatz_n2(V: ModelPotential, g: float, *,
+                      a_max: float = 50.0, n_scan: int = 20000) -> float:
+    """Bisection oracle for the N=2 saddle system on the symmetric slice a2 = -a1.
+
+    The two b-equations force a1 + a2 = 0, and the a-equations determine
+    b1, b2 from a1, leaving one scalar equation
+        h(a1) = a1/g + 1/(D(a1) - g/a1) = 0,   D(a) = V'(1+a) - V'(1-a).
+    h has poles, but h(a1) = 0 exactly when a1 * D(a1) = 0, so the
+    nondegenerate roots are the positive zeros of the polynomial D, which
+    do not depend on g (g enters only b1 = -b2 = V'(1+a1) - g/(2 a1)).
+    Scans a1 in (0, a_max] for a sign change of D and bisects.
+    Raises ValueError when no root bracket exists or D vanishes identically.
+    """
+    vp = np.array([float(c) for c in V.v_shifted_prime_coeffs()])
+    # D is twice the odd part of V'(1+u)
+    d = np.where(np.arange(len(vp)) % 2 == 1, 2 * vp, 0.0)
+    if not np.any(d):
+        raise ValueError("V'(1+a) - V'(1-a) vanishes identically: every a1 "
+                         "solves the reduced N=2 equation")
+    xs = np.linspace(a_max / n_scan, a_max, n_scan)
+    vals = polyval(xs, d)
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] <= 0)
+    if not len(brackets):
+        raise ValueError("no sign change of V'(1+a) - V'(1-a) for a > 0: "
+                         "the symmetric slice admits no nondegenerate solution")
+    i = brackets[0]
+    lo, hi, flo = xs[i], xs[i + 1], vals[i]
+    for _ in range(200):
+        m = 0.5 * (lo + hi)
+        fm = polyval(m, d)
+        if flo * fm <= 0:
+            hi = m
+        else:
+            lo, flo = m, fm
+    return 0.5 * (lo + hi)
 
 
 def classify(rs: RootSet, im_tolerance) -> RootSet:

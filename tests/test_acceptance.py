@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from oracles import hermite_q, horner, jacobi_matrix, q_sequence, reconstruct_coefficients
+from oracles import (hermite_q, horner, jacobi_matrix, q_sequence,
+                     reconstruct_coefficients, reduced_ansatz_n2)
 from xilab.baker_akhiezer import quadrature_zeros, reference_table
-from xilab.master_field import (MasterConfig, cost_at, cost_gradient, n_params,
-                                optimize, reduced_ansatz_n2, saddle_solve)
+from xilab.master_field import (MasterConfig, _cost_from_theta, _fixed_inputs,
+                                _jacobian, _residual_vector, n_params, optimize,
+                                saddle_solve)
 from xilab.matrix_model import (CharPolynomial, ModelPotential, build_potential,
                                 q_polynomial)
 from xilab.potentials import PotentialSpec, taylor_u
@@ -192,8 +194,9 @@ def test_criterion_03_riemann_pipeline(rows):
 def test_criterion_04_ramanujan_pipeline(rows):
     ck = Checker(4)
     res = rows("ramanujan")
+    scaled = res.row.model(res.run.params.N)[0]
     for k, want in RAMANUJAN_COUPLING_TABLE.items():
-        ck.rel(f"s_{k}", res.run.scaled.coupling(k), want, "1e-3")
+        ck.rel(f"s_{k}", scaled.coupling(k), want, "1e-3")
     single_pair_check(ck, res.run.roots, "-0.506603", "0.513116", "1e-2", "roots")
     ck.rel("A", res.calibration.A, "1.52532", "1e-3")
     ck.rel("c", res.calibration.c, "42.3072", "1e-3")
@@ -240,7 +243,7 @@ def test_criterion_06_real_zero_families(rows):
 def test_criterion_07_eta_gamma(rows):
     ck = Checker(7)
     res = rows("eta_gamma")
-    scaled = res.run.scaled
+    scaled = res.row.model(res.run.params.N)[0]
     for k, want in enumerate(ETA_GAMMA_COEFF_TABLE, start=1):
         ck.rel(f"coefficient x^{k+1}", scaled.coefficient(k + 1), want, "1e-3")
     single_pair_check(ck, res.run.roots, "0.594787", "0.166798", "1e-2", "roots")
@@ -321,13 +324,17 @@ def test_criterion_10_master_field():
     cfg = MasterConfig(N=3, g=0.2, potential=pot7, seed=13, sigma=0.25)
     rng = np.random.default_rng(77)
     theta = 0.4 * rng.standard_normal(n_params(3, True))
-    grad = cost_gradient(cfg, theta)
+    # C = |r|^2, so its gradient is 2 J^T r
+    fixed = _fixed_inputs(cfg)
+    _, E, F, _ = _cost_from_theta(cfg, theta, fixed)
+    grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ _residual_vector(E, F))
     h = 1e-6
     worst = 0.0
     for idx in range(len(theta)):
         e = np.zeros_like(theta)
         e[idx] = h
-        fd = (cost_at(cfg, theta + e) - cost_at(cfg, theta - e)) / (2 * h)
+        fd = (_cost_from_theta(cfg, theta + e, fixed)[0]
+              - _cost_from_theta(cfg, theta - e, fixed)[0]) / (2 * h)
         worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), abs(grad[idx]), 1e-8))
     ck.check("gradient matches FD to 1e-6", worst < 1e-6, f"worst {worst:.2e}")
     # monotone accepted-cost trace

@@ -56,6 +56,21 @@ class TestExpand:
         assert code == 2
         assert "degree" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("solve", "--kind", "cosh", "--s", "1,2,3", "--N", "4"), "--s"),
+        (("expand", "--kind", "riemann", "--degree", "4", "--p", "3"), "--degree"),
+        (("solve", "--kind", "monomial", "--degree", "8", "--s", "5"), "--s"),
+        (("expand", "--kind", "explicit", "--p", "3", "--s", "1", "--max-terms", "9"),
+         "--max-terms"),
+        (("expand", "--kind", "eta_gamma", "--p", "7", "--max-terms", "9"), "--max-terms"),
+        (("solve", "--kind", "ramanujan", "--degree", "8", "--N", "4"), "--degree")])
+    def test_kind_rejects_flags_it_does_not_read(self, capsys, argv, flag):
+        """--s is for explicit, --degree for monomial, --max-terms for
+        riemann and ramanujan; --p is every kind's model degree."""
+        code, out, err_text = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err_text.startswith("config error: ") and err_text.endswith(f"drop {flag}\n")
+
     def test_kernel_nonconvergence_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--kind", "riemann", "--p", "7",
                                "--max-terms", "1")
@@ -155,7 +170,8 @@ class TestSolve:
     @pytest.mark.parametrize("argv", [
         ("calibrate", "--row", "riemann"),
         ("solve", "--hermite", "--N", "4"),
-        ("master", "--N", "1", "--seed", "3")])
+        ("master", "--N", "1", "--seed", "3"),
+        ("master", "--N", "2", "--tau", "1")])
     def test_removed_entry_points_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -218,6 +234,16 @@ class TestZerosAndPsi:
                                  "--zmin", "0", "--zmax", "81", "--step", "1")
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and "|z| <= 80" in err
+
+    @pytest.mark.parametrize("function, count", [
+        ("bessel_k", "0"), ("bessel_k", "-2"), ("eta_gamma_corrected", "-1")])
+    def test_zeros_count_below_1_exits_2(self, capsys, function, count):
+        """On the sign-change scan (even integrand) and the |psi| dip scan,
+        which once printed one dip for a count of -1."""
+        code, out, err_text = run_cli(capsys, "zeros", "--function", function,
+                                      "--count", count)
+        assert (code, out) == (2, "")
+        assert err_text == f"config error: zero count must be >= 1, got {count}\n"
 
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--function", "nope")
@@ -360,6 +386,14 @@ class TestMasterSaddle:
         code, out, err_text = run_cli(capsys, "master", "--N", "2", "--restarts", "0")
         assert (code, out) == (2, "")
         assert err_text == "config error: restarts must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command, value", [("master", "0"), ("master", "-1"),
+                                                ("saddle", "0"), ("saddle", "-5")])
+    def test_rejects_max_iters_below_1(self, capsys, command, value):
+        """master once returned 0 iterations; saddle clamped to 0 sweeps."""
+        code, out, err_text = run_cli(capsys, command, "--N", "2", "--max-iters", value)
+        assert (code, out) == (2, "")
+        assert err_text == f"config error: max_iters must be >= 1, got {value}\n"
 
     @pytest.mark.parametrize("command", ["master", "saddle"])
     @pytest.mark.parametrize("flag", [("--p", "5"), ("--s", "9")])

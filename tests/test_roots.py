@@ -112,6 +112,17 @@ class TestFindRoots:
             for z in roots._float64_start(q, 200):
                 assert min(abs(z - r) for r in rs.roots) < mpf("1e-12") * max(abs(z), 1)
 
+    def test_float64_start_outlives_float64_range(self, monkeypatch):
+        """f_n falls like 1/n!, below 2^-1074 on the riemann row at N=200
+        without rescaling (a worst relative Newton step of 0.2); the start
+        still lands within 1e-12 of every root of Q built at 200 digits."""
+        monkeypatch.setattr(matrix_model, "MAX_N", 200)
+        with mp.workdps(200):
+            q = row_q("riemann", 200)
+            for z in roots._float64_start(q, 200):
+                p, dp = mp.polyval(q.coeffs[::-1], z, derivative=True)
+                assert abs(p / dp) < mpf("1e-12") * max(abs(z), 1)
+
     @pytest.mark.parametrize("N", [16, 32])
     def test_stopping_rules_bound_the_evaluations(self, monkeypatch, N):
         """Each root's Q, Q' and scale are evaluated once per sweep it is live
