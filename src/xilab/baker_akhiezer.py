@@ -43,6 +43,17 @@ PROBE_ZS = (0.0, 20.0, 40.0, Z_MAX)
 STEP_TOL = 1e-14
 #: halvings allowed before giving up (H_START / 2^8 ~ 8e-4)
 MAX_HALVINGS = 8
+#: the zero scans run from SCAN_START to Z_MAX; psi_zeros on a grid of
+#: ZERO_SCAN_STEP, bisecting each sign change to BISECT_TOL, magnitude_minima
+#: on a grid of DIP_SCAN_STEP, keeping local minima of |psi| below DIP_DEPTH
+#: times the largest |psi| within +-1 in z
+SCAN_START = 1e-3
+ZERO_SCAN_STEP = 0.05
+BISECT_TOL = 1e-10
+DIP_SCAN_STEP = 0.02
+DIP_DEPTH = 1e-2
+#: quadrature noise floor of the float64 sums, relative to |psi(0)|
+NOISE = 100 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -153,65 +164,79 @@ class ReferenceZeros:
     provenance: str  # "published-table" | "quadrature"
 
 
-def psi_zeros(f: BAFunction, count: int, *, scan_step: float = 0.05,
-              z_start: float = 1e-3, z_max: float = Z_MAX,
-              bisect_tol: float = 1e-10) -> ReferenceZeros:
+def _scan(f: BAFunction, step: float):
+    """psi on the grid SCAN_START, SCAN_START + step, ... below Z_MAX, |psi|
+    there, and the envelope at grid point i: the largest |psi| within +-1 in
+    z, or None where that is below the quadrature noise floor NOISE * |psi(0)|.
+    Both zero scans stop at the first candidate without an envelope: past it
+    sign changes and dips are rounding noise of the float64 sum."""
+    zs = np.arange(SCAN_START, Z_MAX, step)
+    vals = f.psi_grid(zs)
+    mags = np.abs(vals)
+    w = max(1, int(round(1.0 / step)))
+    floor = NOISE * abs(f.psi(0.0))
+
+    def envelope(i):
+        env = np.max(mags[max(0, i - w): i + w + 1])
+        return env if env >= floor else None
+
+    return zs, vals, mags, envelope
+
+
+def psi_zeros(f: BAFunction, count: int) -> ReferenceZeros:
     """First `count` positive real zeros by sign scan plus bisection."""
     if not f.even:
         raise ValueError("real zero scan needs an even potential; "
                          "use magnitude_minima for complex-valued psi")
-    zs_grid = np.arange(z_start, z_max, scan_step)
-    vals = f.psi_grid(zs_grid).real
+    zs, vals, _, envelope = _scan(f, ZERO_SCAN_STEP)
+    vals = vals.real
     zeros = []
-    for i in range(len(zs_grid) - 1):
+    for i in range(len(zs) - 1):
         if len(zeros) >= count:
             break
-        a, b = zs_grid[i], zs_grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
+        a, b, fa = zs[i], zs[i + 1], vals[i]
+        if fa != 0.0 and fa * vals[i + 1] >= 0:
+            continue  # no zero in [a, b)
+        if envelope(i) is None:
+            break  # past the resolvable range
         if fa == 0.0:
-            zeros.append(float(a))
-            continue
-        if fa * fb < 0:
-            while b - a > bisect_tol:
-                m = 0.5 * (a + b)
-                fm = f.psi(m).real
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            zeros.append(0.5 * (a + b))
+            b = a  # the grid point is the zero
+        while b - a > BISECT_TOL:
+            m = 0.5 * (a + b)
+            fm = f.psi(m).real
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        zeros.append(float(0.5 * (a + b)))
     if len(zeros) < count:
         raise InsufficientZerosFound(
-            f"found {len(zeros)} of {count} zeros in (0, {z_max})")
+            f"found {len(zeros)} of {count} zeros in (0, {Z_MAX:g}) above the "
+            f"quadrature noise floor")
     return ReferenceZeros(function_id=f.name, zeros=tuple(zeros[:count]),
                           provenance="quadrature")
 
 
-def magnitude_minima(f: BAFunction, count: int, *, scan_step: float = 0.02,
-                     z_start: float = 1e-3, z_max: float = Z_MAX,
-                     depth: float = 1e-2) -> list:
+def magnitude_minima(f: BAFunction, count: int) -> list:
     """Approximate zero locations of a complex-valued psi via |psi| dips.
 
     Plot-quality heuristic only. A dip counts when |psi| is a local minimum
-    at least 1/depth below the surrounding envelope (a +-1 window in z), so
+    below DIP_DEPTH times its envelope (the largest |psi| within +-1 in z), so
     exponentially decaying functions are handled; dips lost in the
     quadrature noise floor are rejected.
     """
-    zs_grid = np.arange(z_start, z_max, scan_step)
-    mags = np.abs(f.psi_grid(zs_grid))
-    noise = 100 * np.finfo(float).eps * abs(f.psi(0.0))
-    w = max(1, int(round(1.0 / scan_step)))
+    zs, _, mags, envelope = _scan(f, DIP_SCAN_STEP)
     out = []
-    for i in range(1, len(zs_grid) - 1):
+    for i in range(1, len(zs) - 1):
+        if len(out) >= count:
+            break
         if not (mags[i] < mags[i - 1] and mags[i] < mags[i + 1]):
             continue
-        envelope = np.max(mags[max(0, i - w): i + w + 1])
-        if envelope < noise:
+        env = envelope(i)
+        if env is None:
             break  # past the resolvable range
-        if mags[i] < depth * envelope:
-            out.append(float(zs_grid[i]))
-            if len(out) >= count:
-                break
+        if mags[i] < DIP_DEPTH * env:
+            out.append(float(zs[i]))
     return out
 
 
@@ -295,7 +320,7 @@ def quadrature_zeros(function_id: str, count: int = 3) -> ReferenceZeros:
         raise ValueError(f"zero count must be >= 1, got {count}")
     f = QUADRATURE_INTEGRANDS[function_id]()
     if not f.even:
-        dips = magnitude_minima(f, count, depth=1e-2)
+        dips = magnitude_minima(f, count)
         if len(dips) < count:
             raise InsufficientZerosFound(
                 f"found {len(dips)} of {count} |psi| dips for {function_id}")

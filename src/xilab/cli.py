@@ -15,11 +15,11 @@ Exit codes: 0 ok, 2 config/spec error, 3 numerical failure. A table1 row
 that fails prints its failure on stderr; the other rows still render.
 
 ``main`` is the one place that decides the working precision: --precision,
-else the XI_LAB_PRECISION environment variable, else 60 digits, at least 15.
-It runs the subcommand inside ``mp.workdps`` and leaves mpmath's precision
-as it found it. The extended-precision commands (expand, solve, table1)
-report that precision; the float64 ones (psi, zeros, master, saddle) accept
-the flag but do not use it, and do not print it.
+else 60 digits, at least 15; no environment variable or other ambient state
+enters. It runs the subcommand inside ``mp.workdps`` and leaves mpmath's
+precision as it found it. The extended-precision commands (expand, solve,
+table1) report that precision; the float64 ones (psi, zeros, master, saddle)
+accept the flag but do not use it, and do not print it.
 In JSON, extended-precision numbers are decimal strings at full working
 precision, published reference zeros are decimal strings as published,
 zeros' quadrature zeros are 12-decimal strings, and master and saddle print
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import mpmath as mp
@@ -76,17 +75,17 @@ def _couplings(args) -> tuple:
 
 
 def _spec_from_args(args) -> PotentialSpec:
-    """The --kind potential. --degree, --s and --max-terms set the spec field
-    of their name, so a kind that does not read that field rejects the flag;
-    --p is the model degree of every kind."""
+    """The --kind potential. --degree and --s set the spec field of their
+    name, so a kind that does not read that field rejects the flag; --p is
+    the model degree of every kind."""
     reads = KIND_FIELDS[args.kind]
-    _reject_ignored(args, [f for f in ("degree", "s", "max_terms") if f not in reads],
+    _reject_ignored(args, [f for f in ("degree", "s") if f not in reads],
                     f"the {args.kind} potential does not read these flags")
     for f in ("degree", "s"):
         if f in reads and not getattr(args, f):
             raise ValueError(f"--{f} is required for the {args.kind} kind")
     given = {"degree": args.degree, "p": _model_p(args),
-             "s": args.s and _couplings(args), "max_terms": args.max_terms}
+             "s": args.s and _couplings(args)}
     return PotentialSpec(args.kind, **{f: given[f] for f in reads if given[f] is not None})
 
 
@@ -144,9 +143,9 @@ def cmd_expand(args) -> int:
 
 def _solve_run(args):
     if args.row:
-        _reject_ignored(args, ("kind", "p", "s", "degree", "max_terms"),
+        _reject_ignored(args, ("kind", "p", "s", "degree"),
                         f"--row {args.row} takes its potential from the row")
-        return run_model(ROWS[args.row].model(args.N, args.g)[1])
+        return run_model(ROWS[args.row].model(args.N, args.g))
     if args.kind is None:
         raise ValueError("solve needs a potential: --kind or --row")
     return run_from_spec(_spec_from_args(args), _model_p(args), args.N, g=args.g)
@@ -239,11 +238,11 @@ def _master_potential(args, default_p: int):
     potential (no --s: the model with no couplings); --g replaces g."""
     if args.row:
         _reject_ignored(args, ("p", "s"), f"--row {args.row} takes its potential from the row")
-        _, params = ROWS[args.row].model(args.N, args.g)
+        params = ROWS[args.row].model(args.N, args.g)
     else:
         p = default_p if args.p is None else args.p
         spec = PotentialSpec(kind="explicit", p=p, s=_couplings(args)) if args.s else None
-        _, params = build_model(spec, p, args.N, args.g)
+        params = build_model(spec, p, args.N, args.g)
     return build_potential(params), float(params.g)
 
 
@@ -284,8 +283,6 @@ def _add_potential_args(sp):
     sp.add_argument("--p", type=int, default=None, help=f"model degree (default {DEFAULT_P})")
     sp.add_argument("--degree", type=int, default=None, help="monomial degree 2n")
     sp.add_argument("--s", default=None, help="comma-separated explicit couplings s_1..s_{p-2}")
-    sp.add_argument("--max-terms", type=int, default=None, dest="max_terms",
-                    help="kernel-sum truncation (default 96)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="(p,1) two-matrix-model laboratory: characteristic polynomials, "
                     "root classification, Baker-Akhiezer zeros, calibration reports, "
                     "master-field and saddle solvers.")
-    ap.add_argument("--precision", type=int, default=None,
-                    help="working precision in decimal digits (>= 15); "
-                         "default from XI_LAB_PRECISION or 60")
+    ap.add_argument("--precision", type=int, default=DEFAULT_DPS,
+                    help=f"working precision in decimal digits (>= {MIN_DPS}, "
+                         f"default {DEFAULT_DPS})")
     sub = ap.add_subparsers(dest="command", required=True)
     # one spelling per flag: argparse would otherwise take a prefix of a flag
     # (--seed for --seeds) as that flag
@@ -380,27 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_precision(dps: int | None) -> int:
-    """--precision, else XI_LAB_PRECISION, else DEFAULT_DPS; at least MIN_DPS."""
-    if dps is None:
-        env = os.environ.get("XI_LAB_PRECISION")
-        try:
-            dps = DEFAULT_DPS if env is None else int(env)
-        except ValueError:
-            raise ValueError(f"XI_LAB_PRECISION must be an integer, got {env!r}") from None
-    if dps < MIN_DPS:
-        raise ValueError(f"working precision must be >= {MIN_DPS} digits, got {dps}")
-    return dps
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    try:
-        # from here on args.precision is the resolved working precision
-        args.precision = _resolve_precision(args.precision)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    args = build_parser().parse_args(argv)
+    if args.precision < MIN_DPS:
+        print(f"error: working precision must be >= {MIN_DPS} digits, "
+              f"got {args.precision}", file=sys.stderr)
         return 2
     try:
         with mp.workdps(args.precision):

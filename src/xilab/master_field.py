@@ -300,6 +300,7 @@ _STALL_SWEEPS = 8     # sweeps a start may go without halving its residual
 _STEP_CAP = 0.5       # longest step, relative to 1 + |x|
 _REAL_TOL = 1e-8      # imaginary part, relative to 1 + |x|, projected away
 _SAME_TOL = 1e-6      # max-norm distance, relative to 1 + |x|, of one solution
+_SOLVED_TOL = 1e-10   # residual norm below which a real iterate is a solution
 
 
 def _inverse_differences(v: np.ndarray) -> np.ndarray:
@@ -335,14 +336,14 @@ def _distinct_rows(x: np.ndarray) -> np.ndarray:
 
 
 def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
-                 max_iters: int = 250, tol: float = 1e-10) -> SaddleResult:
+                 max_iters: int = 250) -> SaddleResult:
     """Newton in complex arithmetic from seeded starts, all in one stacked sweep.
 
     Starts: a on [-s, s], s ~ U(1, 3), b on the reversed grid at s * 10^U(-2, 0),
     plus complex normal noise at 0.2 of each spread. A start stops when its
     residual turns non-finite (a singular Jacobian gives a NaN step), stops
-    halving for _STALL_SWEEPS sweeps, or, below tol, for one; one that nears
-    the reals is projected there. a, b are the first real solution in
+    halving for _STALL_SWEEPS sweeps, or, below _SOLVED_TOL, for one; one
+    that nears the reals is projected there. a, b are the first real solution in
     lexicographic order; with none, the best real part of a final iterate.
     """
     if N < 2:
@@ -367,7 +368,8 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
             norm = np.linalg.norm(f, axis=1)
             halved = norm < 0.5 * last
             last[halved], halved_at[halved] = norm[halved], sweeps
-            stall = np.where(norm < tol, 1, _STALL_SWEEPS)  # below tol: polish while halving
+            # below _SOLVED_TOL: polish while halving
+            stall = np.where(norm < _SOLVED_TOL, 1, _STALL_SWEEPS)
             live &= np.isfinite(norm) & (sweeps - halved_at < stall)
             if sweeps >= max_iters or not live.any():
                 break
@@ -385,12 +387,12 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
         x = np.take_along_axis(x.reshape(-1, 2, N), order, axis=2).reshape(-1, 2 * N)
         real, xr = np.all(x.imag == 0, axis=1), x.real
         rr = np.linalg.norm(_saddle_residual(vp, g, xr[:, :N], xr[:, N:]), axis=1)
-        found = np.flatnonzero((rr < tol) & real)
+        found = np.flatnonzero((rr < _SOLVED_TOL) & real)
         found = found[np.lexsort(xr[found].T[::-1])]
         sols = tuple((xr[i, :N], xr[i, N:], float(rr[i])) for i in found[_distinct_rows(xr[found])])
         # with no real solution, the best real part of a final iterate
         best = found[0] if sols else np.argmin(np.nan_to_num(rr, nan=np.inf))
     return SaddleResult(a=xr[best, :N], b=xr[best, N:], residual_norm=float(rr[best]),
                         iterations=sweeps, converged=bool(sols), solutions=sols,
-                        n_complex=int(_distinct_rows(x[(norm < tol) & ~real]).sum()))
+                        n_complex=int(_distinct_rows(x[(norm < _SOLVED_TOL) & ~real]).sum()))
 

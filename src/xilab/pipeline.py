@@ -1,10 +1,10 @@
 """End-to-end model runs, the eight standard report rows and their report.
 
-``build_model`` turns a potential into normalized couplings and model
-parameters; every model runs from it. ``run_model`` chains the
-characteristic polynomial and its roots. ``ROWS`` catalogues the eight
-report rows as data; ``run_row`` runs any of them along one path, and
-``build_table1`` assembles the results of any subset into a ``ZeroReport``.
+``build_model`` turns a potential into model parameters; every model runs
+from it. ``run_model`` chains the characteristic polynomial and its roots.
+``ROWS`` catalogues the eight report rows as data; ``run_row`` runs any of
+them along one path, and ``build_table1`` assembles the results of any
+subset into a ``ZeroReport``.
 
 Row-specific reference data
 ---------------------------
@@ -36,8 +36,7 @@ from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
 from .potentials import PotentialSpec, taylor_u
 from .precision import pretty, to_decimal
 from .roots import RootSet, find_roots
-from .scaling import (ModelParams, ScaledPotential, cosh_couplings,
-                      double_scaling, rescale_potential)
+from .scaling import ModelParams, cosh_couplings, double_scaling, rescale_potential
 from .series import TaylorSeries
 
 #: published order-8 expansion defining the riemann row (degrees 0..8)
@@ -55,23 +54,23 @@ def expand_spec(spec: PotentialSpec, p: int):
 
 
 def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
-                g=None) -> tuple[ScaledPotential | None, ModelParams]:
-    """Normalized couplings and double-scaled parameters of a degree-p model.
+                g=None) -> ModelParams:
+    """Double-scaled parameters of a degree-p model, from its normalized couplings.
 
     potential: a ``PotentialSpec`` (the cosh family takes its closed-form
     couplings), a published Taylor coefficient list (degrees 0..p+1), or None
-    for the model with no couplings, whose scaled potential is None.
+    for the model with no couplings.
     g: replaces the double-scaling g when given.
     """
     if potential is None:
-        scaled = None
+        s = ()
     elif not isinstance(potential, PotentialSpec):  # a published expansion
-        scaled = rescale_potential(TaylorSeries([mpf(c) for c in potential]), p)
+        s = rescale_potential(TaylorSeries([mpf(c) for c in potential]), p).s
     elif potential.kind == "cosh":
-        scaled = cosh_couplings(p)
+        s = cosh_couplings(p).s
     else:
-        scaled = expand_spec(potential, p)[1]
-    return scaled, double_scaling(p, N, scaled.s if scaled else (), g_override=g)
+        s = expand_spec(potential, p)[1].s
+    return double_scaling(p, N, s, g_override=g)
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,11 @@ class RowSpec:
     g_from: str | None = None
     calibration: str = "fit_linear"
 
-    def model(self, N: int, g=None) -> tuple[ScaledPotential | None, ModelParams]:
+    def model(self, N: int, g=None) -> ModelParams:
         """The row's ``build_model`` result at matrix size N; ``g``, when
         given, replaces the row's g."""
         if g is None and self.g_from:
-            g = ROWS[self.g_from].model(N)[1].g
+            g = ROWS[self.g_from].model(N).g
         return build_model(self.potential, self.p, N, g)
 
 
@@ -161,7 +160,7 @@ def run_model(params: ModelParams) -> ModelRun:
 
 def run_from_spec(potential: PotentialSpec | None, p: int, N: int, *, g=None) -> ModelRun:
     """Build and run a potential as a (p,1) model (see ``build_model``)."""
-    return run_model(build_model(potential, p, N, g)[1])
+    return run_model(build_model(potential, p, N, g))
 
 
 def run_row(row_id: str, N: int = 16) -> RowResult:
@@ -170,7 +169,7 @@ def run_row(row_id: str, N: int = 16) -> RowResult:
         raise ValueError(f"unknown row {row_id!r}; known: {ROW_IDS}")
     row = ROWS[row_id]
     ref = ba.reference_table(row.reference)
-    run = run_model(row.model(N)[1])
+    run = run_model(row.model(N))
     n_real = len(run.roots.real_roots())
     if n_real < REPORTED_ZEROS:
         raise TooFewRealRoots(

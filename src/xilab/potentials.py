@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import mpmath as mp
 from mpmath import mpf
 
-from .errors import NonConvergence
 from .series import TaylorSeries, series_exp, series_log
 
 #: the ``PotentialSpec`` fields each kind reads, besides ``kind``
 KIND_FIELDS = {
-    "riemann": ("max_terms",),
-    "ramanujan": ("max_terms",),
+    "riemann": (),
+    "ramanujan": (),
     "eta_gamma": (),
     "cosh": (),
     "monomial": ("degree",),
@@ -47,17 +47,16 @@ class PotentialSpec:
     s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero),
         kept exact (ints and decimal strings; a float becomes its shortest
         decimal string) and converted at the precision of each expansion
-    max_terms: truncation of the kernel sums, which stop once a term (for
-        ramanujan, a bound on what the next term adds to any coefficient)
-        falls below 10^-(dps+10) at the current working precision; the
-        default covers the ramanujan sum at order 8 to ~230 digits
+
+    The riemann and ramanujan kernel sums take no setting: each runs until a
+    term (for ramanujan, a bound on what the next term adds to any
+    coefficient) falls below 10^-(dps+10) at the current working precision.
     """
 
     kind: str
     degree: int = 0
     p: int = 0
     s: tuple = ()
-    max_terms: int = 96
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -82,19 +81,20 @@ class PotentialSpec:
 # Taylor expansion of U at 0
 
 
-def _phi_riemann_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
+def _phi_riemann_series(order: int, tol: mpf) -> TaylorSeries:
     e2 = TaylorSeries.exponential(2, order)
     e92 = TaylorSeries.exponential(mpf(9) / 2, order)
     e52 = TaylorSeries.exponential(mpf(5) / 2, order)
     total = TaylorSeries.zero(order)
-    for n in range(1, max_terms + 1):
+    # no term cap in either kernel sum: these terms carry e^{-pi n^2} and the
+    # ramanujan bound e^{-2 pi m}, so both fall at least geometrically and end
+    for n in count(1):
         damp = series_exp(e2 * (-mp.pi * n * n))
         pre = e92 * (4 * mp.pi ** 2 * n ** 4) - e52 * (6 * mp.pi * n ** 2)
         term = pre * damp
         total = total + term
         if max(abs(c) for c in term.coeffs) < tol:
             return total
-    raise NonConvergence(f"riemann kernel series did not settle in {max_terms} terms")
 
 
 def _stirling2(order: int) -> list:
@@ -106,7 +106,7 @@ def _stirling2(order: int) -> list:
     return rows
 
 
-def _u_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
+def _u_ramanujan_series(order: int, tol: mpf) -> TaylorSeries:
     """U = 6x + 2 pi e^{-x} - 24 sum_n log(1 - e^{-2 pi n e^{-x}})
          = 6x + 2 pi e^{-x} + 24 sum_m sigma(m)/m e^{-2 pi m e^{-x}}.
 
@@ -119,7 +119,8 @@ def _u_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
     # the m-th term adds at most 24 (1 + ln m) e^{-a} (a + order)^order / order!
     # to a coefficient (a = 2 pi m; sigma(m)/m <= 1 + ln m and
     # sum_j S(k,j) a^j <= (a + k)^k); once a >= order the bounds fall by e^{-pi}
-    # or more per term, so the sum stops when the next term's bound is below tol
+    # or more per term, so the sum takes terms 1..M, M the first m whose next
+    # term's bound is below tol
     log_tol = float(mp.log(tol))
 
     def log_bound(m):
@@ -127,8 +128,10 @@ def _u_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
         return (math.log(24 * (1 + math.log(m))) - a
                 + order * math.log(a + order) - math.lgamma(order + 1))
 
-    sigma = [0] * (max_terms + 1)
-    for d in range(1, max_terms + 1):
+    terms = next(m for m in count(1)
+                 if 2 * math.pi * (m + 1) >= order and log_bound(m + 1) < log_tol)
+    sigma = [0] * (terms + 1)
+    for d in range(1, terms + 1):
         sigma[d::d] = [s + d for s in sigma[d::d]]
     # the alternating Stirling sum cancels digits (1.4 at order 8, 6 at 20,
     # 8.4 at 28): work with order + 10 guard digits
@@ -137,17 +140,12 @@ def _u_ramanujan_series(order: int, max_terms: int, tol: mpf) -> TaylorSeries:
         q = mp.exp(-two_pi)
         E = [mpf(0)] * (order + 1)
         qm = mpf(1)
-        for m in range(1, max_terms + 1):
+        for m in range(1, terms + 1):
             qm *= q
             t = sigma[m] * qm / m
             for j in range(order + 1):
                 E[j] += t
                 t *= m
-            if 2 * math.pi * (m + 1) >= order and log_bound(m + 1) < log_tol:
-                break
-        else:
-            raise NonConvergence(
-                f"ramanujan kernel series did not settle in {max_terms} terms")
         S = _stirling2(order)
         P = [(-two_pi) ** j * e for j, e in enumerate(E)]
         c = [(-1) ** k * (two_pi + 24 * sum((S[k][j] * P[j] for j in range(k + 1)), mpf(0)))
@@ -162,10 +160,10 @@ def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
         raise ValueError("expansion order must be >= 2")
     tol = _default_tolerance()
     if spec.kind == "riemann":
-        phi = _phi_riemann_series(order, spec.max_terms, tol)
+        phi = _phi_riemann_series(order, tol)
         return -series_log(phi)
     if spec.kind == "ramanujan":
-        return _u_ramanujan_series(order, spec.max_terms, tol)
+        return _u_ramanujan_series(order, tol)
     if spec.kind == "eta_gamma":
         # (x+log2)/2 + e^{-x}/2 + 1, expanded term by term
         c = [mp.log(2) / 2 + mpf(3) / 2]

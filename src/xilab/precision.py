@@ -6,7 +6,7 @@ mpmath's current working precision, and the caller sets it, e.g.
 ``with mp.workdps(60): ...``. Importing the package changes no mpmath
 setting, and no library function sets the precision. The command line is
 the one place that decides it (``xilab.cli``: ``--precision``, else
-``XI_LAB_PRECISION``, else :data:`DEFAULT_DPS`, at least :data:`MIN_DPS`).
+:data:`DEFAULT_DPS`, at least :data:`MIN_DPS`; no environment variable).
 """
 
 from __future__ import annotations

@@ -38,8 +38,11 @@ from .errors import NonConvergence
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
 
-#: tolerances are decimal strings, converted at the caller's working precision
-DEFAULT_IM_TOLERANCE = "1e-8"
+#: a root is real when |Im| < IM_TOLERANCE (1 + |Re|); a decimal string,
+#: converted at the caller's working precision
+IM_TOLERANCE = "1e-8"
+#: sweep cap of the float64 and of the extended-precision Aberth iteration
+MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def _eval(raw, z):
     return mp.make_mpc(p), mp.make_mpc(dp), mp.make_mpf(s)
 
 
-def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
-               im_tolerance=DEFAULT_IM_TOLERANCE) -> RootSet:
+def find_roots(Q: CharPolynomial) -> RootSet:
     """All complex roots by Aberth-Ehrlich iteration plus Newton polish.
 
     When q_0 .. q_{m-1} are exactly zero, b = 0 is a root of multiplicity m:
@@ -126,14 +128,14 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
     m = next(k for k, c in enumerate(coeffs) if c != 0)
     core = Q if m == 0 else CharPolynomial.from_coeffs(coeffs[m:])
     raw = [(c._mpf_, mpf_abs(c._mpf_)) for c in map(mpf, reversed(core.coeffs))]
-    zs, sweeps, errs = _aberth(raw, _float64_start(core, max_sweeps), max_sweeps, target)
+    zs, sweeps, errs = _aberth(raw, _float64_start(core), target)
     worst = max(errs, default=0)
     if worst > target:
         raise NonConvergence(
             f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
             "raise the working precision for this coefficient spread")
 
-    zs, is_real, pair_ids = _symmetrize([mpc(0)] * m + zs, im_tolerance)
+    zs, is_real, pair_ids = _symmetrize([mpc(0)] * m + zs, IM_TOLERANCE)
     order = sorted(range(n), key=lambda i: (mp.re(zs[i]), mp.im(zs[i])))
     zs = [zs[i] for i in order]
     is_real = [is_real[i] for i in order]
@@ -144,7 +146,7 @@ def find_roots(Q: CharPolynomial, *, max_sweeps: int = 200,
         p, _, s = _eval(raw, z)
         errs.append(abs(p) / s if z != 0 else mpf(0))
     return RootSet(roots=tuple(zs), residuals=tuple(errs),
-                   im_tolerance=mpf(im_tolerance), is_real=tuple(is_real),
+                   im_tolerance=mpf(IM_TOLERANCE), is_real=tuple(is_real),
                    pair_ids=tuple(pair_ids), sweeps=sweeps)
 
 
@@ -157,7 +159,7 @@ def _scaled_exponent(exponent):
     return np.array([float(v / s ** m) for m, v in enumerate(mc, 1)]), s
 
 
-def _float64_start(Q, max_sweeps):
+def _float64_start(Q):
     """Starting points for Q (q_0 != 0): the recurrence's Hessenberg
     eigenvalues, polished by float64 Aberth on the recurrence, lifted to mpc."""
     n = Q.N
@@ -176,7 +178,7 @@ def _float64_start(Q, max_sweeps):
     live = np.ones(n, bool)
     last = np.full(n, np.inf)
     with np.errstate(all="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             idx = np.flatnonzero(live)
             if idx.size == 0:
                 break
@@ -208,7 +210,7 @@ def _float64_start(Q, max_sweeps):
     return [mpc(complex(z)) * scale for z in zs]
 
 
-def _aberth(raw, zs, max_sweeps, target):
+def _aberth(raw, zs, target):
     """Roots of a polynomial with q_0 != 0 from the starts ``zs``:
     (roots, sweeps, backward errors)."""
     n = len(zs)
@@ -218,7 +220,7 @@ def _aberth(raw, zs, max_sweeps, target):
     floor = 4 * n * mp.eps
     frozen = [False] * n
     sweeps = 0
-    while sweeps < max_sweeps and not all(frozen):
+    while sweeps < MAX_SWEEPS and not all(frozen):
         sweeps += 1
         new = list(zs)
         newton = {}

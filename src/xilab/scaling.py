@@ -32,18 +32,6 @@ class ScaledPotential:
     lam: mpf            # the rescale factor
     residuals: dict     # degrees dropped by the normal form -> coefficient
 
-    def coupling(self, k: int) -> mpf:
-        """s_k, zero when absent."""
-        if 1 <= k <= len(self.s):
-            return self.s[k - 1]
-        return mpf(0)
-
-    def coefficient(self, n: int) -> mpf:
-        """Coefficient of x^n of the normalized potential (s_{n-1}/n)."""
-        if n == self.p + 1:
-            return mpf(1) / n
-        return self.coupling(n - 1) / n
-
     def as_dict(self) -> dict:
         return {
             "p": self.p,

@@ -28,6 +28,8 @@ Plain mpmath references for code the package evaluates its own way:
   ``xilab.potentials`` expands in series;
 * ``v_shifted`` and ``v_shifted_prime``: V(1+u) and V'(1+u) of a
   ``ModelPotential``;
+* ``coupling`` and ``coefficient``: s_k and the x^n coefficient of a
+  ``ScaledPotential``, zero where it has none;
 * ``u_series``: the normalized series a ``ScaledPotential`` stands for;
 * ``differentiate``: the derivative of a ``TaylorSeries``;
 * ``reduced_ansatz_n2``: the N=2 saddle solution on the symmetric slice,
@@ -300,10 +302,24 @@ def series_compose(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
     return acc
 
 
+def coupling(sp: ScaledPotential, k: int) -> mpf:
+    """s_k, zero when absent."""
+    if 1 <= k <= len(sp.s):
+        return sp.s[k - 1]
+    return mpf(0)
+
+
+def coefficient(sp: ScaledPotential, n: int) -> mpf:
+    """Coefficient of x^n of the normalized potential (s_{n-1}/n)."""
+    if n == sp.p + 1:
+        return mpf(1) / n
+    return coupling(sp, n - 1) / n
+
+
 def scaled_ba_function(sp: ScaledPotential) -> BAFunction:
     """The quadrature integrand of the normalized potential
     sum_{n=2}^{p+1} coefficient(n) x^n, the constant and linear terms dropped."""
-    cs = [0.0, 0.0] + [float(sp.coefficient(n)) for n in range(2, sp.p + 2)]
+    cs = [0.0, 0.0] + [float(coefficient(sp, n)) for n in range(2, sp.p + 2)]
     return BAFunction.from_poly(cs, name=f"scaled(p={sp.p})")
 
 
@@ -387,7 +403,7 @@ def v_shifted_prime(V: ModelPotential, u):
 
 def u_series(sp: ScaledPotential) -> TaylorSeries:
     """a0 + sum_n coefficient(n) x^n through x^{p+1}."""
-    return TaylorSeries([sp.a0, mpf(0)] + [sp.coefficient(n) for n in range(2, sp.p + 2)])
+    return TaylorSeries([sp.a0, mpf(0)] + [coefficient(sp, n) for n in range(2, sp.p + 2)])
 
 
 def differentiate(u: TaylorSeries) -> TaylorSeries:

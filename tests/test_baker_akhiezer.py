@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from oracles import scaled_ba_function
+from oracles import coefficient, scaled_ba_function
 from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS, TAIL_DECADES,
                                   Z_MAX, magnitude_minima, psi_zeros, quadrature_zeros,
@@ -81,7 +81,7 @@ class TestPsi:
         via_scaled = scaled_ba_function(sp)
         cs = [0.0] * 9
         for n in range(2, 8):
-            cs[n] = float(sp.coefficient(n))
+            cs[n] = float(coefficient(sp, n))
         cs[8] = 1.0 / 8
         via_poly = BAFunction.from_poly(cs, name="manual")
         assert np.array_equal(via_scaled.xs, via_poly.xs)
@@ -187,7 +187,21 @@ class TestZeros:
 
     def test_exhausted_window_raises(self, cosh_f):
         with pytest.raises(InsufficientZerosFound):
-            psi_zeros(cosh_f, 50, z_max=8.0)
+            psi_zeros(cosh_f, 50)
+
+    def test_scan_stops_at_the_noise_floor(self, cosh_f):
+        """K_iz(1) decays like e^{-pi z/2}: past z ~ 21 its float64 sum is
+        rounding noise with hundreds of sign changes, none of them a zero.
+        The scan keeps the 18 zeros above the floor and raises for more."""
+        zs = psi_zeros(cosh_f, 18).zeros
+        assert 20 < zs[-1] < 21
+        with pytest.raises(InsufficientZerosFound, match="found 18 of 40"):
+            psi_zeros(cosh_f, 40)
+
+    def test_no_dips_asked_none_returned(self):
+        f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+        assert magnitude_minima(f, 0) == []
+        assert psi_zeros(QUADRATURE_INTEGRANDS["bessel_k"](), 0).zeros == ()
 
     def test_magnitude_minima_finds_dips(self):
         # even case: |psi| dips at the real zeros

@@ -446,8 +446,8 @@ class TestSaddle:
         assert np.max(np.abs(got - [-1.0, 1.0, 0.1, -0.1])) < 1e-8
 
     def test_solutions_real_canonical_distinct(self):
-        tol, pot = 1e-10, self.readme_potential()
-        res = saddle_solve(pot, 1.0, 4, tol=tol)
+        tol, pot = mf._SOLVED_TOL, self.readme_potential()
+        res = saddle_solve(pot, 1.0, 4)
         assert len(res.solutions) >= 2
         assert np.array_equal(res.a, res.solutions[0][0])
         rows = []

@@ -127,7 +127,7 @@ class TestCataloguedRowsAgainstOracle:
     @pytest.mark.parametrize("row_id", list(ROWS))
     def test_coefficients(self, row_id, N, dps):
         with mp.workdps(dps):
-            _, params = ROWS[row_id].model(N)
+            params = ROWS[row_id].model(N)
             V = build_potential(params)
             got = q_polynomial(params, V, N)
             want = q_sequence(params, V, N)[N]
@@ -138,7 +138,7 @@ class TestCataloguedRowsAgainstOracle:
 
     @pytest.mark.parametrize("row_id", list(ROWS))
     def test_roots_at_n16(self, row_id):
-        _, params = ROWS[row_id].model(16)
+        params = ROWS[row_id].model(16)
         V = build_potential(params)
         got = find_roots(q_polynomial(params, V, 16))
         want = find_roots(q_sequence(params, V, 16)[16])

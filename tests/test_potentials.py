@@ -164,9 +164,19 @@ class TestTaylorU:
 
     def test_tail_term_below_tolerance(self):
         # monotone-tail contract: the kernel sums stop only below tolerance
-        spec = PotentialSpec(kind="riemann")
-        kv = phi_riemann(mpf("0.2"), max_terms=spec.max_terms)
+        kv = phi_riemann(mpf("0.2"))
         assert kv.phi > 0
+
+    def test_ramanujan_sum_sets_its_own_length(self):
+        """At 300 digits the order-8 divisor sum needs 121 terms; it works that
+        count out from its bound, and every coefficient agrees with a
+        340-digit expansion."""
+        with mp.workdps(300):
+            u = taylor_u(PotentialSpec(kind="ramanujan"), 8)
+        with mp.workdps(340):
+            ref = taylor_u(PotentialSpec(kind="ramanujan"), 8)
+            scale = max(abs(c) for c in ref.coeffs)
+            assert max(abs(a - b) for a, b in zip(u.coeffs, ref.coeffs)) < mpf("1e-295") * scale
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ def riemann_q(N=16):
 
 
 def row_q(row_id, N):
-    _, params = ROWS[row_id].model(N)
+    params = ROWS[row_id].model(N)
     return q_polynomial(params, build_potential(params), N)
 
 
@@ -93,8 +93,8 @@ class TestFindRoots:
         q = riemann_q()
         rs = find_roots(q)
         start = roots._float64_start
-        monkeypatch.setattr(roots, "_float64_start", lambda Q, max_sweeps: [
-            z * (1 + mpc("1e-6", "1e-6")) for z in start(Q, max_sweeps)])
+        monkeypatch.setattr(roots, "_float64_start", lambda Q: [
+            z * (1 + mpc("1e-6", "1e-6")) for z in start(Q)])
         moved = find_roots(q)
         assert moved.sweeps > rs.sweeps
         assert moved.is_real == rs.is_real
@@ -109,7 +109,7 @@ class TestFindRoots:
         with mp.workdps(dps):
             q = row_q(row, N)
             rs = find_roots(q)
-            for z in roots._float64_start(q, 200):
+            for z in roots._float64_start(q):
                 assert min(abs(z - r) for r in rs.roots) < mpf("1e-12") * max(abs(z), 1)
 
     def test_float64_start_outlives_float64_range(self, monkeypatch):
@@ -119,7 +119,7 @@ class TestFindRoots:
         monkeypatch.setattr(matrix_model, "MAX_N", 200)
         with mp.workdps(200):
             q = row_q("riemann", 200)
-            for z in roots._float64_start(q, 200):
+            for z in roots._float64_start(q):
                 p, dp = mp.polyval(q.coeffs[::-1], z, derivative=True)
                 assert abs(p / dp) < mpf("1e-12") * max(abs(z), 1)
 
@@ -149,7 +149,7 @@ class TestFindRoots:
     def test_repeated_roots_meet_gate(self, coeffs):
         q = CharPolynomial.from_coeffs([mpf(c) for c in coeffs])
         m = next(k for k, c in enumerate(coeffs) if c != 0)
-        start = roots._float64_start(CharPolynomial.from_coeffs(q.coeffs[m:]), 200)
+        start = roots._float64_start(CharPolynomial.from_coeffs(q.coeffs[m:]))
         assert len(set(start)) == len(start)
         rs = find_roots(q)
         assert max(rs.residuals) < mpf(10) ** (-(mp.mp.dps // 2))
@@ -200,14 +200,16 @@ class TestFindRoots:
                 limit = 2 * q.N * eps * scale / abs(dp)
                 assert abs(z - r) <= limit
 
-    def test_backward_error_gate(self):
+    def test_backward_error_gate(self, monkeypatch):
         """One sweep leaves the riemann row at N=48 at a worst backward error
-        near 1e-35, above the 1e-50 target: the gate raises. The default
-        sweep budget meets it."""
+        near 1e-35, above the 1e-50 target: the gate raises. The
+        MAX_SWEEPS budget meets it."""
         with mp.workdps(100):
             q = riemann_q(48)
-            with pytest.raises(NonConvergence, match="above target"):
-                find_roots(q, max_sweeps=1)
+            with monkeypatch.context() as m:
+                m.setattr(roots, "MAX_SWEEPS", 1)
+                with pytest.raises(NonConvergence, match="above target"):
+                    find_roots(q)
             assert max(find_roots(q).residuals) < mpf(10) ** -50
 
     @pytest.mark.parametrize("row_id", list(ROWS))

@@ -3,7 +3,7 @@ import pytest
 from mpmath import mpf
 
 from conftest import assert_rel
-from oracles import u_series
+from oracles import coefficient, coupling, u_series
 from xilab.errors import NonPositiveG, NonPositiveLeadingCoefficient
 from xilab.pipeline import RIEMANN_ROW_U
 from xilab.potentials import PotentialSpec, taylor_u
@@ -18,17 +18,17 @@ def riemann_row_series():
 class TestRescale:
     def test_riemann_row_couplings(self):
         sp = rescale_potential(riemann_row_series(), 7)
-        assert_rel(sp.coupling(1), "8.12192", "1e-5", "s_1")
-        assert_rel(sp.coupling(3), "4.48349", "1e-5", "s_3")
-        assert_rel(sp.coupling(5), "-1.02395", "1e-5", "s_5")
-        assert sp.coupling(2) == 0 and sp.coupling(4) == 0
+        assert_rel(coupling(sp, 1), "8.12192", "1e-5", "s_1")
+        assert_rel(coupling(sp, 3), "4.48349", "1e-5", "s_3")
+        assert_rel(coupling(sp, 5), "-1.02395", "1e-5", "s_5")
+        assert coupling(sp, 2) == 0 and coupling(sp, 4) == 0
 
     def test_ramanujan_couplings(self):
         u = taylor_u(PotentialSpec(kind="ramanujan"), 8)
         sp = rescale_potential(u, 7)
-        assert_rel(sp.coupling(1), "7.99487", "1e-4", "s_1")
-        assert_rel(sp.coupling(3), "4.0958", "1e-4", "s_3")
-        assert_rel(sp.coupling(5), "-1.22159", "1e-4", "s_5")
+        assert_rel(coupling(sp, 1), "7.99487", "1e-4", "s_1")
+        assert_rel(coupling(sp, 3), "4.0958", "1e-4", "s_3")
+        assert_rel(coupling(sp, 5), "-1.22159", "1e-4", "s_5")
 
     def test_monomial_is_fixed_point(self):
         u = taylor_u(PotentialSpec(kind="monomial", degree=8), 8)
@@ -41,7 +41,7 @@ class TestRescale:
         again = rescale_potential(u_series(sp), 7)
         assert_rel(again.lam, 1, "1e-50", "lambda")
         for k in range(1, 6):
-            assert abs(again.coupling(k) - sp.coupling(k)) < mpf(10) ** (-45)
+            assert abs(coupling(again, k) - coupling(sp, k)) < mpf(10) ** (-45)
 
     def test_substitution_invariance(self):
         # substituting x -> t x multiplies a_n by t^n and leaves couplings fixed
@@ -51,7 +51,7 @@ class TestRescale:
         a = rescale_potential(u, 7)
         b = rescale_potential(scaled_u, 7)
         for k in range(1, 6):
-            assert abs(a.coupling(k) - b.coupling(k)) < mpf(10) ** (-45)
+            assert abs(coupling(a, k) - coupling(b, k)) < mpf(10) ** (-45)
 
     def test_needs_positive_top(self):
         with pytest.raises(NonPositiveLeadingCoefficient):
@@ -73,33 +73,33 @@ class TestRescale:
                    "28.2038", "-16.0572", "8.48885", "-4.18855", "1.93754",
                    "-0.843543", "0.34685", "-0.135112"]
         for k, want in enumerate(printed, start=1):
-            assert_rel(sp.coefficient(k + 1), want, "1e-4", f"coefficient x^{k+1}")
+            assert_rel(coefficient(sp, k + 1), want, "1e-4", f"coefficient x^{k+1}")
 
 
 class TestCoshCouplings:
     def test_p7_values(self):
         sp = cosh_couplings(7)
-        assert_rel(sp.coupling(1), "8.42573", "1e-5", "s_1")
-        assert_rel(sp.coupling(3), "11.8322", "1e-5", "s_3")
-        assert_rel(sp.coupling(5), "4.98473", "1e-5", "s_5")
-        assert sp.coupling(2) == 0 and sp.coupling(4) == 0
+        assert_rel(coupling(sp, 1), "8.42573", "1e-5", "s_1")
+        assert_rel(coupling(sp, 3), "11.8322", "1e-5", "s_3")
+        assert_rel(coupling(sp, 5), "4.98473", "1e-5", "s_5")
+        assert coupling(sp, 2) == 0 and coupling(sp, 4) == 0
 
     def test_direct_formula(self):
         sp = cosh_couplings(7)
-        assert abs(sp.coupling(1) - mp.factorial(7) ** mpf("0.25")) < mpf(10) ** (-50)
+        assert abs(coupling(sp, 1) - mp.factorial(7) ** mpf("0.25")) < mpf(10) ** (-50)
 
     def test_matches_taylor_rescale(self):
         u = taylor_u(PotentialSpec(kind="cosh"), 8)
         sp = rescale_potential(u, 7)
         cf = cosh_couplings(7)
         for k in range(1, 6):
-            assert abs(sp.coupling(k) - cf.coupling(k)) < mpf(10) ** (-45)
+            assert abs(coupling(sp, k) - coupling(cf, k)) < mpf(10) ** (-45)
 
     def test_top_coupling_identity(self):
         # s_{p-2} (p-2)! (p!)^{-(p-1)/(p+1)} = 1 for every odd p
         for p in (5, 7, 9, 11):
             sp = cosh_couplings(p)
-            val = sp.coupling(p - 2) * mp.factorial(p - 2) \
+            val = coupling(sp, p - 2) * mp.factorial(p - 2) \
                 * mp.factorial(p) ** (-mpf(p - 1) / (p + 1))
             assert_rel(val, 1, "1e-45", f"p={p}")
 
