@@ -8,8 +8,9 @@ SIAM Review 56, 2014). The sum is periodic in z with period 2 pi/h and
 aliases psi(z -+ 2 pi/h) onto psi(z), so h is sized for the band
 |z| <= Z_MAX: starting from H_START it is halved until two successive sums
 agree to STEP_TOL of |psi(0)| at the probes PROBE_ZS. The envelope values
-at the nodes are precomputed once, so a zero scan costs one Fourier sum per
-z; that sum is the package's hot kernel.
+at the nodes are precomputed once, so psi at a z is one Fourier sum, the
+package's hot kernel. A zero scan sums psi on its grid only as far as it
+reads it (the zeros lie far below Z_MAX), then one sum per bisection step.
 
 Everything here runs in float64 and reads no global precision: the node
 set depends on U alone, and the sums agree with the exact transform to
@@ -165,22 +166,42 @@ class ReferenceZeros:
 
 
 def _scan(f: BAFunction, step: float):
-    """psi on the grid SCAN_START, SCAN_START + step, ... below Z_MAX, |psi|
-    there, and the envelope at grid point i: the largest |psi| within +-1 in
-    z, or None where that is below the quadrature noise floor NOISE * |psi(0)|.
-    Both zero scans stop at the first candidate without an envelope: past it
-    sign changes and dips are rounding noise of the float64 sum."""
+    """The grid SCAN_START, SCAN_START + step, ... below Z_MAX, psi and |psi|
+    on it, and two readers.
+
+    ``through(i)`` sums psi up to grid point i. The zeros the scans return
+    lie far below Z_MAX, so psi is summed lazily: one ``psi_grid`` call per
+    block, each block as long as all before it and the first as long as the
+    +-1 window, so at most about twice what the scan reads is summed.
+    Nothing past what ``through`` has summed may be read from ``vals`` or
+    ``mags``.
+
+    ``envelope(i)`` is the largest |psi| within +-1 in z of point i, or None
+    where that is below the quadrature noise floor NOISE * |psi(0)|. Both
+    zero scans stop at the first candidate without an envelope: past it sign
+    changes and dips are rounding noise of the float64 sum.
+    """
     zs = np.arange(SCAN_START, Z_MAX, step)
-    vals = f.psi_grid(zs)
-    mags = np.abs(vals)
+    vals = np.empty(len(zs), dtype=np.complex128)
+    mags = np.empty(len(zs))
     w = max(1, int(round(1.0 / step)))
     floor = NOISE * abs(f.psi(0.0))
+    summed = 0
+
+    def through(i):
+        nonlocal summed
+        while summed <= i and summed < len(zs):
+            stop = min(len(zs), max(2 * summed, 2 * w + 1))
+            vals[summed:stop] = f.psi_grid(zs[summed:stop])
+            mags[summed:stop] = np.abs(vals[summed:stop])
+            summed = stop
 
     def envelope(i):
+        through(i + w)
         env = np.max(mags[max(0, i - w): i + w + 1])
         return env if env >= floor else None
 
-    return zs, vals, mags, envelope
+    return zs, vals, mags, through, envelope
 
 
 def psi_zeros(f: BAFunction, count: int) -> ReferenceZeros:
@@ -188,12 +209,13 @@ def psi_zeros(f: BAFunction, count: int) -> ReferenceZeros:
     if not f.even:
         raise ValueError("real zero scan needs an even potential; "
                          "use magnitude_minima for complex-valued psi")
-    zs, vals, _, envelope = _scan(f, ZERO_SCAN_STEP)
-    vals = vals.real
+    zs, vals, _, through, envelope = _scan(f, ZERO_SCAN_STEP)
+    vals = vals.real  # a view: it fills as through() sums
     zeros = []
     for i in range(len(zs) - 1):
         if len(zeros) >= count:
             break
+        through(i + 1)
         a, b, fa = zs[i], zs[i + 1], vals[i]
         if fa != 0.0 and fa * vals[i + 1] >= 0:
             continue  # no zero in [a, b)
@@ -225,11 +247,12 @@ def magnitude_minima(f: BAFunction, count: int) -> list:
     exponentially decaying functions are handled; dips lost in the
     quadrature noise floor are rejected.
     """
-    zs, _, mags, envelope = _scan(f, DIP_SCAN_STEP)
+    zs, _, mags, through, envelope = _scan(f, DIP_SCAN_STEP)
     out = []
     for i in range(1, len(zs) - 1):
         if len(out) >= count:
             break
+        through(i + 1)
         if not (mags[i] < mags[i - 1] and mags[i] < mags[i + 1]):
             continue
         env = envelope(i)

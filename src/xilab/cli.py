@@ -29,8 +29,10 @@ float64 JSON numbers. Tables round to 6 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import sys
 
 import mpmath as mp
@@ -40,7 +42,7 @@ from mpmath import mpf
 from . import baker_akhiezer as ba
 from . import errors as err
 from . import master_field as mf
-from .kernels import BACKEND
+from .kernels import BACKEND, FOURIER_CHUNK_TERMS
 from .matrix_model import build_potential
 from .pipeline import (ROW_IDS, ROWS, build_model, build_table1, expand_spec,
                        run_from_spec, run_model, run_row)
@@ -54,6 +56,10 @@ CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference)
 
 #: model degree when --p is not given
 DEFAULT_P = 7
+
+#: psi rows summed and written at a time, rounded up to whole row blocks of
+#: ``fourier_eval``, so that every value is the one a single call would give
+PSI_ROWS = 4096
 
 
 def _model_p(args) -> int:
@@ -95,13 +101,19 @@ def _meta(dps: int | None = None) -> dict:
     return ({} if dps is None else {"precision": dps}) | {"backend": BACKEND}
 
 
-def _write(text: str, path: str | None) -> None:
-    """``text`` to the file at ``path``, or to stdout when ``path`` is None or "-"."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path`` open for writing, or stdout when ``path`` is None or "-"."""
     if path and path != "-":
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -184,18 +196,50 @@ def _ba_function(name: str) -> ba.BAFunction:
         f"no quadrature integrand named {name!r}; known: {sorted(ba.QUADRATURE_INTEGRANDS)}")
 
 
+def _arange_part(start: float, stop: float, step: float):
+    """The length of ``np.arange(start, stop, step)`` and ``part(lo, hi)``,
+    its values lo..hi-1, equal to numpy's bit for bit: numpy sets the first
+    two values to start and start + step, and value i to
+    start + i * (second - first)."""
+    n = math.ceil((stop - start) / step)
+    second = start + step
+
+    def part(lo: int, hi: int) -> np.ndarray:
+        zs = start + np.arange(lo, hi) * (second - start)
+        if lo < 2:
+            zs[:2 - lo] = (start, second)[lo:hi]
+        return zs
+
+    return n, part
+
+
 def cmd_psi(args) -> int:
+    """The grid np.arange(zmin, zmax + step/2, step), summed and written
+    PSI_ROWS rows at a time, so memory stays flat however long the grid."""
     if not args.step > 0:
         raise ValueError(f"--step must be positive, got {args.step}")
     if args.zmax < args.zmin:
         raise ValueError(f"--zmax {args.zmax} is below --zmin {args.zmin}")
     f = _ba_function(args.function)
-    zs = np.arange(args.zmin, args.zmax + args.step / 2, args.step)
-    vals = f.psi_grid(zs)
-    lines = [f"# function={args.function} backend={BACKEND}",
-             "z,re_psi,im_psi"]
-    lines += [f"{z:.12g},{v.real:.15e},{v.imag:.15e}" for z, v in zip(zs, vals)]
-    _write("\n".join(lines) + "\n", args.out)
+    if not all(map(math.isfinite, (args.zmin, args.zmax, args.step))):
+        raise ValueError("--zmin, --zmax and --step must be finite")
+    n, part = _arange_part(args.zmin, args.zmax + args.step / 2, args.step)
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"a grid of {n:.3g} rows is longer than an array can index")
+    # the grid's largest |z| is at one of its ends: refuse an out-of-band grid
+    # before any row is written, as psi_grid would
+    edge = max(abs(part(0, 1)[0]), abs(part(n - 1, n)[0]))
+    if edge > ba.Z_MAX:
+        raise ValueError(f"|z| = {edge:g} is outside the quadrature band "
+                         f"|z| <= {ba.Z_MAX:g}")
+    chunk = max(1, FOURIER_CHUNK_TERMS // len(f.xs))
+    rows = chunk * -(-PSI_ROWS // chunk)
+    with _output(args.out) as fh:
+        fh.write(f"# function={args.function} backend={BACKEND}\nz,re_psi,im_psi\n")
+        for lo in range(0, n, rows):
+            zs = part(lo, min(n, lo + rows))
+            fh.write("".join(f"{z:.12g},{v.real:.15e},{v.imag:.15e}\n"
+                             for z, v in zip(zs, f.psi_grid(zs))))
     return 0
 
 

@@ -1,8 +1,9 @@
 """The float64 Fourier kernel of the Baker-Akhiezer quadrature.
 
-A zero scan is thousands of Fourier sums over a fixed trapezoid node set of
-a few hundred to a few thousand nodes. ``fourier_eval`` forms
-the real z-by-node phase matrix in row blocks of at most
+A zero scan is a few hundred Fourier sums on its z grid, in a few calls,
+plus one per bisection step; a ``psi`` grid is one sum per row. Each is over
+a fixed trapezoid node set of a few hundred to a few thousand nodes.
+``fourier_eval`` forms the real z-by-node phase matrix in row blocks of at most
 ``FOURIER_CHUNK_TERMS`` terms and sums its cosine and sine against the real
 envelope, so its workspace is two such blocks, 4 MiB, whatever the z grid.
 ``perfbench/run.py --workload float64 --trace 1`` times it.

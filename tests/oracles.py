@@ -23,6 +23,8 @@ Plain mpmath references for code the package evaluates its own way:
 * ``series_compose``: f(g(x)) for truncated series;
 * ``scaled_ba_function``: the quadrature integrand of a rescaled potential,
   truncated at degree p+1;
+* ``full_grid_zeros`` and ``full_grid_minima``: the zero scans with psi
+  summed on the whole scan grid before any of it is read;
 * ``phi_riemann``, ``phi_ramanujan``, ``u_eta_gamma`` and
   ``u_eta_gamma_prime``: point values of the kernels and potentials that
   ``xilab.potentials`` expands in series;
@@ -48,6 +50,7 @@ import numpy as np
 from mpmath import mpc, mpf
 from numpy.polynomial.polynomial import polyval
 
+from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import BAFunction
 from xilab.errors import NonConvergence
 from xilab.matrix_model import CharPolynomial, ModelPotential
@@ -321,6 +324,66 @@ def scaled_ba_function(sp: ScaledPotential) -> BAFunction:
     sum_{n=2}^{p+1} coefficient(n) x^n, the constant and linear terms dropped."""
     cs = [0.0, 0.0] + [float(coefficient(sp, n)) for n in range(2, sp.p + 2)]
     return BAFunction.from_poly(cs, name=f"scaled(p={sp.p})")
+
+
+def _full_grid(f: BAFunction, step: float):
+    """The scan grid, psi and |psi| on all of it, and the noise-floor
+    envelope reader of ``baker_akhiezer._scan``."""
+    zs = np.arange(ba.SCAN_START, ba.Z_MAX, step)
+    vals = f.psi_grid(zs)
+    mags = np.abs(vals)
+    w = max(1, int(round(1.0 / step)))
+    floor = ba.NOISE * abs(f.psi(0.0))
+
+    def envelope(i):
+        env = np.max(mags[max(0, i - w): i + w + 1])
+        return env if env >= floor else None
+
+    return zs, vals, mags, envelope
+
+
+def full_grid_zeros(f: BAFunction, count: int) -> tuple:
+    """The first ``count`` (or fewer) sign-change zeros of ``psi_zeros``,
+    bisected the same way, from a scan that sums the whole grid first."""
+    zs, vals, _, envelope = _full_grid(f, ba.ZERO_SCAN_STEP)
+    vals = vals.real
+    zeros = []
+    for i in range(len(zs) - 1):
+        if len(zeros) >= count:
+            break
+        a, b, fa = zs[i], zs[i + 1], vals[i]
+        if fa != 0.0 and fa * vals[i + 1] >= 0:
+            continue
+        if envelope(i) is None:
+            break
+        if fa == 0.0:
+            b = a
+        while b - a > ba.BISECT_TOL:
+            m = 0.5 * (a + b)
+            fm = f.psi(m).real
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        zeros.append(float(0.5 * (a + b)))
+    return tuple(zeros)
+
+
+def full_grid_minima(f: BAFunction, count: int) -> list:
+    """``magnitude_minima``'s dips from a scan that sums the whole grid first."""
+    zs, _, mags, envelope = _full_grid(f, ba.DIP_SCAN_STEP)
+    out = []
+    for i in range(1, len(zs) - 1):
+        if len(out) >= count:
+            break
+        if not (mags[i] < mags[i - 1] and mags[i] < mags[i + 1]):
+            continue
+        env = envelope(i)
+        if env is None:
+            break
+        if mags[i] < ba.DIP_DEPTH * env:
+            out.append(float(zs[i]))
+    return out
 
 
 @dataclass(frozen=True)

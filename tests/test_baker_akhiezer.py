@@ -1,9 +1,12 @@
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
 from mpmath import mpf
 
-from oracles import coefficient, scaled_ba_function
+from oracles import (coefficient, full_grid_minima, full_grid_zeros,
+                     scaled_ba_function)
 from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS, TAIL_DECADES,
                                   Z_MAX, magnitude_minima, psi_zeros, quadrature_zeros,
@@ -21,6 +24,11 @@ def cosh_f():
 @pytest.fixture(scope="module")
 def mono8_f():
     return BAFunction.from_poly([0, 0, 0, 0, 0, 0, 0, 0, 1 / 8], name="gen_airy")
+
+
+@functools.lru_cache(maxsize=None)
+def _integrand(fid):
+    return QUADRATURE_INTEGRANDS[fid]()
 
 
 class TestPsi:
@@ -197,6 +205,39 @@ class TestZeros:
         assert 20 < zs[-1] < 21
         with pytest.raises(InsufficientZerosFound, match="found 18 of 40"):
             psi_zeros(cosh_f, 40)
+
+    @pytest.mark.parametrize("fid, count", [(fid, c) for fid in EVEN_INTEGRANDS
+                                             for c in (1, 2, 3)]
+                             + [("bessel_k", c) for c in range(4, 19)])
+    def test_lazy_scan_matches_full_grid_zeros(self, fid, count):
+        """Summing psi only as far as the scan reads finds the same zeros,
+        to the bit, as summing the whole grid first."""
+        f = _integrand(fid)
+        assert psi_zeros(f, count).zeros == full_grid_zeros(f, count)
+
+    @pytest.mark.parametrize("fid, count", [(fid, c) for fid in EVEN_INTEGRANDS
+                                             for c in (1, 2, 3)]
+                             + [("eta_gamma_corrected", 1), ("eta_gamma_corrected", 2),
+                                ("eta_gamma", 1)])
+    def test_lazy_scan_matches_full_grid_minima(self, fid, count):
+        f = _integrand(fid)
+        assert magnitude_minima(f, count) == full_grid_minima(f, count)
+
+    def test_scan_sums_only_what_it_reads(self, monkeypatch):
+        """The first three bessel_k zeros lie below z = 6, so the scan sums
+        psi on under a quarter of its 1600 grid points."""
+        f = _integrand("bessel_k")
+        rows = []
+        psi_grid = BAFunction.psi_grid
+
+        def counted(self, zs):
+            rows.append(len(zs))
+            return psi_grid(self, zs)
+
+        monkeypatch.setattr(BAFunction, "psi_grid", counted)
+        psi_zeros(f, 3)
+        assert len(np.arange(ba.SCAN_START, Z_MAX, ba.ZERO_SCAN_STEP)) == 1600
+        assert 0 < sum(rows) < 1600 / 4
 
     def test_no_dips_asked_none_returned(self):
         f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()

@@ -4,9 +4,11 @@ import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from oracles import hermite_q
+from xilab import baker_akhiezer as ba
 from xilab import cli, pipeline
 from xilab import errors as err
 from xilab import master_field as mf
@@ -232,6 +234,49 @@ class TestZerosAndPsi:
                                  "--zmin", "0", "--zmax", "81", "--step", "1")
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and "|z| <= 80" in err
+
+    @pytest.mark.parametrize("grid", [
+        ("--zmax", "inf"), ("--zmin", "nan"), ("--step", "inf")])
+    def test_psi_non_finite_grid_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "psi", "--function", "gen_airy", *grid)
+        assert (code, out) == (2, "")
+        assert err == "config error: --zmin, --zmax and --step must be finite\n"
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 26.01, 0.02), (-0.0, 0.125, 0.05), (5.0, 5.025, 0.05), (0.1, 0.35, 0.1),
+        (-80.0, 80.04, 0.08), (1e-17, 3.0, 1.0), (-3.3, 7.1, 0.7)])
+    def test_arange_parts_match_numpy(self, start, stop, step):
+        n, part = cli._arange_part(start, stop, step)
+        want = np.arange(start, stop, step)
+        assert n == len(want)
+        for rows in (1, 2, 3, 7, n):
+            got = np.concatenate([part(lo, min(n, lo + rows)) for lo in range(0, n, rows)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_psi_streams_200k_rows(self, tmp_path):
+        """psi writes its CSV a block of rows at a time: 200k rows print the
+        bytes one psi_grid call over the whole grid gives, and the process
+        peaks no higher than at 2k rows (one call held ~45 MB more)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+        child = ("import resource, sys; from xilab.cli import main; rc = main(sys.argv[1:]); "
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(rc)")
+        peaks = {}
+        for step in ("0.04", "0.0004"):
+            path = tmp_path / f"psi-{step}.csv"
+            done = subprocess.run(
+                [sys.executable, "-c", child, "psi", "--function", "bessel_k",
+                 "--zmin", "0", "--zmax", "80", "--step", step, "--out", str(path)],
+                capture_output=True, text=True, env=env, check=True)
+            peaks[step] = int(done.stdout.split()[-1]) / 1024
+        f = ba.QUADRATURE_INTEGRANDS["bessel_k"]()
+        zs = np.arange(0.0, 80.0 + 0.0004 / 2, 0.0004)
+        want = "".join([f"# function=bessel_k backend={cli.BACKEND}\nz,re_psi,im_psi\n"]
+                       + [f"{z:.12g},{v.real:.15e},{v.imag:.15e}\n"
+                          for z, v in zip(zs, f.psi_grid(zs))])
+        assert len(zs) == 200_001
+        assert (tmp_path / "psi-0.0004.csv").read_text() == want
+        assert peaks["0.0004"] - peaks["0.04"] < 8, peaks
 
     @pytest.mark.parametrize("function, count", [
         ("bessel_k", "0"), ("bessel_k", "-2"), ("eta_gamma_corrected", "-1")])

@@ -6,7 +6,8 @@ from conftest import assert_rel
 from oracles import (differentiate, phi_ramanujan, phi_riemann, u_eta_gamma,
                      u_eta_gamma_prime)
 from xilab.errors import NonConvergence
-from xilab.potentials import PotentialSpec, taylor_u
+from xilab.potentials import (PotentialSpec, _phi_riemann_series,
+                              _u_ramanujan_series, taylor_u)
 
 
 class TestRiemannKernel:
@@ -163,9 +164,19 @@ class TestTaylorU:
                 assert abs(u[n]) < tol, f"{kind} odd a_{n}"
 
     def test_tail_term_below_tolerance(self):
-        # monotone-tail contract: the kernel sums stop only below tolerance
-        kv = phi_riemann(mpf("0.2"))
-        assert kv.phi > 0
+        """The kernel sums stop only once what they leave out is below tol:
+        every coefficient agrees to tol with the same sum run to a 1e-20
+        smaller tol at 30 more digits, for stops that fire at different
+        terms."""
+        for series in (_phi_riemann_series, _u_ramanujan_series):
+            for order, decades in ((8, 10), (8, 40), (20, 25)):
+                with mp.workdps(60):
+                    tol = mpf(10) ** -decades
+                    got = series(order, tol)
+                with mp.workdps(90):
+                    ref = series(order, tol * mpf(10) ** -20)
+                    err = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
+                assert err < tol, (series.__name__, order, decades, err)
 
     def test_ramanujan_sum_sets_its_own_length(self):
         """At 300 digits the order-8 divisor sum needs 121 terms; it works that
