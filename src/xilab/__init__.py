@@ -7,7 +7,7 @@ saddle-point solvers.
 """
 
 from .precision import DEFAULT_DPS
-from .series import TaylorSeries, series_exp, series_log
+from .series import series_exp, series_log, series_mul
 from .potentials import PotentialSpec, taylor_u
 from .scaling import (ModelParams, ScaledPotential, cosh_couplings,
                       double_scaling, rescale_potential)

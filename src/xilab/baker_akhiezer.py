@@ -329,19 +329,27 @@ def reference_table(function_id: str) -> ReferenceZeros:
             f"known: {sorted(REFERENCE_TABLE)}") from None
 
 
+def integrand(function_id: str):
+    """The set-up of the quadrature integrand named ``function_id`` (call it
+    for the ``BAFunction``); an unknown name is an UnknownReference."""
+    try:
+        return QUADRATURE_INTEGRANDS[function_id]
+    except KeyError:
+        raise UnknownReference(
+            f"no quadrature integrand for {function_id!r}; "
+            f"known: {sorted(QUADRATURE_INTEGRANDS)}") from None
+
+
 def quadrature_zeros(function_id: str, count: int = 3) -> ReferenceZeros:
     """Recompute a reference row's zeros from its integrand.
 
     Non-even integrands give complex psi on the real axis; their zeros are
     located as |psi| minima (plot-grade heuristic, not used by acceptance).
     """
-    if function_id not in QUADRATURE_INTEGRANDS:
-        raise UnknownReference(
-            f"no quadrature integrand for {function_id!r}; "
-            f"known: {sorted(QUADRATURE_INTEGRANDS)}")
+    make = integrand(function_id)
     if count < 1:
         raise ValueError(f"zero count must be >= 1, got {count}")
-    f = QUADRATURE_INTEGRANDS[function_id]()
+    f = make()
     if not f.even:
         dips = magnitude_minima(f, count)
         if len(dips) < count:

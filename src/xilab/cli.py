@@ -42,7 +42,7 @@ from mpmath import mpf
 from . import baker_akhiezer as ba
 from . import errors as err
 from . import master_field as mf
-from .kernels import BACKEND, FOURIER_CHUNK_TERMS
+from .kernels import FOURIER_CHUNK_TERMS
 from .matrix_model import build_potential
 from .pipeline import (ROW_IDS, ROWS, build_model, build_table1, expand_spec,
                        run_from_spec, run_model, run_row)
@@ -95,12 +95,6 @@ def _spec_from_args(args) -> PotentialSpec:
     return PotentialSpec(args.kind, **{f: given[f] for f in reads if given[f] is not None})
 
 
-def _meta(dps: int | None = None) -> dict:
-    """JSON header: the working precision ``dps`` when the command uses it,
-    and the float64 kernel backend."""
-    return ({} if dps is None else {"precision": dps}) | {"backend": BACKEND}
-
-
 @contextlib.contextmanager
 def _output(path: str | None):
     """The file at ``path`` open for writing, or stdout when ``path`` is None or "-"."""
@@ -128,7 +122,7 @@ def cmd_expand(args) -> int:
     order = p + 1
     u, scaled = expand_spec(spec, p)
     if args.json is not None:
-        _emit({**_meta(args.precision),
+        _emit({"precision": args.precision,
                "a": [to_decimal(u[n]) for n in range(order + 1)],
                "scaled": scaled.as_dict()}, args.json)
         return 0
@@ -137,7 +131,7 @@ def cmd_expand(args) -> int:
     # rounding dust
     floor = mpf(10) ** -(args.precision // 2)
     print("expansion coefficients a_n:")
-    afloor = floor * max(abs(c) for c in u.coeffs)
+    afloor = floor * max(abs(c) for c in u)
     for n in range(order + 1):
         if abs(u[n]) > afloor:
             print(f"  a_{n:<2d} = {pretty(u[n])}")
@@ -166,7 +160,7 @@ def _solve_run(args):
 def cmd_solve(args) -> int:
     run = _solve_run(args)
     if args.json is not None:
-        _emit({**_meta(args.precision),
+        _emit({"precision": args.precision,
                "params": {"p": run.params.p, "N": run.params.N,
                           "g": to_decimal(run.params.g),
                           "epsilon": to_decimal(run.params.epsilon),
@@ -187,13 +181,6 @@ def cmd_solve(args) -> int:
     if args.csv:
         _write(run.roots.to_csv(), args.csv)
     return 0
-
-
-def _ba_function(name: str) -> ba.BAFunction:
-    if name in ba.QUADRATURE_INTEGRANDS:
-        return ba.QUADRATURE_INTEGRANDS[name]()
-    raise err.UnknownReference(
-        f"no quadrature integrand named {name!r}; known: {sorted(ba.QUADRATURE_INTEGRANDS)}")
 
 
 def _arange_part(start: float, stop: float, step: float):
@@ -220,7 +207,7 @@ def cmd_psi(args) -> int:
         raise ValueError(f"--step must be positive, got {args.step}")
     if args.zmax < args.zmin:
         raise ValueError(f"--zmax {args.zmax} is below --zmin {args.zmin}")
-    f = _ba_function(args.function)
+    f = ba.integrand(args.function)()
     if not all(map(math.isfinite, (args.zmin, args.zmax, args.step))):
         raise ValueError("--zmin, --zmax and --step must be finite")
     n, part = _arange_part(args.zmin, args.zmax + args.step / 2, args.step)
@@ -235,7 +222,7 @@ def cmd_psi(args) -> int:
     chunk = max(1, FOURIER_CHUNK_TERMS // len(f.xs))
     rows = chunk * -(-PSI_ROWS // chunk)
     with _output(args.out) as fh:
-        fh.write(f"# function={args.function} backend={BACKEND}\nz,re_psi,im_psi\n")
+        fh.write(f"# function={args.function}\nz,re_psi,im_psi\n")
         for lo in range(0, n, rows):
             zs = part(lo, min(n, lo + rows))
             fh.write("".join(f"{z:.12g},{v.real:.15e},{v.imag:.15e}\n"
@@ -244,9 +231,10 @@ def cmd_psi(args) -> int:
 
 
 def cmd_zeros(args) -> int:
+    ba.integrand(args.function)  # an unknown name fails as it does in psi
     table = ba.reference_table(args.function)
     got = ba.quadrature_zeros(args.function, args.count)
-    _emit({**_meta(), "function": args.function,
+    _emit({"function": args.function,
            "quadrature_zeros": [f"{z:.12f}" for z in got.zeros],
            "reference_zeros": [str(z) for z in table.zeros],
            "reference_provenance": table.provenance}, args.json)
@@ -304,7 +292,7 @@ def cmd_master(args) -> int:
                     "iterations": res.iterations,
                     "stop": res.stop, "restarts": res.restarts,
                     "trace": list(res.trace)})
-    _emit({**_meta(), "N": args.N, "g": g, "results": out}, args.json)
+    _emit({"N": args.N, "g": g, "results": out}, args.json)
     return 0
 
 
@@ -312,7 +300,7 @@ def cmd_saddle(args) -> int:
     potential, g = _master_potential(args, default_p=3)
     res = mf.saddle_solve(potential, g, args.N, seed=args.seed,
                           max_iters=args.max_iters)
-    _emit({**_meta(), "N": args.N, "g": g,
+    _emit({"N": args.N, "g": g,
            "a": [float(x) for x in res.a], "b": [float(x) for x in res.b],
            "residual_norm": res.residual_norm, "iterations": res.iterations,
            "converged": res.converged,
@@ -365,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add(
         "psi", help="Baker-Akhiezer function on a z grid (CSV)",
         description="CSV columns: z, re_psi, im_psi. A leading '#' comment "
-                    "line records the function and backend.")
+                    "line records the function.")
     sp.add_argument("--function", required=True,
                     help=f"one of {sorted(ba.QUADRATURE_INTEGRANDS)}")
     sp.add_argument("--zmin", type=float, default=0.0)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: the array library the kernel runs on; recorded in CLI and benchmark output
+#: the array library the kernel runs on; the benchmark records it in each run's
+#: environment (the CLI does not print it: it has one value)
 BACKEND = "numpy"
 
 #: phase-matrix terms per block of ``fourier_eval``: 2^18 float64 terms, 2 MiB

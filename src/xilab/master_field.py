@@ -62,17 +62,22 @@ class MasterConfig:
     restarts: int = 4
     hermitian: bool = True
 
+    def stream(self, k: int) -> np.random.Generator:
+        """The seed's random stream k: 0 the momenta, 1 the noise, 2 the
+        restart starts. The three are spawned from the seed's SeedSequence,
+        so no two streams, of one seed or of two, share their draws."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed).spawn(3)[k])
+
     def momentum_vector(self) -> np.ndarray:
         """The diagonal master momenta: a seeded uniform draw on [-pi, pi]."""
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, self.N)
+        return self.stream(0).uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, self.N)
 
     def noise(self) -> tuple[np.ndarray, np.ndarray]:
         """Hermitian Gaussian noise pair at scale sigma (zero when sigma=0)."""
         if self.sigma == 0.0:
             z = np.zeros((self.N, self.N), dtype=np.complex128)
             return z, z.copy()
-        rng = np.random.default_rng(self.seed + 1)
+        rng = self.stream(1)
 
         def herm():
             g = rng.normal(size=(self.N, self.N)) + 1j * rng.normal(size=(self.N, self.N))
@@ -263,9 +268,9 @@ def optimize(cfg: MasterConfig) -> MasterResult:
     fixed = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
+    starts = cfg.stream(2)
     for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + 100 * restart)
-        theta = 0.5 * rng.standard_normal(npar) if restart else np.zeros(npar)
+        theta = 0.5 * starts.standard_normal(npar) if restart else np.zeros(npar)
         c, theta, iters, trace, stop = _descend(cfg, theta, fixed)
         if best is None or c < best[0]:
             best = (c, theta, iters, trace, stop)

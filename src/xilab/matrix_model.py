@@ -31,7 +31,7 @@ from mpmath import mpf
 
 from .precision import to_decimal
 from .scaling import ModelParams
-from .series import TaylorSeries, series_exp, series_log
+from .series import series_exp, series_log
 
 MAX_N = 64
 
@@ -98,7 +98,7 @@ class CharPolynomial:
             raise ValueError("need a nonzero leading coefficient")
         lead = coeffs[n] * mp.factorial(n)
         t = [(-1) ** j * coeffs[n - j] * mp.factorial(n - j) / lead for j in range(n + 1)]
-        return cls(N=n, coeffs=coeffs, exponent=series_log(TaylorSeries(t)).coeffs[1:])
+        return cls(N=n, coeffs=coeffs, exponent=series_log(tuple(t))[1:])
 
     def as_dict(self) -> dict:
         return {"N": self.N, "coeffs": [to_decimal(c) for c in self.coeffs]}
@@ -119,7 +119,7 @@ def q_polynomial(params: ModelParams, V: ModelPotential, N: int) -> CharPolynomi
     c = [mpf(0)] * (N + 1)
     for m in range(1, k + 1):
         c[m] = V.s_coeffs[m - 1] * (-g) ** m / g
-    T = series_exp(TaylorSeries(c))
+    T = series_exp(tuple(c))
     out = [mpf(0)] * (N + 1)
     for j in range(N + 1):
         out[j] = mp.factorial(N) * T[N - j] * (-1) ** j / mp.factorial(j)

@@ -37,7 +37,6 @@ from .potentials import PotentialSpec, taylor_u
 from .precision import pretty, to_decimal
 from .roots import RootSet, find_roots
 from .scaling import ModelParams, cosh_couplings, double_scaling, rescale_potential
-from .series import TaylorSeries
 
 #: published order-8 expansion defining the riemann row (degrees 0..8)
 RIEMANN_ROW_U = ("0.112728", "0", "9.3634", "0", "5.95896", "0",
@@ -45,7 +44,7 @@ RIEMANN_ROW_U = ("0.112728", "0", "9.3634", "0", "5.95896", "0",
 
 
 def expand_spec(spec: PotentialSpec, p: int):
-    """U's Taylor series through x^{p+1} and its normal form for the degree-p model.
+    """U's Taylor coefficients through x^{p+1} and its normal form for the degree-p model.
 
     The gamma-eta family keeps its degree-p term as the coupling s_{p-1}.
     """
@@ -65,7 +64,7 @@ def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
     if potential is None:
         s = ()
     elif not isinstance(potential, PotentialSpec):  # a published expansion
-        s = rescale_potential(TaylorSeries([mpf(c) for c in potential]), p).s
+        s = rescale_potential(tuple([mpf(c) for c in potential]), p).s
     elif potential.kind == "cosh":
         s = cosh_couplings(p).s
     else:

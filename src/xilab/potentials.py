@@ -18,7 +18,7 @@ from itertools import count
 import mpmath as mp
 from mpmath import mpf
 
-from .series import TaylorSeries, series_exp, series_log
+from .series import series_exp, series_log, series_mul
 
 #: the ``PotentialSpec`` fields each kind reads, besides ``kind``
 KIND_FIELDS = {
@@ -81,20 +81,22 @@ class PotentialSpec:
 # Taylor expansion of U at 0
 
 
-def _phi_riemann_series(order: int, tol: mpf) -> TaylorSeries:
-    e2 = TaylorSeries.exponential(2, order)
-    e92 = TaylorSeries.exponential(mpf(9) / 2, order)
-    e52 = TaylorSeries.exponential(mpf(5) / 2, order)
-    total = TaylorSeries.zero(order)
+def _phi_riemann_series(order: int, tol: mpf) -> tuple:
+    def exp_series(scale):  # exp(scale x)
+        return [scale ** n / mp.factorial(n) for n in range(order + 1)]
+
+    e2, e92, e52 = exp_series(mpf(2)), exp_series(mpf(9) / 2), exp_series(mpf(5) / 2)
+    total = [mpf(0)] * (order + 1)
     # no term cap in either kernel sum: these terms carry e^{-pi n^2} and the
     # ramanujan bound e^{-2 pi m}, so both fall at least geometrically and end
     for n in count(1):
-        damp = series_exp(e2 * (-mp.pi * n * n))
-        pre = e92 * (4 * mp.pi ** 2 * n ** 4) - e52 * (6 * mp.pi * n ** 2)
-        term = pre * damp
-        total = total + term
-        if max(abs(c) for c in term.coeffs) < tol:
-            return total
+        s2, s92, s52 = -mp.pi * n * n, 4 * mp.pi ** 2 * n ** 4, 6 * mp.pi * n ** 2
+        damp = series_exp(tuple([c * s2 for c in e2]))
+        pre = tuple([x * s92 - y * s52 for x, y in zip(e92, e52)])
+        term = series_mul(pre, damp)
+        total = [t + c for t, c in zip(total, term)]
+        if max(abs(c) for c in term) < tol:
+            return tuple(total)
 
 
 def _stirling2(order: int) -> list:
@@ -106,7 +108,7 @@ def _stirling2(order: int) -> list:
     return rows
 
 
-def _u_ramanujan_series(order: int, tol: mpf) -> TaylorSeries:
+def _u_ramanujan_series(order: int, tol: mpf) -> tuple:
     """U = 6x + 2 pi e^{-x} - 24 sum_n log(1 - e^{-2 pi n e^{-x}})
          = 6x + 2 pi e^{-x} + 24 sum_m sigma(m)/m e^{-2 pi m e^{-x}}.
 
@@ -151,17 +153,17 @@ def _u_ramanujan_series(order: int, tol: mpf) -> TaylorSeries:
         c = [(-1) ** k * (two_pi + 24 * sum((S[k][j] * P[j] for j in range(k + 1)), mpf(0)))
              / math.factorial(k) for k in range(order + 1)]
         c[1] += 6
-    return TaylorSeries([+v for v in c])
+    return tuple([+v for v in c])
 
 
-def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
-    """Taylor series of U(x) at 0 through the requested order."""
+def taylor_u(spec: PotentialSpec, order: int) -> tuple:
+    """Taylor coefficients of U(x) at 0, degrees 0..order."""
     if order < 2:
         raise ValueError("expansion order must be >= 2")
     tol = _default_tolerance()
     if spec.kind == "riemann":
         phi = _phi_riemann_series(order, tol)
-        return -series_log(phi)
+        return tuple([-c for c in series_log(phi)])
     if spec.kind == "ramanujan":
         return _u_ramanujan_series(order, tol)
     if spec.kind == "eta_gamma":
@@ -170,15 +172,15 @@ def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
         for n in range(1, order + 1):
             c.append((-1) ** n / (2 * mp.factorial(n)))
         c[1] += mpf(1) / 2
-        return TaylorSeries(c)
+        return tuple(c)
     if spec.kind == "cosh":
-        return TaylorSeries([1 / mp.factorial(n) if n % 2 == 0 else mpf(0)
-                             for n in range(order + 1)])
+        return tuple([1 / mp.factorial(n) if n % 2 == 0 else mpf(0)
+                      for n in range(order + 1)])
     if spec.kind == "monomial":
         c = [mpf(0)] * (order + 1)
         if spec.degree <= order:
             c[spec.degree] = mpf(1) / spec.degree
-        return TaylorSeries(c)
+        return tuple(c)
     if spec.kind == "explicit":
         # already a normalized potential: x^{p+1}/(p+1) + sum s_{n-1} x^n / n
         c = [mpf(0)] * (order + 1)
@@ -188,5 +190,5 @@ def taylor_u(spec: PotentialSpec, order: int) -> TaylorSeries:
             n = i + 2
             if n <= order:
                 c[n] = mpf(sv) / n
-        return TaylorSeries(c)
+        return tuple(c)
     raise AssertionError(f"unhandled kind {spec.kind}")

@@ -19,7 +19,6 @@ from mpmath import mpf
 
 from .errors import NonPositiveG, NonPositiveLeadingCoefficient
 from .precision import to_decimal
-from .series import TaylorSeries
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,17 @@ class ModelParams:
                 for k, sv in enumerate(self.s) if sv != 0}
 
 
-def rescale_potential(u: TaylorSeries, p: int, *,
+def rescale_potential(u: tuple, p: int, *,
                       couplings_through: int | None = None) -> ScaledPotential:
-    """Normalize a Taylor-expanded potential for the degree-p model.
+    """Normalize a Taylor-expanded potential (coefficients u[0..], lowest
+    degree first) for the degree-p model.
 
     couplings_through: highest x-degree mapped to a coupling (default p-1;
     the gamma-eta pipeline passes p to keep the degree-p term as s_{p-1}).
     Degrees outside the normal form are reported in ``residuals``.
     """
-    if u.order < p + 1:
-        raise ValueError(f"need the expansion through order {p + 1}, have {u.order}")
+    if len(u) < p + 2:
+        raise ValueError(f"need the expansion through order {p + 1}, have {len(u) - 1}")
     top = u[p + 1]
     if not top > 0:
         raise NonPositiveLeadingCoefficient(

@@ -20,7 +20,8 @@ Plain mpmath references for code the package evaluates its own way:
 
 * ``horner``: Q(z), Q'(z) and sum |q_k| |z|^k by Horner's rule on mpc values
   (``xilab.roots`` runs the same pass on raw ``mpmath.libmp`` values);
-* ``series_compose``: f(g(x)) for truncated series;
+* ``series_compose``: f(g(x)) for truncated series (coefficient tuples,
+  lowest degree first, as ``xilab.series`` keeps them);
 * ``scaled_ba_function``: the quadrature integrand of a rescaled potential,
   truncated at degree p+1;
 * ``full_grid_zeros`` and ``full_grid_minima``: the zero scans with psi
@@ -33,7 +34,8 @@ Plain mpmath references for code the package evaluates its own way:
 * ``coupling`` and ``coefficient``: s_k and the x^n coefficient of a
   ``ScaledPotential``, zero where it has none;
 * ``u_series``: the normalized series a ``ScaledPotential`` stands for;
-* ``differentiate``: the derivative of a ``TaylorSeries``;
+* ``differentiate`` and ``exp_series``: the derivative of a coefficient
+  tuple, and the coefficients of exp(scale x);
 * ``reduced_ansatz_n2``: the N=2 saddle solution on the symmetric slice,
   by bisection;
 * ``reconstruct_coefficients``: lead * prod (b - r) over a root set;
@@ -57,7 +59,7 @@ from xilab.matrix_model import CharPolynomial, ModelPotential
 from xilab.potentials import _default_tolerance
 from xilab.roots import RootSet, _symmetrize
 from xilab.scaling import ModelParams, ScaledPotential
-from xilab.series import TaylorSeries
+from xilab.series import series_mul
 
 
 class BiSeries:
@@ -292,16 +294,16 @@ def horner(coeffs, z):
     return p, dp, scale
 
 
-def series_compose(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
+def series_compose(f: tuple, g: tuple) -> tuple:
     """f(g(x)) around 0, Horner style; needs g(0) = 0."""
-    if g.coeffs[0] != 0:
+    if g[0] != 0:
         raise ValueError(
-            f"inner series must vanish at 0, got constant {mp.nstr(g.coeffs[0], 8)}")
-    k = min(f.order, g.order)
-    gt = g.truncated(k)
-    acc = TaylorSeries.zero(k)
-    for c in reversed(f.coeffs[: k + 1]):
-        acc = acc * gt + c
+            f"inner series must vanish at 0, got constant {mp.nstr(g[0], 8)}")
+    k = min(len(f), len(g)) - 1
+    acc = (mpf(0),) * (k + 1)
+    for c in reversed(f[: k + 1]):
+        prod = series_mul(acc, g)
+        acc = (prod[0] + c,) + prod[1:]
     return acc
 
 
@@ -464,16 +466,21 @@ def v_shifted_prime(V: ModelPotential, u):
     return acc
 
 
-def u_series(sp: ScaledPotential) -> TaylorSeries:
+def u_series(sp: ScaledPotential) -> tuple:
     """a0 + sum_n coefficient(n) x^n through x^{p+1}."""
-    return TaylorSeries([sp.a0, mpf(0)] + [coefficient(sp, n) for n in range(2, sp.p + 2)])
+    return tuple([sp.a0, mpf(0)] + [coefficient(sp, n) for n in range(2, sp.p + 2)])
 
 
-def differentiate(u: TaylorSeries) -> TaylorSeries:
+def differentiate(u: tuple) -> tuple:
     """The derivative series, one order shorter (the zero series at order 0)."""
-    if u.order == 0:
-        return TaylorSeries([mpf(0)])
-    return TaylorSeries([n * c for n, c in enumerate(u.coeffs)][1:])
+    if len(u) == 1:
+        return (mpf(0),)
+    return tuple([n * c for n, c in enumerate(u)][1:])
+
+
+def exp_series(scale, order: int) -> tuple:
+    """exp(scale x) through x^order."""
+    return tuple([mpf(scale) ** n / mp.factorial(n) for n in range(order + 1)])
 
 
 def reduced_ansatz_n2(V: ModelPotential, g: float, *,

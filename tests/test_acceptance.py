@@ -34,7 +34,6 @@ from xilab.pipeline import expand_spec
 from xilab.potentials import PotentialSpec, taylor_u
 from xilab.roots import find_roots
 from xilab.scaling import cosh_couplings, double_scaling, rescale_potential
-from xilab.series import TaylorSeries
 
 # ---------------------------------------------------------------------------
 # published reference tables asserted below (highest degree first for Q)
@@ -98,12 +97,12 @@ def riemann_oracle_series(order, dps=40):
 
     with mp.workdps(dps):
         coeffs = mp.taylor(lambda x: -mp.log(phi(x)), 0, order)
-    return TaylorSeries(coeffs)
+    return tuple(coeffs)
 
 
 def riemann_row_scaled():
     from xilab.pipeline import RIEMANN_ROW_U
-    return rescale_potential(TaylorSeries([mpf(c) for c in RIEMANN_ROW_U]), 7)
+    return rescale_potential(tuple([mpf(c) for c in RIEMANN_ROW_U]), 7)
 
 
 def coeff_table_check(ck, q, printed, tol, label):

@@ -217,7 +217,7 @@ class TestZerosAndPsi:
                              "--out", str(path))
         assert code == 0
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("#") and "precision" not in lines[0]
+        assert lines[0] == "# function=gen_airy"
         assert lines[1] == "z,re_psi,im_psi"
         assert len(lines) == 5
 
@@ -271,7 +271,7 @@ class TestZerosAndPsi:
             peaks[step] = int(done.stdout.split()[-1]) / 1024
         f = ba.QUADRATURE_INTEGRANDS["bessel_k"]()
         zs = np.arange(0.0, 80.0 + 0.0004 / 2, 0.0004)
-        want = "".join([f"# function=bessel_k backend={cli.BACKEND}\nz,re_psi,im_psi\n"]
+        want = "".join(["# function=bessel_k\nz,re_psi,im_psi\n"]
                        + [f"{z:.12g},{v.real:.15e},{v.imag:.15e}\n"
                           for z, v in zip(zs, f.psi_grid(zs))])
         assert len(zs) == 200_001
@@ -289,8 +289,12 @@ class TestZerosAndPsi:
         assert err_text == f"config error: zero count must be >= 1, got {count}\n"
 
     def test_unknown_function_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "zeros", "--function", "nope")
-        assert code == 2
+        """psi and zeros look the name up in one place, and say the same."""
+        want = (f"config error: no quadrature integrand for 'nope'; "
+                f"known: {sorted(ba.QUADRATURE_INTEGRANDS)}\n")
+        for command in ("psi", "zeros"):
+            code, out, err_text = run_cli(capsys, command, "--function", "nope")
+            assert (code, out, err_text) == (2, "", want), command
 
     def test_zeros_without_reference_exits_2_before_quadrature(self, capsys, monkeypatch):
         def no_scan(*args):
@@ -515,4 +519,4 @@ class TestPrecision:
     def test_float64_commands_print_no_precision(self, capsys, argv):
         _, out, _ = run_cli(capsys, "--precision", "30", *argv)
         doc = json.loads(out)
-        assert "precision" not in doc and "backend" in doc
+        assert "precision" not in doc and "backend" not in doc

@@ -311,6 +311,30 @@ class TestOptimize:
         assert (res.restarts, res.stop, res.iterations) == want
         assert len(calls) == 3
 
+    def test_seeds_draw_from_disjoint_streams(self, monkeypatch):
+        """Each seed's momenta, noise and restart starts come from generators
+        that no other seed's draws start from (seed s's noise once drew from
+        seed s+1's momentum stream)."""
+        made = []
+        real = np.random.default_rng
+
+        def recording(seed=None):
+            gen = real(seed)
+            made.append(gen.bit_generator.state["state"]["state"])
+            return gen
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        states = {}
+        for seed in range(4):
+            made.clear()
+            optimize(MasterConfig(N=2, g=0.3, potential=gaussian_potential(), seed=seed,
+                                  sigma=0.5, restarts=3, max_iters=1))
+            states[seed] = set(made)
+        for a in states:
+            for b in states:
+                assert a == b or not states[a] & states[b], (a, b)
+        assert all(len(v) == 3 for v in states.values()), states
+
     def test_gradient_matches_finite_differences(self):
         pot, g = septic_potential()
         cfg = MasterConfig(N=3, g=g, potential=pot, seed=13, sigma=0.25)

@@ -8,7 +8,6 @@ from xilab.matrix_model import build_potential, q_polynomial
 from xilab.pipeline import RIEMANN_ROW_U, ROWS
 from xilab.roots import find_roots
 from xilab.scaling import double_scaling, rescale_potential
-from xilab.series import TaylorSeries
 
 # printed reference coefficient tables, highest degree first
 HERMITE_Q16 = ["1", "0", "-3.75", "0", "5.33203", "0", "-3.66577", "0",
@@ -21,7 +20,7 @@ RIEMANN_Q16 = ["1", "141.088", "8952.1", "338149.", "8.48406e6", "1.49383e8",
 
 
 def riemann_params(N=16):
-    scaled = rescale_potential(TaylorSeries([mpf(c) for c in RIEMANN_ROW_U]), 7)
+    scaled = rescale_potential(tuple([mpf(c) for c in RIEMANN_ROW_U]), 7)
     return double_scaling(7, N, scaled.s)
 
 

@@ -3,9 +3,10 @@ import pytest
 from mpmath import mpf
 
 from conftest import assert_rel
-from oracles import (differentiate, phi_ramanujan, phi_riemann, u_eta_gamma,
+from oracles import (differentiate, horner, phi_ramanujan, phi_riemann, u_eta_gamma,
                      u_eta_gamma_prime)
 from xilab.errors import NonConvergence
+from xilab.pipeline import expand_spec
 from xilab.potentials import (PotentialSpec, _phi_riemann_series,
                               _u_ramanujan_series, taylor_u)
 
@@ -45,7 +46,7 @@ class TestRiemannKernel:
         du = differentiate(u)
         x = mpf("0.1")
         kv = phi_riemann(x)
-        lhs = -du.evaluate(x)
+        lhs = -horner(du, x)[0]
         rhs = kv.phi_prime / kv.phi
         # order-9 polynomial truncation of U' limits the match, not precision
         assert abs(lhs - rhs) < mpf("1e-8")
@@ -75,7 +76,7 @@ class TestRamanujanKernel:
         x = mpf("0.1")
         direct = -mp.log(phi_ramanujan(x).phi)
         # agreement to O(x^10): coefficient there is O(0.1), so ~1e-11
-        assert abs(u8.evaluate(x) - direct) < mpf("1e-9")
+        assert abs(horner(u8, x)[0] - direct) < mpf("1e-9")
 
 
 class TestEtaGamma:
@@ -92,7 +93,7 @@ class TestEtaGamma:
             want = (-1) ** (n + 1) / (2 * mp.factorial(n)) if n >= 1 else mpf(0)
             assert abs(du[n] - want) < mpf(10) ** (-50), f"degree {n}"
         x = mpf("0.2")
-        assert abs(du.evaluate(x) - u_eta_gamma_prime(x)) < mpf("1e-12")
+        assert abs(horner(du, x)[0] - u_eta_gamma_prime(x)) < mpf("1e-12")
 
 
 class TestTaylorU:
@@ -175,7 +176,7 @@ class TestTaylorU:
                     got = series(order, tol)
                 with mp.workdps(90):
                     ref = series(order, tol * mpf(10) ** -20)
-                    err = max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs))
+                    err = max(abs(a - b) for a, b in zip(got, ref))
                 assert err < tol, (series.__name__, order, decades, err)
 
     def test_ramanujan_sum_sets_its_own_length(self):
@@ -186,8 +187,19 @@ class TestTaylorU:
             u = taylor_u(PotentialSpec(kind="ramanujan"), 8)
         with mp.workdps(340):
             ref = taylor_u(PotentialSpec(kind="ramanujan"), 8)
-            scale = max(abs(c) for c in ref.coeffs)
-            assert max(abs(a - b) for a, b in zip(u.coeffs, ref.coeffs)) < mpf("1e-295") * scale
+            scale = max(abs(c) for c in ref)
+            assert max(abs(a - b) for a, b in zip(u, ref)) < mpf("1e-295") * scale
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec(kind="riemann"), PotentialSpec(kind="ramanujan"),
+        PotentialSpec(kind="eta_gamma"), PotentialSpec(kind="cosh"),
+        PotentialSpec(kind="monomial", degree=8),
+        PotentialSpec(kind="explicit", p=7, s=("1", "0", "2"))], ids=lambda s: s.kind)
+    def test_coefficient_tuples(self, spec):
+        """taylor_u and expand_spec give a plain tuple of order + 1 mpf."""
+        for got in (taylor_u(spec, 8), expand_spec(spec, 7)[0]):
+            assert type(got) is tuple and len(got) == 9
+            assert all(type(c) is mpf for c in got)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

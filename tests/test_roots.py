@@ -11,11 +11,10 @@ from xilab.pipeline import RIEMANN_ROW_U, ROWS
 from xilab.errors import NonConvergence
 from xilab.roots import find_roots
 from xilab.scaling import double_scaling, rescale_potential
-from xilab.series import TaylorSeries
 
 
 def riemann_q(N=16):
-    scaled = rescale_potential(TaylorSeries([mpf(c) for c in RIEMANN_ROW_U]), 7)
+    scaled = rescale_potential(tuple([mpf(c) for c in RIEMANN_ROW_U]), 7)
     params = double_scaling(7, N, scaled.s)
     V = build_potential(params)
     return q_polynomial(params, V, N)

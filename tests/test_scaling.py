@@ -8,11 +8,10 @@ from xilab.errors import NonPositiveG, NonPositiveLeadingCoefficient
 from xilab.pipeline import RIEMANN_ROW_U
 from xilab.potentials import PotentialSpec, taylor_u
 from xilab.scaling import (cosh_couplings, double_scaling, rescale_potential)
-from xilab.series import TaylorSeries
 
 
 def riemann_row_series():
-    return TaylorSeries([mpf(c) for c in RIEMANN_ROW_U])
+    return tuple([mpf(c) for c in RIEMANN_ROW_U])
 
 
 class TestRescale:
@@ -47,7 +46,7 @@ class TestRescale:
         # substituting x -> t x multiplies a_n by t^n and leaves couplings fixed
         u = riemann_row_series()
         t = mpf("1.7")
-        scaled_u = TaylorSeries([c * t ** n for n, c in enumerate(u.coeffs)])
+        scaled_u = tuple([c * t ** n for n, c in enumerate(u)])
         a = rescale_potential(u, 7)
         b = rescale_potential(scaled_u, 7)
         for k in range(1, 6):
@@ -55,7 +54,11 @@ class TestRescale:
 
     def test_needs_positive_top(self):
         with pytest.raises(NonPositiveLeadingCoefficient):
-            rescale_potential(TaylorSeries([1] * 8 + [-1]), 7)
+            rescale_potential(tuple([mpf(1)] * 8 + [mpf(-1)]), 7)
+
+    def test_needs_the_top_degree(self):
+        with pytest.raises(ValueError, match="through order 8, have 7"):
+            rescale_potential(tuple([mpf(1)] * 8), 7)
 
     def test_even_kernel_residuals_small(self):
         u = taylor_u(PotentialSpec(kind="ramanujan"), 8)
