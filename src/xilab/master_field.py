@@ -265,6 +265,8 @@ def optimize(cfg: MasterConfig) -> MasterResult:
         raise ValueError(f"restarts must be >= 1, got {cfg.restarts}")
     if cfg.max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")
+    if not (np.isfinite(cfg.sigma) and cfg.sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {cfg.sigma}")
     fixed = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None

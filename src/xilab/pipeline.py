@@ -43,11 +43,17 @@ RIEMANN_ROW_U = ("0.112728", "0", "9.3634", "0", "5.95896", "0",
                  "-2.09194", "0", "3.53296")
 
 
+def _check_degree(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"model degree p must be >= 2, got {p}")
+
+
 def expand_spec(spec: PotentialSpec, p: int):
     """U's Taylor coefficients through x^{p+1} and its normal form for the degree-p model.
 
     The gamma-eta family keeps its degree-p term as the coupling s_{p-1}.
     """
+    _check_degree(p)
     u = taylor_u(spec, p + 1)
     return u, rescale_potential(u, p, couplings_through=p if spec.kind == "eta_gamma" else None)
 
@@ -61,6 +67,7 @@ def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
     for the model with no couplings.
     g: replaces the double-scaling g when given.
     """
+    _check_degree(p)
     if potential is None:
         s = ()
     elif not isinstance(potential, PotentialSpec):  # a published expansion

@@ -72,7 +72,8 @@ class PotentialSpec:
         couplings = []
         for v in self.s:
             v = str(v) if isinstance(v, float) else v
-            mpf(v)  # rejects a coupling that is not a number
+            if not mp.isfinite(mpf(v)):  # mpf rejects a coupling that is not a number
+                raise ValueError(f"coupling {v!r} is not finite")
             couplings.append(v)
         object.__setattr__(self, "s", tuple(couplings))
 

@@ -12,21 +12,24 @@ which gives Q/Q' = -f_N/f_{N-1} in float64 to ~1e-15 relative at N = 16-48
 (float64 Horner on the monomial coefficients: 1e-8 at N = 16, O(1) at 32),
 at O(N k) per evaluation. Exact power-of-two rescaling keeps the f_n inside
 float64's range, so the start holds at N = 200 too (2e-14 on the riemann row).
-The start: the eigenvalues of the recurrence's N x N lower-Hessenberg
-matrix, refined by a vectorised complex128 Aberth on the recurrence. Then
-extended-precision Aberth sweeps, each root stopping once its step is below
-the target or |Q| is at the rounding floor, Newton polish to that floor, and
-conjugate symmetrization. One fused Horner pass (``_eval``) gives Q, Q' and
-sum |q_k| |z|^k; the polish ends on one, whose backward error
-|Q(r)| / sum |q_k| |r|^k accepts the root. Exact zero roots (vanishing
-low-order coefficients) are split off first; the quotient gets its exponent
-from ``CharPolynomial.from_coeffs``.
+
+One Aberth loop (``_aberth``) runs twice, with two evaluators of Q/Q' and the
+backward error |Q(z)| / sum |q_k| |z|^k, and one stop rule. The start: the
+eigenvalues of the recurrence's N x N lower-Hessenberg matrix, refined by the
+loop on the recurrence in float64 (vectorised over the live roots; it gives
+no backward error). Then the loop at working precision on one fused Horner
+pass (``_eval``: Q, Q' and sum |q_k| |z|^k). A root is real when its real
+part alone meets the backward-error target; the other roots are averaged
+with their conjugate partners, and the target judges the roots as reported.
+Exact zero roots (vanishing low-order coefficients) are split off first; the
+quotient gets its exponent from ``CharPolynomial.from_coeffs``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -38,10 +41,7 @@ from .errors import NonConvergence
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
 
-#: a root is real when |Im| < IM_TOLERANCE (1 + |Re|); a decimal string,
-#: converted at the caller's working precision
-IM_TOLERANCE = "1e-8"
-#: sweep cap of the float64 and of the extended-precision Aberth iteration
+#: sweep cap of the Aberth loop, in float64 and at working precision alike
 MAX_SWEEPS = 200
 
 
@@ -51,10 +51,9 @@ class RootSet:
 
     roots: tuple            # mpc, ascending by (re, im)
     residuals: tuple        # backward errors, same order
-    im_tolerance: mpf
     is_real: tuple          # bool per root
     pair_ids: tuple         # conjugate-pair id or -1, per root
-    sweeps: int = 0         # extended-precision Aberth sweeps spent
+    sweeps: int = 0         # extended-precision sweeps in which a root stepped
 
     @property
     def on_critical_line(self) -> bool:
@@ -76,7 +75,6 @@ class RootSet:
 
     def as_dict(self) -> dict:
         return {
-            "im_tolerance": to_decimal(self.im_tolerance),
             "on_critical_line": self.on_critical_line,
             "sweeps": self.sweeps,
             "roots": [{"re": to_decimal(mp.re(r)), "im": to_decimal(mp.im(r)),
@@ -113,7 +111,7 @@ def _eval(raw, z):
 
 
 def find_roots(Q: CharPolynomial) -> RootSet:
-    """All complex roots by Aberth-Ehrlich iteration plus Newton polish.
+    """All complex roots by Aberth-Ehrlich iteration.
 
     When q_0 .. q_{m-1} are exactly zero, b = 0 is a root of multiplicity m:
     those roots are returned as exact zeros and the iteration runs on
@@ -128,26 +126,30 @@ def find_roots(Q: CharPolynomial) -> RootSet:
     m = next(k for k, c in enumerate(coeffs) if c != 0)
     core = Q if m == 0 else CharPolynomial.from_coeffs(coeffs[m:])
     raw = [(c._mpf_, mpf_abs(c._mpf_)) for c in map(mpf, reversed(core.coeffs))]
-    zs, sweeps, errs = _aberth(raw, _float64_start(core), target)
-    worst = max(errs, default=0)
+
+    def evaluate(zs):
+        ws, errs = [], []
+        for z in zs:
+            p, dp, s = _eval(raw, z)
+            ws.append(p / dp if dp != 0 else None)
+            errs.append(abs(p) / s)
+        return ws, errs
+
+    def residual(z):
+        p, _, s = _eval(raw, z)
+        return abs(p) / s
+
+    zs, sweeps = _aberth(_float64_start(core), evaluate, +mp.eps)
+    found = [(mpc(0), mpf(0), True, -1)] * m + list(zip(*_symmetrize(zs, residual, target)))
+    worst = max(err for _, err, _, _ in found)
     if worst > target:
         raise NonConvergence(
             f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
             "raise the working precision for this coefficient spread")
-
-    zs, is_real, pair_ids = _symmetrize([mpc(0)] * m + zs, IM_TOLERANCE)
-    order = sorted(range(n), key=lambda i: (mp.re(zs[i]), mp.im(zs[i])))
-    zs = [zs[i] for i in order]
-    is_real = [is_real[i] for i in order]
-    pair_ids = [pair_ids[i] for i in order]
-    # the reported residuals are those of the symmetrized roots
-    errs = []
-    for z in zs:
-        p, _, s = _eval(raw, z)
-        errs.append(abs(p) / s if z != 0 else mpf(0))
-    return RootSet(roots=tuple(zs), residuals=tuple(errs),
-                   im_tolerance=mpf(IM_TOLERANCE), is_real=tuple(is_real),
-                   pair_ids=tuple(pair_ids), sweeps=sweeps)
+    found.sort(key=lambda r: (mp.re(r[0]), mp.im(r[0])))
+    zs, errs, is_real, pair_ids = zip(*found)
+    return RootSet(roots=zs, residuals=errs, is_real=is_real, pair_ids=pair_ids,
+                   sweeps=sweeps)
 
 
 def _scaled_exponent(exponent):
@@ -159,31 +161,16 @@ def _scaled_exponent(exponent):
     return np.array([float(v / s ** m) for m, v in enumerate(mc, 1)]), s
 
 
-def _float64_start(Q):
-    """Starting points for Q (q_0 != 0): the recurrence's Hessenberg
-    eigenvalues, polished by float64 Aberth on the recurrence, lifted to mpc."""
-    n = Q.N
-    mc, scale = _scaled_exponent(Q.exponent)
+def _recurrence(mc, n):
+    """Q/Q' = -f_N/f_{N-1} of Q(s x) by the recurrence in float64, vectorised
+    over the roots it is given (None where not finite); no backward error."""
     p = len(mc)
-    k = np.arange(n)
-    lag = k[:, None] - k[None, :]
-    band = np.zeros(n)
-    band[:p] = mc
-    H = np.where(lag >= 0, band[np.maximum(lag, 0)], 0.0)
-    H[k[:-1], k[1:]] = -(k[:-1] + 1)
-    zs = np.linalg.eigvals(H).astype(complex)
-    sqrt_eps = np.sqrt(np.finfo(float).eps)
-    # a root stops at a relative step of 1e-14, or when a step below sqrt(eps)
-    # fails to shrink: rounding noise (1e-10 on some random polynomials)
-    live = np.ones(n, bool)
-    last = np.full(n, np.inf)
-    with np.errstate(all="ignore"):
-        for _ in range(MAX_SWEEPS):
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
-                break
-            f = np.zeros((n + 1, idx.size), complex)
-            f[0] = 1
+
+    def evaluate(zs):
+        z = np.array(zs)
+        f = np.zeros((n + 1, z.size), complex)
+        f[0] = 1
+        with np.errstate(all="ignore"):
             for j in range(n):
                 lo = max(j + 1 - p, 0)
                 # f_n falls like 1/n!: where the terms a column reads leave
@@ -193,105 +180,108 @@ def _float64_start(Q):
                 far = np.abs(e) > 500
                 if far.any():
                     f[lo:j + 1, far] *= np.ldexp(1.0, -e[far])
-                f[j + 1] = (mc[j - lo::-1] @ f[lo:j + 1] - zs[idx] * f[j]) / (j + 1)
-            w = -f[n] / f[n - 1]  # Q/Q' by the recurrence
-            diff = zs[idx, None] - zs[None, :]
-            diff[np.arange(idx.size), idx] = np.inf
-            step = w / (1 - w * (1 / diff).sum(axis=1))
-            ok = np.isfinite(step)
-            zs[idx[ok]] -= step[ok]
-            rel = abs(step) / np.maximum(abs(zs[idx]), 1)
-            live[idx] = ok & (rel >= 1e-14) & ((rel < last[idx]) | (rel >= sqrt_eps))
-            last[idx] = rel
-    # equal values (a multiple root; here float64 stops at once) would make the
-    # next Aberth divide by zero: move the k-th repeat off by k sqrt(eps)
-    rep = np.array([np.count_nonzero(zs[:i] == zs[i]) for i in range(n)])
-    zs += rep * sqrt_eps * np.maximum(abs(zs), 1) * np.exp(0.3j)
-    return [mpc(complex(z)) * scale for z in zs]
+                f[j + 1] = (mc[j - lo::-1] @ f[lo:j + 1] - z * f[j]) / (j + 1)
+            w = -f[n] / f[n - 1]
+        return [complex(v) if np.isfinite(v) else None for v in w], [math.inf] * z.size
+
+    return evaluate
 
 
-def _aberth(raw, zs, target):
-    """Roots of a polynomial with q_0 != 0 from the starts ``zs``:
-    (roots, sweeps, backward errors)."""
+def _apart(zs):
+    """Move the k-th repeat of a value off by k sqrt(eps) relative: equal
+    values (a multiple root) would make the Aberth sum divide by zero."""
+    rep = np.array([np.count_nonzero(zs[:i] == zs[i]) for i in range(len(zs))])
+    return zs + rep * np.sqrt(np.finfo(float).eps) * np.maximum(abs(zs), 1) * np.exp(0.3j)
+
+
+def _float64_start(Q):
+    """Starting points for Q (q_0 != 0): the recurrence's Hessenberg
+    eigenvalues, refined by the Aberth loop on the recurrence, lifted to mpc."""
+    n = Q.N
+    mc, scale = _scaled_exponent(Q.exponent)
+    k = np.arange(n)
+    lag = k[:, None] - k[None, :]
+    band = np.zeros(n)
+    band[:len(mc)] = mc
+    H = np.where(lag >= 0, band[np.maximum(lag, 0)], 0.0)
+    H[k[:-1], k[1:]] = -(k[:-1] + 1)
+    zs, _ = _aberth(list(_apart(np.linalg.eigvals(H).astype(complex))),
+                    _recurrence(mc, n), 1e-14)
+    return [mpc(z) * scale for z in _apart(np.array(zs))]
+
+
+def _aberth(zs, evaluate, tol):
+    """Aberth-Ehrlich iteration on the starts ``zs`` (complex or mpc): the
+    roots, and the number of sweeps in which some root stepped.
+
+    ``evaluate`` maps the live roots to their Q/Q' (None where it is not
+    finite) and backward errors (inf where it cannot give one). A root stops
+    when its backward error is within 4 n tol (|Q| at the rounding floor of
+    evaluating it), when its relative step is below tol, or when a step below
+    sqrt(tol) fails to shrink (rounding noise)."""
     n = len(zs)
-    # a root is frozen once its relative step is below the target (the cubic
-    # step and the Newton polish then reach full precision) or once |Q| is
-    # within the rounding error of evaluating it (further steps are noise)
-    floor = 4 * n * mp.eps
-    frozen = [False] * n
+    zs = list(zs)
+    floor, noise = 4 * n * tol, tol ** 0.5
+    last = [math.inf] * n
+    live = list(range(n))
     sweeps = 0
-    while sweeps < MAX_SWEEPS and not all(frozen):
+    for _ in range(MAX_SWEEPS):
+        if not live:
+            break
+        ws, errs = evaluate([zs[i] for i in live])
+        steps = {i: w for i, w, err in zip(live, ws, errs)
+                 if w is not None and err > floor}
+        if not steps:
+            break
         sweeps += 1
-        new = list(zs)
-        newton = {}
-        for i in range(n):
-            if frozen[i]:
-                continue
-            p, dp, s = _eval(raw, zs[i])
-            if abs(p) <= floor * s:
-                frozen[i] = True
-            elif dp == 0:
-                new[i] = zs[i] * (1 + mpf("1e-10")) + mpf("1e-10")
-            else:
-                newton[i] = p / dp
         # sum_{j != i} 1/(z_i - z_j) for the roots taking a step: each
         # reciprocal is computed once and added to both roots of its pair
-        ab = [mpc(0)] * n
+        ab = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
-                if i in newton or j in newton:
+                if i in steps or j in steps:
                     r = 1 / (zs[i] - zs[j])
                     ab[i] += r
                     ab[j] -= r
-        for i, w in newton.items():
+        live = []
+        for i, w in steps.items():
             denom = 1 - w * ab[i]
             step = w / denom if denom != 0 else w
-            new[i] = zs[i] - step
-            frozen[i] = abs(step) < target * max(abs(zs[i]), mpf(1))
-        zs = new
-
-    # Newton polish, at most 6 steps, each root stopping at the same floor;
-    # the last evaluation gives the root's backward error
-    errs = []
-    for i in range(n):
-        for steps in range(7):
-            p, dp, s = _eval(raw, zs[i])
-            if dp == 0 or abs(p) <= floor * s or steps == 6:
-                break
-            zs[i] = zs[i] - p / dp
-        errs.append(abs(p) / s)
-    return zs, sweeps, errs
+            rel = abs(step) / max(abs(zs[i]), 1)
+            zs[i] -= step
+            if rel >= tol and (rel < last[i] or rel >= noise):
+                live.append(i)
+            last[i] = rel
+    return zs, sweeps
 
 
-def _symmetrize(zs, im_tolerance):
-    """Zero near-real imaginary parts; average conjugate partners exactly."""
+def _symmetrize(zs, residual, target):
+    """The roots as reported, their backward errors, realness flags and pair
+    ids. A root is real when its real part meets ``target`` on its own; the
+    others are averaged exactly with their nearest conjugate partners, which
+    are not tested on their own (the conjugate of a non-real root is not real)."""
     n = len(zs)
     out = list(zs)
+    errs = [None] * n
     is_real = [False] * n
     pair_ids = [-1] * n
-    used = [False] * n
-    for i in range(n):
-        if abs(mp.im(out[i])) < mpf(im_tolerance) * (1 + abs(mp.re(out[i]))):
-            out[i] = mpc(mp.re(out[i]), 0)
-            is_real[i] = True
-            used[i] = True
     next_pair = 0
     for i in range(n):
-        if used[i]:
+        if errs[i] is not None:
             continue
-        best, dist = -1, mp.inf
-        for j in range(n):
-            if j != i and not used[j]:
-                d = abs(out[j] - mp.conj(out[i]))
-                if d < dist:
-                    best, dist = j, d
-        if best < 0:
-            used[i] = True  # unpaired; leave as-is (cannot happen for real coeffs)
+        x = mpc(mp.re(zs[i]))
+        err = residual(x)
+        if err <= target:
+            out[i], errs[i], is_real[i] = x, err, True
             continue
-        a = (out[i] + mp.conj(out[best])) / 2
+        rest = [j for j in range(n) if j != i and errs[j] is None]
+        if not rest:  # unpaired (cannot happen for real coefficients)
+            errs[i] = residual(zs[i])
+            continue
+        best = min(rest, key=lambda j: abs(zs[j] - mp.conj(zs[i])))
+        a = (zs[i] + mp.conj(zs[best])) / 2
         out[i], out[best] = a, mp.conj(a)
+        errs[i] = errs[best] = residual(a)
         pair_ids[i] = pair_ids[best] = next_pair
         next_pair += 1
-        used[i] = used[best] = True
-    return out, is_real, pair_ids
-
+    return out, errs, is_real, pair_ids

@@ -38,13 +38,12 @@ Plain mpmath references for code the package evaluates its own way:
   tuple, and the coefficients of exp(scale x);
 * ``reduced_ansatz_n2``: the N=2 saddle solution on the symmetric slice,
   by bisection;
-* ``reconstruct_coefficients``: lead * prod (b - r) over a root set;
-* ``classify``: a root set re-flagged under another imaginary tolerance.
+* ``reconstruct_coefficients``: lead * prod (b - r) over a root set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
@@ -57,7 +56,7 @@ from xilab.baker_akhiezer import BAFunction
 from xilab.errors import NonConvergence
 from xilab.matrix_model import CharPolynomial, ModelPotential
 from xilab.potentials import _default_tolerance
-from xilab.roots import RootSet, _symmetrize
+from xilab.roots import RootSet
 from xilab.scaling import ModelParams, ScaledPotential
 from xilab.series import series_mul
 
@@ -518,14 +517,6 @@ def reduced_ansatz_n2(V: ModelPotential, g: float, *,
         else:
             lo, flo = m, fm
     return 0.5 * (lo + hi)
-
-
-def classify(rs: RootSet, im_tolerance) -> RootSet:
-    """Re-flag an existing root set under a different imaginary tolerance."""
-    tol = mpf(im_tolerance)
-    zs, is_real, pair_ids = _symmetrize(list(rs.roots), tol)
-    return replace(rs, roots=tuple(zs), im_tolerance=tol,
-                   is_real=tuple(is_real), pair_ids=tuple(pair_ids))
 
 
 def reconstruct_coefficients(rs: RootSet, lead) -> list:

@@ -476,6 +476,43 @@ def test_nonpositive_g_flag_exits_2(capsys, argv):
     assert err_text == f"config error: --g must be positive, got {argv[-1]}.0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("master", "--p", "0", "--N", "2"),
+    ("master", "--p", "1", "--N", "2"),
+    ("saddle", "--p", "1", "--N", "2"),
+    ("solve", "--kind", "monomial", "--degree", "8", "--p", "1"),
+    ("solve", "--kind", "eta_gamma", "--p", "1"),
+    ("expand", "--kind", "riemann", "--p", "1")])
+def test_model_degree_below_2_exits_2(capsys, argv):
+    """master ran p = 0 and 1 on an empty potential; solve failed later, on
+    a coefficient (exit 3) or on the coupling range."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    p = argv[argv.index("--p") + 1]
+    assert err_text == f"config error: model degree p must be >= 2, got {p}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--kind", "explicit", "--p", "7", "--s", "1,nan", "--N", "4"),
+    ("solve", "--kind", "explicit", "--p", "7", "--s", "1,inf", "--N", "4"),
+    ("master", "--p", "3", "--s", "nan"),
+    ("master", "--p", "3", "--s", "inf")])
+def test_non_finite_coupling_exits_2(capsys, argv):
+    """A nan coupling read as a computed g = nan (exit 3); inf made g = inf."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    bad = argv[argv.index("--s") + 1].split(",")[-1]
+    assert err_text == f"config error: coupling '{bad}' is not finite\n"
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_master_sigma_must_be_finite_and_nonnegative(capsys, sigma):
+    """--sigma nan exited 0 and printed "cost": NaN, which is not JSON."""
+    code, out, err_text = run_cli(capsys, "master", "--N", "2", f"--sigma={sigma}")
+    assert (code, out) == (2, "")
+    assert err_text == f"config error: sigma must be finite and >= 0, got {float(sigma)}\n"
+
+
 HERMITE_JSON = ("solve", "--row", "airy", "--N", "4", "--json")
 
 

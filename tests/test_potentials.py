@@ -210,3 +210,8 @@ class TestSpecConfig:
     def test_monomial_degree_validated(self):
         with pytest.raises(ValueError):
             PotentialSpec(kind="monomial", degree=7)
+
+    @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf", float("nan"), float("inf")])
+    def test_non_finite_coupling_rejected(self, coupling):
+        with pytest.raises(ValueError, match="not finite"):
+            PotentialSpec(kind="explicit", p=5, s=("1", coupling))

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mpc, mpf
 
 from conftest import assert_rel
-from oracles import classify, hermite_q, horner, reconstruct_coefficients
+from oracles import hermite_q, horner, reconstruct_coefficients
 from xilab import matrix_model, roots
 from xilab.matrix_model import CharPolynomial, build_potential, q_polynomial
 from xilab.pipeline import RIEMANN_ROW_U, ROWS
@@ -124,9 +124,10 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("N", [16, 32])
     def test_stopping_rules_bound_the_evaluations(self, monkeypatch, N):
-        """Each root's Q, Q' and scale are evaluated once per sweep it is live
-        in, once in the polish when the sweeps leave it at the rounding floor,
-        and once for its reported residual: n (sweeps + 2) in all."""
+        """Each root's Q, Q' and scale are evaluated once per sweep it steps
+        in, once more when it is found at the rounding floor, and once at its
+        real part, which gives a real root's reported residual; a conjugate
+        pair shares one more for the averaged pair: n (sweeps + 2) in all."""
         calls = [0]
         fused = roots._eval
 
@@ -200,9 +201,9 @@ class TestFindRoots:
                 assert abs(z - r) <= limit
 
     def test_backward_error_gate(self, monkeypatch):
-        """One sweep leaves the riemann row at N=48 at a worst backward error
-        near 1e-35, above the 1e-50 target: the gate raises. The
-        MAX_SWEEPS budget meets it."""
+        """A one-sweep cap, which the float64 start shares, leaves the riemann
+        row at N=48 at a worst backward error near 1e-4, above the 1e-50
+        target: the gate raises. The MAX_SWEEPS budget meets it."""
         with mp.workdps(100):
             q = riemann_q(48)
             with monkeypatch.context() as m:
@@ -274,16 +275,16 @@ class TestClassify:
         assert rs1.is_real == rs2.is_real
         assert rs1.n_complex_pairs == rs2.n_complex_pairs
 
-    def test_retolerance(self):
-        rs = find_roots(riemann_q())
-        loose = classify(rs, mpf("10"))  # absurd tolerance flags everything real
-        assert loose.on_critical_line
-
-    def test_relative_tolerance_form(self):
-        # root at 100 + 5e-7 i is "real" at 1e-8 relative tolerance (scale 101)
+    def test_near_axis_pair_is_reported(self):
+        """b^2 - 200 b + 10000 + 2.5e-13 has roots 100 +- 5e-7 i. At the real
+        part Q is 2.5e-13, a backward error of 6.25e-18, far above the 1e-30
+        target: a pair, whose reported roots meet the target."""
         q = CharPolynomial.from_coeffs((mpf(100) ** 2 + mpf("25e-14"), mpf(-200), mpf(1)))
         rs = find_roots(q)
-        assert all(rs.is_real)
+        assert rs.is_real == (False, False) and rs.pair_ids == (0, 0)
+        assert rs.n_complex_pairs == 1
+        assert abs(mp.im(rs.complex_pairs()[0]) - mpf("5e-7")) < mpf("1e-40")
+        assert max(rs.residuals) <= mpf("1e-30")
 
 
 class TestReconstruction:
