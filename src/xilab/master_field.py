@@ -6,19 +6,29 @@ diagonal master momenta p are packed into residuals
     E = i(p_k - p_l) a_kl + V'(a + I)_kl / g - b_kl / g - eta1_kl
     F = i(p_k - p_l) b_kl - a_kl / g - eta2_kl
 
-and the cost C = sum |E|^2 + |F|^2 is minimized over Hermitian (a, b) by
-damped Gauss-Newton with backtracking and seeded multi-restart. A best cost
-above 1e-10 (1 + C_0), C_0 the cost at the start of the restart that found
-it, flags an obstruction: no Hermitian master pair reproduces the model
-within tolerance.
+and the cost C = sum |E|^2 + |F|^2 is minimized over Hermitian (a, b).
+b enters E and F linearly and entry by entry, so for a given a the best b
+has a closed form, and min_b C(a, b) = sum |rho|^2 with
 
-A restart stops when C <= eps^2 * sum |t|^2, the sum running over the
-entries of every term t of E and F: below that floor float64 rounding, not
-the fit, sets the cost (Madsen, Nielsen & Tingleff, Methods for Non-Linear
-Least Squares Problems, 2004, sec. 3.2). A restart that ends at the floor
-ends the search. Otherwise a restart stops when the gradient vanishes, when
-no damping gives a descent step, or after max_iters iterations, and the
-next restart runs. ``MasterResult.stop`` and ``restarts`` report which.
+    rho = (d X - Y/g) / sigma,   X = d a + V'(a + I)/g - eta1,  Y = a/g + eta2,
+
+d = i(p_k - p_l) and sigma^2 = |d|^2 + 1/g^2, entrywise (variable
+projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973). Damped
+Gauss-Newton with backtracking and seeded multi-restart minimizes that
+reduced cost over a alone: N^2 real unknowns (2N^2 for general matrices)
+against 2N^2 (4N^2) for the pair. A best cost above 1e-10 (1 + C_0), C_0
+the reduced cost at the start of the restart that found it, flags an
+obstruction: no Hermitian master pair reproduces the model within
+tolerance.
+
+A restart stops when the reduced cost is at most eps^2 * sum |t|^2, the
+sum running over the entries of every term t of rho: below that floor
+float64 rounding, not the fit, sets the cost (Madsen, Nielsen & Tingleff,
+Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2). A restart
+that ends at the floor ends the search. Otherwise a restart stops when the
+gradient vanishes, when no damping gives a descent step, or after
+max_iters iterations, and the next restart runs. ``MasterResult.stop`` and
+``restarts`` report which.
 
 The saddle system couples eigenvalue vectors through unit-strength Coulomb
 repulsion:
@@ -106,37 +116,59 @@ class MasterResult:
     restarts: int   # restarts run
 
 
-# --- Hermitian (or general) packing ----------------------------------------
+# --- Hermitian (or general) basis and packing ----------------------------
 
 
 @lru_cache(maxsize=8)
-def _packing(N: int, hermitian: bool) -> np.ndarray:
-    """The complex N^2 x n map P with vec(a) = P @ theta_a (row-major vec).
+def _basis(N: int, hermitian: bool) -> tuple:
+    """The complex N^2 x n map P with vec(a) = P @ theta (row-major vec), as
+    its two nonzeros per column, and the weights that pack a residual.
 
-    Hermitian: theta_a holds the N diagonal entries, then (re, im) of each
-    a_ij with i < j in row order. General: the N^2 real parts, then the N^2
-    imaginary parts. The columns of P are the basis directions.
+    Hermitian: theta holds the N diagonal entries, then (re, im) of each
+    a_ij with i < j in row order. Column k of P holds c1[k] at row i1[k],
+    the diagonal or upper entry, and c2[k] at row i2[k], the mirrored lower
+    entry (c2 = 0 on the diagonal). General: the N^2 real parts, then the
+    N^2 imaginary parts, one nonzero a column (c2 = 0).
+
+    A residual matrix rho packs to w * Re(conj(c1) rho[i1]): a Hermitian
+    rho by its upper triangle, weight 1 on the diagonal and sqrt(2) off it,
+    so that the packed sum of squares is sum |rho_kl|^2 in both layouts.
+    Returns (i1, c1, i2, c2, w).
     """
     if hermitian:
-        P = np.zeros((N * N, N * N), dtype=np.complex128)
-        P[np.arange(N) * (N + 1), np.arange(N)] = 1.0
         i, j = np.triu_indices(N, 1)
-        re = N + 2 * np.arange(len(i))
-        P[i * N + j, re] = P[j * N + i, re] = 1.0
-        P[i * N + j, re + 1], P[j * N + i, re + 1] = 1j, -1j
+        diag = np.arange(N) * (N + 1)
+        i1 = np.concatenate([diag, np.repeat(i * N + j, 2)])
+        i2 = np.concatenate([diag, np.repeat(j * N + i, 2)])
+        c1 = np.concatenate([np.ones(N), np.tile([1, 1j], len(i))])
+        c2 = np.concatenate([np.zeros(N), np.tile([1, -1j], len(i))])
+        w = np.concatenate([np.ones(N), np.full(2 * len(i), np.sqrt(2.0))])
     else:
-        P = np.hstack([np.eye(N * N), 1j * np.eye(N * N)])
-    P.flags.writeable = False
-    return P
+        i1 = i2 = np.tile(np.arange(N * N), 2)
+        c1 = np.repeat([1, 1j], N * N)
+        c2, w = np.zeros(2 * N * N, dtype=np.complex128), np.ones(2 * N * N)
+    out = (i1, c1, i2, c2, w)
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def n_params(N: int, hermitian: bool) -> int:
-    return 2 * _packing(N, hermitian).shape[1]
+    return len(_basis(N, hermitian)[0])
 
 
-def unpack_state(theta: np.ndarray, N: int, hermitian: bool = True) -> MasterState:
-    a, b = (theta.reshape(2, -1) @ _packing(N, hermitian).T).reshape(2, N, N)
-    return MasterState(a=a, b=b)
+def unpack(theta: np.ndarray, N: int, hermitian: bool = True) -> np.ndarray:
+    """The matrix a = P @ theta."""
+    i1, c1, i2, c2, _ = _basis(N, hermitian)
+    a = np.zeros(N * N, dtype=np.complex128)
+    np.add.at(a, i1, c1 * theta)
+    np.add.at(a, i2, c2 * theta)
+    return a.reshape(N, N)
+
+
+def _pack(rho: np.ndarray, hermitian: bool) -> np.ndarray:
+    i1, c1, _, _, w = _basis(rho.shape[0], hermitian)
+    return w * (c1.conj() * rho.ravel()[i1]).real
 
 
 def _fixed_inputs(cfg: MasterConfig) -> tuple:
@@ -154,13 +186,14 @@ def _matrix_poly(a, vp_coeffs):
     return acc
 
 
-def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
+def quenched_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
     """Residual matrices (E, F) of the quenched equations, and their floor.
 
     p_mom is float64, the matrices and V' coefficients complex128. The floor
     is eps^2 * sum |t|^2 over the entries of every term t of E and F (d*a,
     Vp(a)/g, b/g, eta1, d*b, a/g, eta2), d = i(p_k - p_l): the order of the
-    cost that float64 rounding of those terms alone leaves in E and F.
+    cost that float64 rounding of those terms alone leaves in E and F. The
+    solve does not evaluate them; they judge a reported state (a, b).
     """
     d = 1j * (p_mom[:, None] - p_mom[None, :])
     da, db = d * a, d * b
@@ -171,45 +204,76 @@ def master_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
     return E, F, float(floor)
 
 
+def master_residuals(p_mom, a, vp_coeffs, g, eta1, eta2):
+    """The residual kernel of the solve: the reduced residual rho of a, the
+    best b for it, and rho's floor.
+
+    With X = d*a + V'(a + I)/g - eta1 and Y = a/g + eta2 (entrywise
+    products, d = i(p_k - p_l)), E = X - b/g and F = d*b - Y. Entry by
+    entry |E|^2 + |F|^2 is least at b = (X/g + conj(d) Y) / sigma^2,
+    sigma^2 = |d|^2 + 1/g^2, where it equals |rho|^2 with
+    rho = (d X - Y/g) / sigma; rho and b are Hermitian when a is. The floor
+    is eps^2 * sum |t|^2 over the entries of rho's terms t (d^2 a, a/g^2,
+    d V'(a + I)/g, d eta1, eta2/g, each over sigma).
+    """
+    delta = p_mom[:, None] - p_mom[None, :]
+    d, sigma = 1j * delta, np.sqrt(delta ** 2 + g ** -2.0)
+    vpg = _matrix_poly(a, vp_coeffs) / g
+    X, Y = d * a + vpg - eta1, a / g + eta2
+    rho = (d * X - Y / g) / sigma
+    b = (X / g + d.conj() * Y) / sigma ** 2
+    terms = (d * d * a, a / g ** 2, d * vpg, d * eta1, eta2 / g)
+    floor = _EPS2 * np.sum(sum(np.abs(t) ** 2 for t in terms) / sigma ** 2)
+    return rho, b, float(floor)
+
+
 def master_cost(E, F) -> float:
     """C = sum |E_kl|^2 + |F_kl|^2."""
     return float(np.sum(np.abs(E) ** 2) + np.sum(np.abs(F) ** 2))
 
 
-def _residual_vector(E, F) -> np.ndarray:
-    return np.concatenate([E.real.ravel(), E.imag.ravel(),
-                           F.real.ravel(), F.imag.ravel()])
-
-
 def _cost_from_theta(cfg, theta, fixed):
+    """(cost, packed residual, floor) of the reduced problem at a = P theta."""
     p_mom, eta1, eta2, vp = fixed
-    st = unpack_state(theta, cfg.N, cfg.hermitian)
-    E, F, floor = master_residuals(p_mom, st.a, st.b, vp, cfg.g, eta1, eta2)
-    return master_cost(E, F), E, F, floor
+    rho, _, floor = master_residuals(p_mom, unpack(theta, cfg.N, cfg.hermitian), vp,
+                                     cfg.g, eta1, eta2)
+    r = _pack(rho, cfg.hermitian)
+    return float(r @ r), r, floor
 
 
 def _jacobian(cfg, theta, fixed):
-    """d(residual vector)/d(theta) as one linear map.
+    """d(packed rho)/d(theta).
 
-    For row-major vec, vec(X h Y) = kron(X, Y^T) vec(h), so V'(a) has the
-    derivative L = sum_m c_m sum_{j<m} kron(a^j, (a^{m-1-j})^T). With
-    D = diag(vec(i(p_k - p_l))), vec E has blocks (D P + L P / g, -P / g)
-    and vec F has (-P / g, D P) in (theta_a, theta_b).
+    Entrywise d^2 - 1/g^2 = -sigma^2, so d rho = -sigma h + d L(h) / (g sigma)
+    for a step h in a, L the derivative of V'(a + I). For row-major vec,
+    vec(X h Y) = kron(X, Y^T) vec(h), so L = sum_j kron(a^j, M_j^T) with
+    M_j = sum_m c_{j+m+1} a^m: row (k, l) of L is sum_j outer(a^j[k], M_j[:, l]).
+    Only the rows i1 that the packing reads are formed, one batched product,
+    and L P gathers two of their columns; the -sigma h term packs to a diagonal.
     """
     p_mom, _, _, vp = fixed
-    N, g = cfg.N, cfg.g
-    P = _packing(N, cfg.hermitian)
-    a = unpack_state(theta, N, cfg.hermitian).a
+    N, g, deg = cfg.N, cfg.g, len(vp) - 1
+    i1, c1, i2, c2, w = _basis(N, cfg.hermitian)
+    a = unpack(theta, N, cfg.hermitian)
     powers = [np.eye(N, dtype=np.complex128)]
-    for _ in range(len(vp) - 2):
+    for _ in range(deg - 1):
         powers.append(powers[-1] @ a)
-    L = sum((vp[m] * np.kron(powers[j], powers[m - 1 - j].T)
-             for m in range(1, len(vp)) for j in range(m)),
-            np.zeros((N * N, N * N), dtype=np.complex128))
-    DP = (1j * (p_mom[:, None] - p_mom[None, :])).reshape(-1, 1) * P
-    JE = np.hstack([DP + L @ P / g, -P / g])
-    JF = np.hstack([-P / g, DP])
-    return np.vstack([JE.real, JE.imag, JF.real, JF.imag])
+    M = [sum(vp[j + m + 1] * powers[m] for m in range(deg - j)) for j in range(deg)]
+    k, l = np.divmod(i1, N)
+    delta = p_mom[k] - p_mom[l]
+    sigma = np.sqrt(delta ** 2 + g ** -2.0)
+    scale = w * c1.conj() * 1j * delta / (g * sigma)  # the packing and d/(g sigma), per row
+    U = np.stack([scale[:, None] * x[k] for x in powers], axis=-1)  # (n, N, deg)
+    V = np.stack([x.T[l] for x in M], axis=1)                       # (n, deg, N)
+    L = (U @ V).reshape(len(i1), N * N)
+    # in place: each fresh n x n temporary costs its page faults
+    LP, mirror = L[:, i1], L[:, i2]
+    LP *= c1
+    mirror *= c2
+    LP += mirror
+    J = np.ascontiguousarray(LP.real)
+    J.ravel()[::len(i1) + 1] -= w * sigma  # the diagonal of the contiguous J
+    return J
 
 
 def _descend(cfg, theta, fixed):
@@ -219,8 +283,7 @@ def _descend(cfg, theta, fixed):
     before each Jacobian is built; the other stops are a vanishing gradient,
     no damping giving a descent step ("stalled") and max_iters.
     """
-    npar = len(theta)
-    c, E, F, floor = _cost_from_theta(cfg, theta, fixed)
+    c, r, floor = _cost_from_theta(cfg, theta, fixed)
     trace = [c]
     lam = 1e-8
     for iters in range(1, cfg.max_iters + 1):
@@ -228,21 +291,23 @@ def _descend(cfg, theta, fixed):
             stop = "floor"
             break
         J = _jacobian(cfg, theta, fixed)
-        Jr = J.T @ _residual_vector(E, F)  # half the cost gradient
+        Jr = J.T @ r  # half the cost gradient
         if np.linalg.norm(2.0 * Jr) < 1e-14:
             stop = "gradient"
             break
         A = J.T @ J
+        diag = A.diagonal().copy()
         for _ in range(16):
+            np.fill_diagonal(A, diag + lam)
             try:
-                step = np.linalg.solve(A + lam * np.eye(npar), -Jr)
+                step = np.linalg.solve(A, -Jr)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
             cand = theta + step
-            c2, E2, F2, floor2 = _cost_from_theta(cfg, cand, fixed)
+            c2, r2, floor2 = _cost_from_theta(cfg, cand, fixed)
             if c2 < c:
-                theta, c, E, F, floor = cand, c2, E2, F2, floor2
+                theta, c, r, floor = cand, c2, r2, floor2
                 trace.append(c)
                 lam = max(lam / 3, 1e-14)
                 break
@@ -256,10 +321,12 @@ def _descend(cfg, theta, fixed):
 
 
 def optimize(cfg: MasterConfig) -> MasterResult:
-    """Multi-restart damped Gauss-Newton minimization of the cost.
+    """Multi-restart damped Gauss-Newton minimization of the reduced cost.
 
-    The restarts end early only when one of them ends at the rounding floor;
-    a stalled or obstructed solve searches every restart.
+    The search runs over a alone, b = b*(a) in closed form (variable
+    projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973). The
+    restarts end early only when one of them ends at the rounding floor; a
+    stalled or obstructed solve searches every restart.
     """
     if cfg.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {cfg.restarts}")
@@ -280,7 +347,10 @@ def optimize(cfg: MasterConfig) -> MasterResult:
             break
 
     c, theta, iters, trace, stop = best
-    return MasterResult(cost=c, state=unpack_state(theta, cfg.N, cfg.hermitian),
+    p_mom, eta1, eta2, vp = fixed
+    a = unpack(theta, cfg.N, cfg.hermitian)
+    b = master_residuals(p_mom, a, vp, cfg.g, eta1, eta2)[1]
+    return MasterResult(cost=c, state=MasterState(a=a, b=b),
                         iterations=iters, obstruction=bool(c > 1e-10 * (1.0 + trace[0])),
                         trace=trace, stop=stop, restarts=restart + 1)
 
@@ -315,24 +385,27 @@ def _inverse_differences(v: np.ndarray) -> np.ndarray:
     return 1.0 / (v[..., :, None] - v[..., None, :] + np.diag(np.full(v.shape[-1], np.inf)))
 
 
-def coulomb_force(v: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1/(v_i - v_j); equals d/dv_i log |Vandermonde(v)|."""
-    return _inverse_differences(v).sum(axis=-1)
-
-
 def _saddle_residual(vp, g, a, b):
-    """Stacked residual [a-equations, b-equations]; vp holds V'(1+u)'s coefficients."""
-    return np.concatenate([-polyval(a, vp) / g + b / g + coulomb_force(a),
-                           a / g + coulomb_force(b)], axis=-1)
+    """Stacked residual [a-equations, b-equations]; vp holds V'(1+u)'s coefficients.
+
+    Returns the residual and the inverse differences of a and b it sums,
+    which the Jacobian reuses."""
+    ra, rb = _inverse_differences(a), _inverse_differences(b)
+    return np.concatenate([-polyval(a, vp) / g + b / g + ra.sum(axis=-1),
+                           a / g + rb.sum(axis=-1)], axis=-1), ra, rb
 
 
-def _saddle_jacobian(vpp, g, a, b):
-    """d(saddle residual)/d(a, b) over a batch; vpp holds V''(1+u)'s coefficients."""
-    ra, rb = _inverse_differences(a) ** 2, _inverse_differences(b) ** 2
-    eye = np.eye(a.shape[-1])
-    coupling = np.broadcast_to(eye / g, ra.shape)
-    return np.block([[ra - eye * (ra.sum(axis=-1) + polyval(a, vpp) / g)[..., None], coupling],
-                     [coupling, rb - eye * rb.sum(axis=-1)[..., None]]])
+def _saddle_jacobian(vpp, g, a, ra, rb):
+    """d(saddle residual)/d(a, b) over a batch; vpp holds V''(1+u)'s
+    coefficients, ra and rb the inverse differences of a and b."""
+    n = a.shape[-1]
+    J = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=np.result_type(a, ra, rb))
+    ra2, rb2, i = ra ** 2, rb ** 2, np.arange(n)
+    J[..., :n, :n], J[..., n:, n:] = ra2, rb2
+    J[..., i, i] -= ra2.sum(axis=-1) + polyval(a, vpp) / g
+    J[..., n + i, n + i] -= rb2.sum(axis=-1)
+    J[..., i, n + i] = J[..., n + i, i] = 1.0 / g
+    return J
 
 
 def _distinct_rows(x: np.ndarray) -> np.ndarray:
@@ -371,7 +444,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
             size = 1.0 + np.max(np.abs(x.real), axis=1)
             near_real = live & (np.max(np.abs(x.imag), axis=1) <= _REAL_TOL * size)
             x[near_real] = x[near_real].real
-            f = _saddle_residual(vp, g, x[:, :N], x[:, N:])
+            f, ra, rb = _saddle_residual(vp, g, x[:, :N], x[:, N:])
             norm = np.linalg.norm(f, axis=1)
             halved = norm < 0.5 * last
             last[halved], halved_at[halved] = norm[halved], sweeps
@@ -380,7 +453,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
             live &= np.isfinite(norm) & (sweeps - halved_at < stall)
             if sweeps >= max_iters or not live.any():
                 break
-            J, f = _saddle_jacobian(vpp, g, x[live, :N], x[live, N:]), f[live, :, None]
+            J, f = _saddle_jacobian(vpp, g, x[live, :N], ra[live], rb[live]), f[live, :, None]
             try:
                 step = np.linalg.solve(J, -f)[..., 0]
             except np.linalg.LinAlgError:  # an exactly singular J: a NaN step ends its start
@@ -393,7 +466,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
         order = np.argsort(x[:, :N].real + x[:, :N].imag, axis=1)[:, None]
         x = np.take_along_axis(x.reshape(-1, 2, N), order, axis=2).reshape(-1, 2 * N)
         real, xr = np.all(x.imag == 0, axis=1), x.real
-        rr = np.linalg.norm(_saddle_residual(vp, g, xr[:, :N], xr[:, N:]), axis=1)
+        rr = np.linalg.norm(_saddle_residual(vp, g, xr[:, :N], xr[:, N:])[0], axis=1)
         found = np.flatnonzero((rr < _SOLVED_TOL) & real)
         found = found[np.lexsort(xr[found].T[::-1])]
         sols = tuple((xr[i, :N], xr[i, N:], float(rr[i])) for i in found[_distinct_rows(xr[found])])

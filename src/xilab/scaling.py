@@ -64,10 +64,19 @@ def rescale_potential(u: tuple, p: int, *,
     couplings_through: highest x-degree mapped to a coupling (default p-1;
     the gamma-eta pipeline passes p to keep the degree-p term as s_{p-1}).
     Degrees outside the normal form are reported in ``residuals``.
+
+    A degree-(p+1) coefficient within 10^-(dps/2) of the larger of its two
+    lower neighbours vanishes (a ValueError): an even kernel's odd
+    coefficients are exactly 0, and the riemann kernel's come out of the
+    expansion near 1e4 eps times their neighbours, rounding dust whose sign
+    is chance.
     """
     if len(u) < p + 2:
         raise ValueError(f"need the expansion through order {p + 1}, have {len(u) - 1}")
     top = u[p + 1]
+    if abs(top) <= mpf(10) ** (-(mp.mp.dps // 2)) * max(abs(u[p]), abs(u[p - 1])):
+        raise ValueError(f"the expansion's x^{p + 1} coefficient vanishes ({mp.nstr(top, 3)}), "
+                         f"so it has no degree-{p} model: choose another --p")
     if not top > 0:
         raise NonPositiveLeadingCoefficient(
             f"coefficient at degree {p + 1} must be positive, got {mp.nstr(top, 8)}")

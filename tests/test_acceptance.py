@@ -26,8 +26,7 @@ from oracles import (coefficient, coupling, hermite_q, horner, jacobi_matrix,
                      q_sequence, reconstruct_coefficients, reduced_ansatz_n2)
 from xilab.baker_akhiezer import quadrature_zeros, reference_table
 from xilab.master_field import (MasterConfig, _cost_from_theta, _fixed_inputs,
-                                _jacobian, _residual_vector, n_params, optimize,
-                                saddle_solve)
+                                _jacobian, n_params, optimize, saddle_solve)
 from xilab.matrix_model import (CharPolynomial, ModelPotential, build_potential,
                                 q_polynomial)
 from xilab.pipeline import expand_spec
@@ -324,10 +323,10 @@ def test_criterion_10_master_field():
     cfg = MasterConfig(N=3, g=0.2, potential=pot7, seed=13, sigma=0.25)
     rng = np.random.default_rng(77)
     theta = 0.4 * rng.standard_normal(n_params(3, True))
-    # C = |r|^2, so its gradient is 2 J^T r
+    # the reduced cost is |r|^2, so its gradient is 2 J^T r
     fixed = _fixed_inputs(cfg)
-    _, E, F, _ = _cost_from_theta(cfg, theta, fixed)
-    grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ _residual_vector(E, F))
+    _, r, _ = _cost_from_theta(cfg, theta, fixed)
+    grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ r)
     h = 1e-6
     worst = 0.0
     for idx in range(len(theta)):

@@ -493,6 +493,32 @@ def test_model_degree_below_2_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("solve", "--kind", "riemann", "--p", "4", "--N", "4"),
+    ("expand", "--kind", "riemann", "--p", "4"),
+    ("expand", "--kind", "riemann", "--p", "2"),
+    ("solve", "--kind", "ramanujan", "--p", "2", "--N", "4")])
+def test_vanishing_leading_coefficient_exits_2(capsys, argv):
+    """An even kernel at even p has no x^(p+1) term, only rounding dust:
+    riemann at p=4 ran on it (g = 1.07e23, lambda = 4.4e-12); riemann at
+    p=2 failed on an internal coupling range, and ramanujan at p=2, whose
+    dust is negative, exited 3."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    p = int(argv[argv.index("--p") + 1])
+    assert err_text.startswith(f"config error: the expansion's x^{p + 1} coefficient vanishes")
+    assert "--p" in err_text
+
+
+def test_master_bessel_k_stops_at_floor(capsys):
+    """At sigma = 0 the start a = 0 solves bessel_k's fit (rho is exactly 0),
+    and the floor check ends the search before any Jacobian."""
+    code, out, _ = run_cli(capsys, "master", "--row", "bessel_k", "--N", "6", "--sigma", "0",
+                           "--seeds", "0", "--json")
+    r = json.loads(out)["results"][0]
+    assert (code, r["stop"], r["restarts"], r["obstruction"]) == (0, "floor", 1, False)
+
+
+@pytest.mark.parametrize("argv", [
     ("solve", "--kind", "explicit", "--p", "7", "--s", "1,nan", "--N", "4"),
     ("solve", "--kind", "explicit", "--p", "7", "--s", "1,inf", "--N", "4"),
     ("master", "--p", "3", "--s", "nan"),

@@ -5,10 +5,10 @@ import pytest
 from oracles import reduced_ansatz_n2, v_shifted_prime
 from xilab import master_field as mf
 from xilab.master_field import (MasterConfig, MasterState, _cost_from_theta,
-                                _fixed_inputs, _jacobian, _residual_vector,
-                                _saddle_jacobian, _saddle_residual, coulomb_force,
-                                master_cost, master_residuals, n_params, optimize,
-                                saddle_solve, unpack_state)
+                                _fixed_inputs, _inverse_differences, _jacobian, _pack,
+                                _saddle_jacobian, _saddle_residual, master_cost,
+                                master_residuals, n_params, optimize,
+                                quenched_residuals, saddle_solve, unpack)
 from xilab.matrix_model import ModelPotential, build_potential
 from xilab.scaling import double_scaling
 
@@ -26,7 +26,7 @@ def septic_potential(s=("1", "0", "3", "0", "3")):
 def residuals(cfg, state):
     """(E, F) of a state, from the inputs the solve holds fixed."""
     p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
-    return master_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)[:2]
+    return quenched_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)[:2]
 
 
 def brute_force_residuals(cfg, state):
@@ -70,10 +70,14 @@ def unpack_loop(v, N, hermitian):
 
 
 def residual_vector(cfg, theta):
-    """[Re E, Im E, Re F, Im F], each flattened row by row."""
-    E, F = residuals(cfg, unpack_state(theta, cfg.N, cfg.hermitian))
-    return np.concatenate([E.real.ravel(), E.imag.ravel(),
-                           F.real.ravel(), F.imag.ravel()])
+    """The packed reduced residual at a = P theta."""
+    return _cost_from_theta(cfg, theta, _fixed_inputs(cfg))[1]
+
+
+def random_a(N, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return (a + a.conj().T) / 2 if hermitian else a
 
 
 def elementwise_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
@@ -105,7 +109,13 @@ def v_prime_coeffs(pot):
 
 def saddle_residual(pot, g, a, b):
     """The stacked saddle residual of a ModelPotential's equations."""
-    return _saddle_residual(v_prime_coeffs(pot), g, a, b)
+    return _saddle_residual(v_prime_coeffs(pot), g, a, b)[0]
+
+
+def saddle_jacobian(pot, g, a, b):
+    """The saddle Jacobian, from the inverse differences the residual builds."""
+    vpp = np.polynomial.polynomial.polyder(v_prime_coeffs(pot))
+    return _saddle_jacobian(vpp, g, a, *_saddle_residual(v_prime_coeffs(pot), g, a, b)[1:])
 
 
 def saddle_residual_loop(pot, g, a, b):
@@ -130,12 +140,10 @@ class TestPacking:
     @pytest.mark.parametrize("N", [1, 2, 4])
     def test_unpack_matches_entrywise_loop(self, N, hermitian):
         theta = np.random.default_rng(N).standard_normal(n_params(N, hermitian))
-        half = len(theta) // 2
-        st = unpack_state(theta, N, hermitian)
-        assert np.array_equal(st.a, unpack_loop(theta[:half], N, hermitian))
-        assert np.array_equal(st.b, unpack_loop(theta[half:], N, hermitian))
+        a = unpack(theta, N, hermitian)
+        assert np.array_equal(a, unpack_loop(theta, N, hermitian))
         if hermitian:
-            assert np.array_equal(st.a, st.a.conj().T)
+            assert np.array_equal(a, a.conj().T)
 
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_jacobian_matches_finite_differences(self, hermitian):
@@ -144,7 +152,7 @@ class TestPacking:
                            hermitian=hermitian)
         theta = 0.4 * np.random.default_rng(21).standard_normal(n_params(3, hermitian))
         J = _jacobian(cfg, theta, _fixed_inputs(cfg))
-        assert J.shape == (4 * 9, len(theta))
+        assert J.shape == (len(theta), len(theta)) == (9 * (2 - hermitian),) * 2
         h = 1e-6
         for k in range(len(theta)):
             e = np.zeros_like(theta)
@@ -152,6 +160,42 @@ class TestPacking:
             fd = (residual_vector(cfg, theta + e) - residual_vector(cfg, theta - e)) / (2 * h)
             scale = max(np.max(np.abs(fd)), 1.0)
             assert np.max(np.abs(J[:, k] - fd)) < 1e-7 * scale, f"column {k}"
+
+
+class TestReduction:
+    """b enters E and F linearly, entry by entry, so the solve eliminates it."""
+
+    @staticmethod
+    def at_best_b(N, hermitian):
+        """(cfg, the reduced cost, a, b*(a), E, F) at a random a, E and F by
+        the double loop."""
+        pot, g = septic_potential()
+        cfg = MasterConfig(N=N, g=g, potential=pot, seed=N, sigma=0.3, hermitian=hermitian)
+        p_mom, eta1, eta2, vp = fixed = _fixed_inputs(cfg)
+        theta = 0.4 * np.random.default_rng(N).standard_normal(n_params(N, hermitian))
+        cost = _cost_from_theta(cfg, theta, fixed)[0]
+        a = unpack(theta, N, hermitian)
+        b = master_residuals(p_mom, a, vp, g, eta1, eta2)[1]
+        return cfg, cost, a, b, *brute_force_residuals(cfg, MasterState(a=a, b=b))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_best_b_zeroes_the_b_gradient(self, N, hermitian):
+        cfg, _, a, b, E, F = self.at_best_b(N, hermitian)
+        p_mom = cfg.momentum_vector()
+        d = 1j * (p_mom[:, None] - p_mom[None, :])
+        # dC/d(Re b_kl) + i dC/d(Im b_kl)
+        grad = 2.0 * (d.conj() * F - E / cfg.g)
+        scale = 2.0 * np.max(np.abs(d * F) + np.abs(E / cfg.g))
+        assert np.max(np.abs(grad)) <= 1e-12 * scale
+        if hermitian:
+            assert np.max(np.abs(b - b.conj().T)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_reduced_cost_is_the_cost_at_best_b(self, N, hermitian):
+        _, cost, _, _, E, F = self.at_best_b(N, hermitian)
+        assert abs(cost - master_cost(E, F)) <= 1e-12 * cost
 
 
 class TestResiduals:
@@ -216,7 +260,7 @@ class TestResiduals:
         vp = np.array([0.3, -1.2, 0.7, 0.05], dtype=complex)
         eta1 = 0.1 * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
         eta2 = 0.1 * (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
-        E1, F1, floor1 = master_residuals(p, a, b, vp, 0.21, eta1, eta2)
+        E1, F1, floor1 = quenched_residuals(p, a, b, vp, 0.21, eta1, eta2)
         E2, F2, floor2 = elementwise_residuals(p, a, b, vp, 0.21, eta1, eta2)
         assert np.max(np.abs(E1 - E2)) < 1e-12
         assert np.max(np.abs(F1 - F2)) < 1e-12
@@ -295,11 +339,12 @@ class TestOptimize:
         cfg = self.float64_op_config(seed)
         res = optimize(cfg)
         p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
-        E, F, floor = master_residuals(p_mom, res.state.a, res.state.b, vp, cfg.g,
-                                       eta1, eta2)
+        rho, b, floor = master_residuals(p_mom, res.state.a, vp, cfg.g, eta1, eta2)
+        r = _pack(rho, True)
         assert (res.restarts, res.stop, res.obstruction) == (1, "floor", False)
         assert len(calls) <= 6
-        assert res.cost == master_cost(E, F) <= floor
+        assert res.cost == r @ r <= floor
+        assert np.array_equal(res.state.b, b)
 
     @pytest.mark.parametrize("max_iters, want", [(1, (3, "max_iters", 1)),
                                                  (3, (1, "floor", 3))])
@@ -341,8 +386,8 @@ class TestOptimize:
         rng = np.random.default_rng(21)
         theta = 0.4 * rng.standard_normal(n_params(3, True))
         fixed = _fixed_inputs(cfg)
-        _, E, F, _ = _cost_from_theta(cfg, theta, fixed)
-        grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ _residual_vector(E, F))
+        _, r, _ = _cost_from_theta(cfg, theta, fixed)
+        grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ r)
         h = 1e-6
         for idx in range(0, len(theta), 4):
             e = np.zeros_like(theta)
@@ -365,7 +410,7 @@ class TestSaddle:
         rng = np.random.default_rng(3)
         for _ in range(5):
             v = np.sort(rng.normal(size=5) * 2)
-            got = coulomb_force(v)
+            got = _inverse_differences(v).sum(axis=-1)  # the residual's Coulomb sums
             h = 1e-7
             for i in range(5):
                 def logdelta(vec):
@@ -396,17 +441,16 @@ class TestSaddle:
         """A real direction's difference quotient is the complex derivative
         at a complex point too; a stacked batch gives each point's J."""
         pot, g = septic_potential()
-        vpp = np.polynomial.polynomial.polyder(v_prime_coeffs(pot))
         for imag in (0.0, 0.2):
             rng = np.random.default_rng(4)
             a = np.linspace(-1.5, 1.5, 5) + 0.1 * rng.standard_normal(5) \
                 + imag * 1j * rng.standard_normal(5)
             b = np.linspace(1.5, -1.5, 5) + 0.1 * rng.standard_normal(5) \
                 + imag * 1j * rng.standard_normal(5)
-            J = _saddle_jacobian(vpp, g, a, b)
-            stacked = _saddle_jacobian(vpp, g, np.stack([a, -a]), np.stack([b, -b]))
+            J = saddle_jacobian(pot, g, a, b)
+            stacked = saddle_jacobian(pot, g, np.stack([a, -a]), np.stack([b, -b]))
             assert np.array_equal(stacked[0], J)
-            assert np.array_equal(stacked[1], _saddle_jacobian(vpp, g, -a, -b))
+            assert np.array_equal(stacked[1], saddle_jacobian(pot, g, -a, -b))
             x = np.concatenate([a, b])
             h = 1e-6
             for k in range(10):

@@ -56,6 +56,21 @@ class TestRescale:
         with pytest.raises(NonPositiveLeadingCoefficient):
             rescale_potential(tuple([mpf(1)] * 8 + [mpf(-1)]), 7)
 
+    @pytest.mark.parametrize("dps, kind, p", [(60, "riemann", 4), (60, "ramanujan", 2),
+                                              (15, "riemann", 28), (60, "monomial", 5)])
+    def test_vanishing_top_is_a_config_error(self, dps, kind, p):
+        """An odd coefficient of an even kernel is rounding dust, or exactly 0."""
+        with mp.workdps(dps):
+            u = taylor_u(PotentialSpec(kind=kind, degree=8), p + 1)
+            with pytest.raises(ValueError, match=f"x\\^{p + 1} coefficient vanishes.*--p"):
+                rescale_potential(u, p)
+
+    def test_small_top_is_kept(self):
+        """eta_gamma's x^20 coefficient, 1/(2 * 20!) ~ 2e-19, is no dust at 15 digits."""
+        with mp.workdps(15):
+            u = taylor_u(PotentialSpec(kind="eta_gamma"), 20)
+            assert len(rescale_potential(u, 19, couplings_through=19).s) == 18
+
     def test_needs_the_top_degree(self):
         with pytest.raises(ValueError, match="through order 8, have 7"):
             rescale_potential(tuple([mpf(1)] * 8), 7)
