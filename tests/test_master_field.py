@@ -74,12 +74,6 @@ def residual_vector(cfg, theta):
     return _cost_from_theta(cfg, theta, _fixed_inputs(cfg))[1]
 
 
-def random_a(N, hermitian, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    return (a + a.conj().T) / 2 if hermitian else a
-
-
 def elementwise_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
     """The quenched residuals entry by entry, V'(a + I) by Horner's rule, and
     eps^2 times the sum of |term|^2 over every term of every entry."""

@@ -56,12 +56,15 @@ class TestRescale:
         with pytest.raises(NonPositiveLeadingCoefficient):
             rescale_potential(tuple([mpf(1)] * 8 + [mpf(-1)]), 7)
 
-    @pytest.mark.parametrize("dps, kind, p", [(60, "riemann", 4), (60, "ramanujan", 2),
-                                              (15, "riemann", 28), (60, "monomial", 5)])
-    def test_vanishing_top_is_a_config_error(self, dps, kind, p):
+    @pytest.mark.parametrize("dps, spec, p", [
+        (60, PotentialSpec(kind="riemann"), 4),
+        (60, PotentialSpec(kind="ramanujan"), 2),
+        (15, PotentialSpec(kind="riemann"), 28),
+        (60, PotentialSpec(kind="monomial", degree=8), 5)])
+    def test_vanishing_top_is_a_config_error(self, dps, spec, p):
         """An odd coefficient of an even kernel is rounding dust, or exactly 0."""
         with mp.workdps(dps):
-            u = taylor_u(PotentialSpec(kind=kind, degree=8), p + 1)
+            u = taylor_u(spec, p + 1)
             with pytest.raises(ValueError, match=f"x\\^{p + 1} coefficient vanishes.*--p"):
                 rescale_potential(u, p)
 
