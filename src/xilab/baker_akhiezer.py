@@ -9,7 +9,8 @@ aliases psi(z -+ 2 pi/h) onto psi(z), so h is sized for the band
 |z| <= Z_MAX: starting from H_START it is halved until two successive sums
 agree to STEP_TOL of |psi(0)| at the probes PROBE_ZS. The envelope values
 at the nodes are precomputed once, so psi at a z is one Fourier sum, the
-package's hot kernel. A zero scan sums psi on its grid only as far as it
+package's hot kernel, and its value depends on z alone, not on the grid or
+call that sums it. A zero scan sums psi on its grid only as far as it
 reads it (the zeros lie far below Z_MAX), then one sum per bisection step.
 
 Everything here runs in float64 and reads no global precision: the node
@@ -120,13 +121,12 @@ class BAFunction:
         return cls.from_callable(u, name=name, even=even)
 
     def psi(self, z) -> complex:
-        """psi(z) for one z; for even U and real z the imaginary part is zeroed."""
-        val = fourier_eval(self.xs, self.env, _in_band([z]))[0]
-        if self.even:
-            return complex(val.real, 0.0)
-        return complex(val)
+        """psi(z) for one z: the value ``psi_grid`` gives z on any grid."""
+        return complex(self.psi_grid([z])[0])
 
     def psi_grid(self, zs) -> np.ndarray:
+        """psi at each z; each value depends on its z alone. For even U the
+        imaginary part is zeroed."""
         out = fourier_eval(self.xs, self.env, _in_band(zs))
         if self.even:
             return out.real + 0j

@@ -42,7 +42,6 @@ from mpmath import mpf
 from . import baker_akhiezer as ba
 from . import errors as err
 from . import master_field as mf
-from .kernels import FOURIER_CHUNK_TERMS
 from .matrix_model import build_potential
 from .pipeline import (ROW_IDS, ROWS, build_model, build_table1, expand_spec,
                        run_from_spec, run_model, run_row)
@@ -57,8 +56,7 @@ CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference)
 #: model degree when --p is not given
 DEFAULT_P = 7
 
-#: psi rows summed and written at a time, rounded up to whole row blocks of
-#: ``fourier_eval``, so that every value is the one a single call would give
+#: psi rows summed and written at a time
 PSI_ROWS = 4096
 
 
@@ -183,26 +181,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _arange_part(start: float, stop: float, step: float):
-    """The length of ``np.arange(start, stop, step)`` and ``part(lo, hi)``,
-    its values lo..hi-1, equal to numpy's bit for bit: numpy sets the first
-    two values to start and start + step, and value i to
-    start + i * (second - first)."""
-    n = math.ceil((stop - start) / step)
-    second = start + step
-
-    def part(lo: int, hi: int) -> np.ndarray:
-        zs = start + np.arange(lo, hi) * (second - start)
-        if lo < 2:
-            zs[:2 - lo] = (start, second)[lo:hi]
-        return zs
-
-    return n, part
-
-
 def cmd_psi(args) -> int:
-    """The grid np.arange(zmin, zmax + step/2, step), summed and written
-    PSI_ROWS rows at a time, so memory stays flat however long the grid."""
+    """The grid zmin + k * step for k = 0, 1, ... while below zmax + step/2,
+    summed and written PSI_ROWS rows at a time, so memory stays flat however
+    long the grid."""
     if not args.step > 0:
         raise ValueError(f"--step must be positive, got {args.step}")
     if args.zmax < args.zmin:
@@ -210,21 +192,19 @@ def cmd_psi(args) -> int:
     f = ba.integrand(args.function)()
     if not all(map(math.isfinite, (args.zmin, args.zmax, args.step))):
         raise ValueError("--zmin, --zmax and --step must be finite")
-    n, part = _arange_part(args.zmin, args.zmax + args.step / 2, args.step)
+    n = math.ceil((args.zmax + args.step / 2 - args.zmin) / args.step)
     if n > np.iinfo(np.intp).max:
         raise ValueError(f"a grid of {n:.3g} rows is longer than an array can index")
     # the grid's largest |z| is at one of its ends: refuse an out-of-band grid
     # before any row is written, as psi_grid would
-    edge = max(abs(part(0, 1)[0]), abs(part(n - 1, n)[0]))
+    edge = max(abs(args.zmin), abs(args.zmin + (n - 1) * args.step))
     if edge > ba.Z_MAX:
         raise ValueError(f"|z| = {edge:g} is outside the quadrature band "
                          f"|z| <= {ba.Z_MAX:g}")
-    chunk = max(1, FOURIER_CHUNK_TERMS // len(f.xs))
-    rows = chunk * -(-PSI_ROWS // chunk)
     with _output(args.out) as fh:
         fh.write(f"# function={args.function}\nz,re_psi,im_psi\n")
-        for lo in range(0, n, rows):
-            zs = part(lo, min(n, lo + rows))
+        for lo in range(0, n, PSI_ROWS):
+            zs = args.zmin + np.arange(lo, min(n, lo + PSI_ROWS)) * args.step
             fh.write("".join(f"{z:.12g},{v.real:.15e},{v.imag:.15e}\n"
                              for z, v in zip(zs, f.psi_grid(zs))))
     return 0

@@ -14,10 +14,6 @@ class NonConvergence(XilabError):
     its tolerance."""
 
 
-class NonPositiveLeadingCoefficient(XilabError):
-    """Rescaling needs a strictly positive coefficient at degree p+1."""
-
-
 class NonPositiveG(XilabError):
     """Double-scaling produced a non-positive coupling constant g."""
 

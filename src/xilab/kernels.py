@@ -5,7 +5,9 @@ plus one per bisection step; a ``psi`` grid is one sum per row. Each is over
 a fixed trapezoid node set of a few hundred to a few thousand nodes.
 ``fourier_eval`` forms the real z-by-node phase matrix in row blocks of at most
 ``FOURIER_CHUNK_TERMS`` terms and sums its cosine and sine against the real
-envelope, so its workspace is two such blocks, 4 MiB, whatever the z grid.
+envelope, so its workspace is two such blocks, 512 KiB, whatever the z grid.
+Each row is summed on its own, so the value at a z is the same bits in
+whichever grid or block it is summed.
 ``perfbench/run.py --workload float64 --trace 1`` times it.
 """
 
@@ -17,15 +19,20 @@ import numpy as np
 #: environment (the CLI does not print it: it has one value)
 BACKEND = "numpy"
 
-#: phase-matrix terms per block of ``fourier_eval``: 2^18 float64 terms, 2 MiB
-FOURIER_CHUNK_TERMS = 1 << 18
+#: phase-matrix terms per block of ``fourier_eval``: 2^15 float64 terms,
+#: 256 KiB; the row sums write and reread each block, cheap while it sits in
+#: a core's L2 cache
+FOURIER_CHUNK_TERMS = 1 << 15
 
 
 def fourier_eval(xs, env, zs):
     """sum_j env_j e^{i z x_j} for each z; xs/env float64, zs float64 array.
 
-    The weights are real, so each block is two real products:
-    cos(z x) @ env and sin(z x) @ env, the sine taken in place of the phase.
+    The weights are real, so each block is two real sums per row: of
+    cos(z x) env and of sin(z x) env, the products formed in place. Each row
+    is reduced alone, pairwise (numpy's sum along a contiguous axis); a BLAS
+    gemv sums rows in groups, so its value at a z would depend on the z's
+    place in the block.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     env = np.ascontiguousarray(env, dtype=np.float64)
@@ -34,7 +41,10 @@ def fourier_eval(xs, env, zs):
     rows = max(1, FOURIER_CHUNK_TERMS // max(1, xs.shape[0]))
     for i in range(0, zs.shape[0], rows):
         phase = np.outer(zs[i:i + rows], xs)
-        out.real[i:i + rows] = np.cos(phase) @ env
-        out.imag[i:i + rows] = np.sin(phase, out=phase) @ env
+        terms = np.cos(phase)
+        terms *= env
+        out.real[i:i + rows] = terms.sum(axis=1)
+        np.sin(phase, out=phase)
+        phase *= env
+        out.imag[i:i + rows] = phase.sum(axis=1)
     return out
-

@@ -72,32 +72,6 @@ class MasterConfig:
     restarts: int = 4
     hermitian: bool = True
 
-    def stream(self, k: int) -> np.random.Generator:
-        """The seed's random stream k: 0 the momenta, 1 the noise, 2 the
-        restart starts. The three are spawned from the seed's SeedSequence,
-        so no two streams, of one seed or of two, share their draws."""
-        return np.random.default_rng(np.random.SeedSequence(self.seed).spawn(3)[k])
-
-    def momentum_vector(self) -> np.ndarray:
-        """The diagonal master momenta: a seeded uniform draw on [-pi, pi]."""
-        return self.stream(0).uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, self.N)
-
-    def noise(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian Gaussian noise pair at scale sigma (zero when sigma=0)."""
-        if self.sigma == 0.0:
-            z = np.zeros((self.N, self.N), dtype=np.complex128)
-            return z, z.copy()
-        rng = self.stream(1)
-
-        def herm():
-            g = rng.normal(size=(self.N, self.N)) + 1j * rng.normal(size=(self.N, self.N))
-            return self.sigma * (g + g.conj().T) / 2
-
-        return herm(), herm()
-
-    def vp_coeffs(self) -> np.ndarray:
-        return _vp_float(self.potential).astype(np.complex128)
-
 
 @dataclass(frozen=True)
 class MasterState:
@@ -172,8 +146,26 @@ def _pack(rho: np.ndarray, hermitian: bool) -> np.ndarray:
 
 
 def _fixed_inputs(cfg: MasterConfig) -> tuple:
-    """(momenta, eta1, eta2, V' coefficients): fixed for a whole solve."""
-    return (cfg.momentum_vector(), *cfg.noise(), cfg.vp_coeffs())
+    """(momenta, eta1, eta2, V' coefficients), fixed for a whole solve, and
+    the generator of the restart starts.
+
+    The seed's SeedSequence is spawned once into three streams: the momenta,
+    a uniform draw on [-pi, pi]; the Hermitian Gaussian noise pair at scale
+    sigma (zero when sigma = 0); and the restart starts. So no two streams,
+    of one seed or of two, share their draws.
+    """
+    momenta, noise, starts = map(np.random.default_rng,
+                                 np.random.SeedSequence(cfg.seed).spawn(3))
+    p_mom = momenta.uniform(-_MOMENTUM_BOUND, _MOMENTUM_BOUND, cfg.N)
+
+    def herm():
+        if cfg.sigma == 0.0:
+            return np.zeros((cfg.N, cfg.N), dtype=np.complex128)
+        g = noise.normal(size=(cfg.N, cfg.N)) + 1j * noise.normal(size=(cfg.N, cfg.N))
+        return cfg.sigma * (g + g.conj().T) / 2
+
+    vp = _vp_float(cfg.potential).astype(np.complex128)
+    return (p_mom, herm(), herm(), vp), starts
 
 
 def _matrix_poly(a, vp_coeffs):
@@ -334,10 +326,9 @@ def optimize(cfg: MasterConfig) -> MasterResult:
         raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")
     if not (np.isfinite(cfg.sigma) and cfg.sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {cfg.sigma}")
-    fixed = _fixed_inputs(cfg)
+    fixed, starts = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
-    starts = cfg.stream(2)
     for restart in range(cfg.restarts):
         theta = 0.5 * starts.standard_normal(npar) if restart else np.zeros(npar)
         c, theta, iters, trace, stop = _descend(cfg, theta, fixed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import mpf
 
-from .errors import NonPositiveG, NonPositiveLeadingCoefficient
+from .errors import NonPositiveG
 from .precision import to_decimal
 
 
@@ -69,17 +69,17 @@ def rescale_potential(u: tuple, p: int, *,
     lower neighbours vanishes (a ValueError): an even kernel's odd
     coefficients are exactly 0, and the riemann kernel's come out of the
     expansion near 1e4 eps times their neighbours, rounding dust whose sign
-    is chance.
+    is chance. A negative one is the same config error: the model needs
+    V ~ x^(p+1) with a positive coefficient, so another --p is the remedy.
     """
     if len(u) < p + 2:
         raise ValueError(f"need the expansion through order {p + 1}, have {len(u) - 1}")
     top = u[p + 1]
-    if abs(top) <= mpf(10) ** (-(mp.mp.dps // 2)) * max(abs(u[p]), abs(u[p - 1])):
-        raise ValueError(f"the expansion's x^{p + 1} coefficient vanishes ({mp.nstr(top, 3)}), "
+    dust = abs(top) <= mpf(10) ** (-(mp.mp.dps // 2)) * max(abs(u[p]), abs(u[p - 1]))
+    if dust or not top > 0:
+        how = "vanishes" if dust else "is not positive"
+        raise ValueError(f"the expansion's x^{p + 1} coefficient {how} ({mp.nstr(top, 3)}), "
                          f"so it has no degree-{p} model: choose another --p")
-    if not top > 0:
-        raise NonPositiveLeadingCoefficient(
-            f"coefficient at degree {p + 1} must be positive, got {mp.nstr(top, 8)}")
     hi = couplings_through if couplings_through is not None else p - 1
     if not 2 <= hi <= p:
         raise ValueError(f"couplings_through must lie in [2, {p}]")

@@ -324,7 +324,7 @@ def test_criterion_10_master_field():
     rng = np.random.default_rng(77)
     theta = 0.4 * rng.standard_normal(n_params(3, True))
     # the reduced cost is |r|^2, so its gradient is 2 J^T r
-    fixed = _fixed_inputs(cfg)
+    fixed = _fixed_inputs(cfg)[0]
     _, r, _ = _cost_from_theta(cfg, theta, fixed)
     grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ r)
     h = 1e-6

@@ -242,16 +242,16 @@ class TestZerosAndPsi:
         assert (code, out) == (2, "")
         assert err == "config error: --zmin, --zmax and --step must be finite\n"
 
-    @pytest.mark.parametrize("start, stop, step", [
-        (0.0, 26.01, 0.02), (-0.0, 0.125, 0.05), (5.0, 5.025, 0.05), (0.1, 0.35, 0.1),
-        (-80.0, 80.04, 0.08), (1e-17, 3.0, 1.0), (-3.3, 7.1, 0.7)])
-    def test_arange_parts_match_numpy(self, start, stop, step):
-        n, part = cli._arange_part(start, stop, step)
-        want = np.arange(start, stop, step)
-        assert n == len(want)
-        for rows in (1, 2, 3, 7, n):
-            got = np.concatenate([part(lo, min(n, lo + rows)) for lo in range(0, n, rows)])
-            assert got.tobytes() == want.tobytes()
+    def test_psi_row_depends_on_z_alone(self, capsys):
+        """The psi(0) row reads the same on the default grid and on a short
+        grid from -0.0 (it printed ...168e-01 and ...162e-01, and -0 as z)."""
+        rows = []
+        for grid in ((), ("--zmin", "-0.0", "--zmax", "0.1")):
+            code, out, _ = run_cli(capsys, "psi", "--function", "bessel_k", *grid)
+            assert code == 0
+            rows.append(out.splitlines()[2])
+        assert rows[0] == rows[1]
+        assert rows[0].startswith("0,8.42048876481")
 
     def test_psi_streams_200k_rows(self, tmp_path):
         """psi writes its CSV a block of rows at a time: 200k rows print the
@@ -506,6 +506,21 @@ def test_vanishing_leading_coefficient_exits_2(capsys, argv):
     assert (code, out) == (2, "")
     p = int(argv[argv.index("--p") + 1])
     assert err_text.startswith(f"config error: the expansion's x^{p + 1} coefficient vanishes")
+    assert "--p" in err_text
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--kind", "ramanujan", "--p", "5"),
+    ("expand", "--kind", "eta_gamma", "--p", "4"),
+    ("solve", "--kind", "riemann", "--p", "5", "--N", "4")])
+def test_negative_leading_coefficient_exits_2(capsys, argv):
+    """A negative x^(p+1) coefficient is the config error a vanishing one
+    is, naming --p; it was a numerical failure, exit 3."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    p = int(argv[argv.index("--p") + 1])
+    assert err_text.startswith(f"config error: the expansion's x^{p + 1} coefficient "
+                               f"is not positive")
     assert "--p" in err_text
 
 

@@ -32,7 +32,8 @@ def test_fourier_paths_agree():
 
 def test_fourier_eval_memory_is_bounded():
     """The eta_gamma_corrected node count on a 400-point grid stays in blocks:
-    two real blocks of 2^18 terms, 4 MiB, where the full complex phase matrix
+    two real blocks of one row each here (a block holds 2^15 terms or one
+    row, whichever is more: 324 KiB), where the full complex phase matrix
     would take 16 B x 400 x 41408 = 253 MiB."""
     xs = np.linspace(-20, 20, 41408)
     env = np.exp(-xs ** 2)

@@ -25,16 +25,14 @@ def septic_potential(s=("1", "0", "3", "0", "3")):
 
 def residuals(cfg, state):
     """(E, F) of a state, from the inputs the solve holds fixed."""
-    p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
+    p_mom, eta1, eta2, vp = _fixed_inputs(cfg)[0]
     return quenched_residuals(p_mom, state.a, state.b, vp, cfg.g, eta1, eta2)[:2]
 
 
 def brute_force_residuals(cfg, state):
     """Independent double-loop evaluation of the quenched equations."""
     N = cfg.N
-    p = cfg.momentum_vector()
-    eta1, eta2 = cfg.noise()
-    vp = cfg.vp_coeffs()
+    p, eta1, eta2, vp = _fixed_inputs(cfg)[0]
     apow = [np.eye(N, dtype=complex)]
     for _ in range(len(vp) - 1):
         apow.append(apow[-1] @ state.a)
@@ -71,7 +69,7 @@ def unpack_loop(v, N, hermitian):
 
 def residual_vector(cfg, theta):
     """The packed reduced residual at a = P theta."""
-    return _cost_from_theta(cfg, theta, _fixed_inputs(cfg))[1]
+    return _cost_from_theta(cfg, theta, _fixed_inputs(cfg)[0])[1]
 
 
 def elementwise_residuals(p_mom, a, b, vp_coeffs, g, eta1, eta2):
@@ -145,7 +143,7 @@ class TestPacking:
         cfg = MasterConfig(N=3, g=g, potential=pot, seed=13, sigma=0.25,
                            hermitian=hermitian)
         theta = 0.4 * np.random.default_rng(21).standard_normal(n_params(3, hermitian))
-        J = _jacobian(cfg, theta, _fixed_inputs(cfg))
+        J = _jacobian(cfg, theta, _fixed_inputs(cfg)[0])
         assert J.shape == (len(theta), len(theta)) == (9 * (2 - hermitian),) * 2
         h = 1e-6
         for k in range(len(theta)):
@@ -165,7 +163,7 @@ class TestReduction:
         the double loop."""
         pot, g = septic_potential()
         cfg = MasterConfig(N=N, g=g, potential=pot, seed=N, sigma=0.3, hermitian=hermitian)
-        p_mom, eta1, eta2, vp = fixed = _fixed_inputs(cfg)
+        p_mom, eta1, eta2, vp = fixed = _fixed_inputs(cfg)[0]
         theta = 0.4 * np.random.default_rng(N).standard_normal(n_params(N, hermitian))
         cost = _cost_from_theta(cfg, theta, fixed)[0]
         a = unpack(theta, N, hermitian)
@@ -176,7 +174,7 @@ class TestReduction:
     @pytest.mark.parametrize("N", [3, 4])
     def test_best_b_zeroes_the_b_gradient(self, N, hermitian):
         cfg, _, a, b, E, F = self.at_best_b(N, hermitian)
-        p_mom = cfg.momentum_vector()
+        p_mom = _fixed_inputs(cfg)[0][0]
         d = 1j * (p_mom[:, None] - p_mom[None, :])
         # dC/d(Re b_kl) + i dC/d(Im b_kl)
         grad = 2.0 * (d.conj() * F - E / cfg.g)
@@ -196,7 +194,7 @@ class TestResiduals:
     def test_n1_closed_form(self):
         cfg = MasterConfig(N=1, g=0.25, potential=gaussian_potential(),
                            seed=3, sigma=0.7)
-        eta1, eta2 = cfg.noise()
+        _, eta1, eta2, _ = _fixed_inputs(cfg)[0]
         a = np.array([[-cfg.g * eta2[0, 0]]])
         b = np.array([[v_shifted_prime(cfg.potential, a[0, 0]) - cfg.g * eta1[0, 0]]])
         E, F = residuals(cfg, MasterState(a=a, b=b))
@@ -232,8 +230,8 @@ class TestResiduals:
         st = MasterState(a=a.astype(complex), b=np.zeros((3, 3), complex))
         E1, F1 = residuals(base, st)
         E2, F2 = residuals(double, st)
-        eta1a, eta2a = base.noise()
-        eta1b, eta2b = double.noise()
+        _, eta1a, eta2a, _ = _fixed_inputs(base)[0]
+        _, eta1b, eta2b, _ = _fixed_inputs(double)[0]
         assert np.allclose(E2 - E1, -(eta1b - eta1a))
         assert np.allclose(F2 - F1, -(eta2b - eta2a))
 
@@ -332,7 +330,7 @@ class TestOptimize:
         calls = self.count_jacobians(monkeypatch)
         cfg = self.float64_op_config(seed)
         res = optimize(cfg)
-        p_mom, eta1, eta2, vp = _fixed_inputs(cfg)
+        p_mom, eta1, eta2, vp = _fixed_inputs(cfg)[0]
         rho, b, floor = master_residuals(p_mom, res.state.a, vp, cfg.g, eta1, eta2)
         r = _pack(rho, True)
         assert (res.restarts, res.stop, res.obstruction) == (1, "floor", False)
@@ -374,12 +372,27 @@ class TestOptimize:
                 assert a == b or not states[a] & states[b], (a, b)
         assert all(len(v) == 3 for v in states.values()), states
 
+    def test_seed_is_spawned_once_per_solve(self, monkeypatch):
+        """One spawn of the seed's SeedSequence gives all three streams (each
+        stream was once spawned afresh, three spawns a solve)."""
+        spawns = []
+
+        class Counting(np.random.SeedSequence):
+            def spawn(self, n):
+                spawns.append(n)
+                return super().spawn(n)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        optimize(MasterConfig(N=2, g=0.3, potential=gaussian_potential(), seed=1,
+                              sigma=0.5, restarts=3, max_iters=1))
+        assert spawns == [3]
+
     def test_gradient_matches_finite_differences(self):
         pot, g = septic_potential()
         cfg = MasterConfig(N=3, g=g, potential=pot, seed=13, sigma=0.25)
         rng = np.random.default_rng(21)
         theta = 0.4 * rng.standard_normal(n_params(3, True))
-        fixed = _fixed_inputs(cfg)
+        fixed = _fixed_inputs(cfg)[0]
         _, r, _ = _cost_from_theta(cfg, theta, fixed)
         grad = 2.0 * (_jacobian(cfg, theta, fixed).T @ r)
         h = 1e-6

@@ -4,7 +4,7 @@ from mpmath import mpf
 
 from conftest import assert_rel
 from oracles import coefficient, coupling, u_series
-from xilab.errors import NonPositiveG, NonPositiveLeadingCoefficient
+from xilab.errors import NonPositiveG
 from xilab.pipeline import RIEMANN_ROW_U
 from xilab.potentials import PotentialSpec, taylor_u
 from xilab.scaling import (cosh_couplings, double_scaling, rescale_potential)
@@ -53,7 +53,9 @@ class TestRescale:
             assert abs(coupling(a, k) - coupling(b, k)) < mpf(10) ** (-45)
 
     def test_needs_positive_top(self):
-        with pytest.raises(NonPositiveLeadingCoefficient):
+        """A negative top coefficient is a config error naming --p, as a
+        vanishing one is."""
+        with pytest.raises(ValueError, match="x\\^8 coefficient is not positive.*--p"):
             rescale_potential(tuple([mpf(1)] * 8 + [mpf(-1)]), 7)
 
     @pytest.mark.parametrize("dps, spec, p", [
