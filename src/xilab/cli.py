@@ -45,7 +45,7 @@ from . import master_field as mf
 from .matrix_model import build_potential
 from .pipeline import (ROW_IDS, ROWS, build_model, build_table1, expand_spec,
                        run_from_spec, run_model, run_row)
-from .potentials import KIND_FIELDS, KINDS, PotentialSpec
+from .potentials import KINDS, PotentialSpec
 from .precision import DEFAULT_DPS, MIN_DPS, pretty, to_decimal
 # not called here; kept because perfbench/layers.py wraps these cli attributes
 from .potentials import taylor_u  # noqa: F401
@@ -78,19 +78,26 @@ def _couplings(args) -> tuple:
     return tuple(v.strip() for v in args.s.split(","))
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer seed (an argparse type, so a bad one names its flag)."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seeds(text: str) -> list:
+    """Comma-separated seeds, each as ``_seed`` reads it."""
+    return [_seed(v) for v in text.split(",")]
+
+
 def _spec_from_args(args) -> PotentialSpec:
-    """The --kind potential. --degree and --s set the spec field of their
-    name, so a kind that does not read that field rejects the flag; --p is
-    the model degree of every kind."""
-    reads = KIND_FIELDS[args.kind]
-    _reject_ignored(args, [f for f in ("degree", "s") if f not in reads],
-                    f"the {args.kind} potential does not read these flags")
-    for f in ("degree", "s"):
-        if f in reads and not getattr(args, f):
-            raise ValueError(f"--{f} is required for the {args.kind} kind")
-    given = {"degree": args.degree, "p": _model_p(args),
-             "s": args.s and _couplings(args)}
-    return PotentialSpec(args.kind, **{f: given[f] for f in reads if given[f] is not None})
+    """The --kind potential. --s is the explicit kind's couplings (without
+    it, none), so another kind rejects the flag; --p is the model degree of
+    every kind."""
+    if args.kind != "explicit":
+        _reject_ignored(args, ("s",), f"the {args.kind} potential does not read this flag")
+        return PotentialSpec(args.kind)
+    return PotentialSpec("explicit", p=_model_p(args), s=_couplings(args) if args.s else ())
 
 
 @contextlib.contextmanager
@@ -147,7 +154,7 @@ def cmd_expand(args) -> int:
 
 def _solve_run(args):
     if args.row:
-        _reject_ignored(args, ("kind", "p", "s", "degree"),
+        _reject_ignored(args, ("kind", "p", "s"),
                         f"--row {args.row} takes its potential from the row")
         return run_model(ROWS[args.row].model(args.N, args.g))
     if args.kind is None:
@@ -260,12 +267,10 @@ def _master_potential(args, default_p: int):
 
 def cmd_master(args) -> int:
     potential, g = _master_potential(args, default_p=2)
-    seeds = [int(s) for s in args.seeds.split(",")]
     out = []
-    for seed in seeds:
+    for seed in args.seeds:
         cfg = mf.MasterConfig(N=args.N, g=g, potential=potential, seed=seed,
-                              sigma=args.sigma, max_iters=args.max_iters,
-                              restarts=args.restarts, hermitian=not args.general)
+                              sigma=args.sigma, hermitian=not args.general)
         res = mf.optimize(cfg)
         out.append({"seed": seed, "cost": res.cost,
                     "obstruction": res.obstruction,
@@ -278,8 +283,7 @@ def cmd_master(args) -> int:
 
 def cmd_saddle(args) -> int:
     potential, g = _master_potential(args, default_p=3)
-    res = mf.saddle_solve(potential, g, args.N, seed=args.seed,
-                          max_iters=args.max_iters)
+    res = mf.saddle_solve(potential, g, args.N, seed=args.seed)
     _emit({"N": args.N, "g": g,
            "a": [float(x) for x in res.a], "b": [float(x) for x in res.b],
            "residual_norm": res.residual_norm, "iterations": res.iterations,
@@ -293,8 +297,8 @@ def cmd_saddle(args) -> int:
 def _add_potential_args(sp):
     sp.add_argument("--kind", choices=KINDS, help="potential family")
     sp.add_argument("--p", type=int, default=None, help=f"model degree (default {DEFAULT_P})")
-    sp.add_argument("--degree", type=int, default=None, help="monomial degree 2n")
-    sp.add_argument("--s", default=None, help="comma-separated explicit couplings s_1..s_{p-2}")
+    sp.add_argument("--s", default=None,
+                    help="comma-separated explicit couplings s_1..s_{p-2} (default none)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", default=None, help="explicit couplings for the potential")
     sp.add_argument("--g", type=float, default=None)
     sp.add_argument("--sigma", type=float, default=0.0, help="noise scale")
-    sp.add_argument("--seeds", default="0", help="comma-separated seed list (default 0)")
-    sp.add_argument("--max-iters", type=int, default=200, dest="max_iters")
-    sp.add_argument("--restarts", type=int, default=4)
+    sp.add_argument("--seeds", type=_seeds, default="0",
+                    help="comma-separated seed list (default 0)")
     sp.add_argument("--general", action="store_true",
                     help="drop the Hermitian constraint on the unknowns")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
@@ -381,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--row", choices=ROW_IDS, default=None)
     sp.add_argument("--s", default=None, help="explicit couplings for the potential")
     sp.add_argument("--g", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-iters", type=int, default=250, dest="max_iters")
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_saddle)
 

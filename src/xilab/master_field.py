@@ -27,8 +27,8 @@ float64 rounding, not the fit, sets the cost (Madsen, Nielsen & Tingleff,
 Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2). A restart
 that ends at the floor ends the search. Otherwise a restart stops when the
 gradient vanishes, when no damping gives a descent step, or after
-max_iters iterations, and the next restart runs. ``MasterResult.stop`` and
-``restarts`` report which.
+_MAX_ITERS iterations, and the next of _RESTARTS restarts runs.
+``MasterResult.stop`` and ``restarts`` report which.
 
 The saddle system couples eigenvalue vectors through unit-strength Coulomb
 repulsion:
@@ -54,6 +54,8 @@ from .matrix_model import ModelPotential
 
 _MOMENTUM_BOUND = float(np.pi)  # half-width of the seeded uniform momentum draw
 _EPS2 = np.finfo(np.float64).eps ** 2  # float64 unit roundoff squared, ~4.9e-32
+_MAX_ITERS = 200  # Gauss-Newton iterations a restart may take
+_RESTARTS = 4     # restarts a solve may run
 
 
 def _vp_float(potential: ModelPotential) -> np.ndarray:
@@ -68,8 +70,6 @@ class MasterConfig:
     potential: ModelPotential
     seed: int = 0
     sigma: float = 0.0
-    max_iters: int = 200
-    restarts: int = 4
     hermitian: bool = True
 
 
@@ -273,12 +273,12 @@ def _descend(cfg, theta, fixed):
 
     Returns (cost, theta, iterations, trace, stop). The floor is checked
     before each Jacobian is built; the other stops are a vanishing gradient,
-    no damping giving a descent step ("stalled") and max_iters.
+    no damping giving a descent step ("stalled") and _MAX_ITERS ("max_iters").
     """
     c, r, floor = _cost_from_theta(cfg, theta, fixed)
     trace = [c]
     lam = 1e-8
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, _MAX_ITERS + 1):
         if c <= floor:
             stop = "floor"
             break
@@ -320,16 +320,12 @@ def optimize(cfg: MasterConfig) -> MasterResult:
     restarts end early only when one of them ends at the rounding floor; a
     stalled or obstructed solve searches every restart.
     """
-    if cfg.restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {cfg.restarts}")
-    if cfg.max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")
     if not (np.isfinite(cfg.sigma) and cfg.sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {cfg.sigma}")
     fixed, starts = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
-    for restart in range(cfg.restarts):
+    for restart in range(_RESTARTS):
         theta = 0.5 * starts.standard_normal(npar) if restart else np.zeros(npar)
         c, theta, iters, trace, stop = _descend(cfg, theta, fixed)
         if best is None or c < best[0]:
@@ -364,6 +360,7 @@ class SaddleResult:
 # Set by measurement: with 96 starts every seed 0-5 found a real solution of
 # the README example, the N=2 quartic and three catalogued rows at N = 4-6.
 _SADDLE_STARTS = 96
+_SADDLE_SWEEPS = 250  # stacked Newton sweeps a solve may take
 _STALL_SWEEPS = 8     # sweeps a start may go without halving its residual
 _STEP_CAP = 0.5       # longest step, relative to 1 + |x|
 _REAL_TOL = 1e-8      # imaginary part, relative to 1 + |x|, projected away
@@ -406,21 +403,19 @@ def _distinct_rows(x: np.ndarray) -> np.ndarray:
     return ~np.tril(near, -1).any(axis=1)
 
 
-def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
-                 max_iters: int = 250) -> SaddleResult:
+def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0) -> SaddleResult:
     """Newton in complex arithmetic from seeded starts, all in one stacked sweep.
 
     Starts: a on [-s, s], s ~ U(1, 3), b on the reversed grid at s * 10^U(-2, 0),
     plus complex normal noise at 0.2 of each spread. A start stops when its
     residual turns non-finite (a singular Jacobian gives a NaN step), stops
     halving for _STALL_SWEEPS sweeps, or, below _SOLVED_TOL, for one; one
-    that nears the reals is projected there. a, b are the first real solution in
+    that nears the reals is projected there. The solve ends after at most
+    _SADDLE_SWEEPS sweeps. a, b are the first real solution in
     lexicographic order; with none, the best real part of a final iterate.
     """
     if N < 2:
         raise ValueError("the saddle system needs N >= 2")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     vp = _vp_float(potential)
     vpp = polyder(vp)
     rng, grid = np.random.default_rng(seed), np.linspace(-1.0, 1.0, N)
@@ -431,7 +426,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
     last, halved_at = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     live = np.ones(len(x), dtype=bool)
     with np.errstate(all="ignore"):
-        for sweeps in range(max_iters + 1):
+        for sweeps in range(_SADDLE_SWEEPS + 1):
             size = 1.0 + np.max(np.abs(x.real), axis=1)
             near_real = live & (np.max(np.abs(x.imag), axis=1) <= _REAL_TOL * size)
             x[near_real] = x[near_real].real
@@ -442,7 +437,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0,
             # below _SOLVED_TOL: polish while halving
             stall = np.where(norm < _SOLVED_TOL, 1, _STALL_SWEEPS)
             live &= np.isfinite(norm) & (sweeps - halved_at < stall)
-            if sweeps >= max_iters or not live.any():
+            if sweeps >= _SADDLE_SWEEPS or not live.any():
                 break
             J, f = _saddle_jacobian(vpp, g, x[live, :N], ra[live], rb[live]), f[live, :, None]
             try:

@@ -51,10 +51,14 @@ def _check_degree(p: int) -> None:
 def expand_spec(spec: PotentialSpec, p: int):
     """U's Taylor coefficients through x^{p+1} and its normal form for the degree-p model.
 
-    The gamma-eta family keeps its degree-p term as the coupling s_{p-1}.
+    The one place that picks a kind's couplings: the cosh family takes its
+    closed form, and the gamma-eta family keeps its degree-p term as the
+    coupling s_{p-1}.
     """
     _check_degree(p)
     u = taylor_u(spec, p + 1)
+    if spec.kind == "cosh":
+        return u, cosh_couplings(p)
     return u, rescale_potential(u, p, couplings_through=p if spec.kind == "eta_gamma" else None)
 
 
@@ -62,20 +66,18 @@ def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
                 g=None) -> ModelParams:
     """Double-scaled parameters of a degree-p model, from its normalized couplings.
 
-    potential: a ``PotentialSpec`` (the cosh family takes its closed-form
-    couplings), a published Taylor coefficient list (degrees 0..p+1), or None
-    for the model with no couplings.
+    potential: a ``PotentialSpec`` (its couplings from ``expand_spec``), a
+    published Taylor coefficient list (degrees 0..p+1), or None for the
+    model with no couplings.
     g: replaces the double-scaling g when given.
     """
     _check_degree(p)
     if potential is None:
         s = ()
-    elif not isinstance(potential, PotentialSpec):  # a published expansion
-        s = rescale_potential(tuple([mpf(c) for c in potential]), p).s
-    elif potential.kind == "cosh":
-        s = cosh_couplings(p).s
-    else:
+    elif isinstance(potential, PotentialSpec):
         s = expand_spec(potential, p)[1].s
+    else:  # a published expansion
+        s = rescale_potential(tuple([mpf(c) for c in potential]), p).s
     return double_scaling(p, N, s, g_override=g)
 
 
@@ -115,7 +117,7 @@ ROWS = {row.id: row for row in (
     RowSpec("ramanujan", "Ramanujan Xi_L(z)", "-log(Phi_L(x))", 7,
             PotentialSpec(kind="ramanujan"), "ramanujan", g_from="riemann"),
     RowSpec("gen_airy", "Ai_(7,1)(z)", "x^8/8", 7,
-            PotentialSpec(kind="monomial", degree=8), "gen_airy"),
+            PotentialSpec(kind="explicit", p=7), "gen_airy"),
     RowSpec("gen_airy_m130", "Ai_(7,1)(z,-1,3,0)", "x^8/8 + 3x^4/4 - x^2/2", 7,
             PotentialSpec(kind="explicit", p=7, s=("-1", "0", "3", "0", "0")),
             "gen_airy_m130"),

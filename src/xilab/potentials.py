@@ -20,16 +20,8 @@ from mpmath import mpf
 
 from .series import series_exp, series_log, series_mul
 
-#: the ``PotentialSpec`` fields each kind reads, besides ``kind``
-KIND_FIELDS = {
-    "riemann": (),
-    "ramanujan": (),
-    "eta_gamma": (),
-    "cosh": (),
-    "monomial": ("degree",),
-    "explicit": ("p", "s"),
-}
-KINDS = tuple(KIND_FIELDS)
+#: the potential families; only ``explicit`` reads the ``p`` and ``s`` fields
+KINDS = ("riemann", "ramanujan", "eta_gamma", "cosh", "explicit")
 
 
 def _default_tolerance() -> mpf:
@@ -38,13 +30,12 @@ def _default_tolerance() -> mpf:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """One potential family instance; ``KIND_FIELDS`` names the fields
-    each kind reads.
+    """One potential family instance.
 
-    kind: one of riemann | ramanujan | eta_gamma | cosh | monomial | explicit
-    degree: even monomial degree 2n (monomial kind only)
+    kind: one of riemann | ramanujan | eta_gamma | cosh | explicit
     p: model degree for explicit couplings
-    s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero),
+    s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero;
+        none is the generalized Airy potential x^{p+1}/(p+1)),
         kept exact (ints and decimal strings; a float becomes its shortest
         decimal string) and converted at the precision of each expansion
 
@@ -54,16 +45,12 @@ class PotentialSpec:
     """
 
     kind: str
-    degree: int = 0
     p: int = 0
     s: tuple = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "monomial":
-            if self.degree <= 0 or self.degree % 2:
-                raise ValueError("monomial degree must be a positive even integer")
         if self.kind == "explicit":
             if self.p < 3:
                 raise ValueError("explicit couplings need p >= 3")
@@ -177,11 +164,6 @@ def taylor_u(spec: PotentialSpec, order: int) -> tuple:
     if spec.kind == "cosh":
         return tuple([1 / mp.factorial(n) if n % 2 == 0 else mpf(0)
                       for n in range(order + 1)])
-    if spec.kind == "monomial":
-        c = [mpf(0)] * (order + 1)
-        if spec.degree <= order:
-            c[spec.degree] = mpf(1) / spec.degree
-        return tuple(c)
     if spec.kind == "explicit":
         # already a normalized potential: x^{p+1}/(p+1) + sum s_{n-1} x^n / n
         c = [mpf(0)] * (order + 1)

@@ -18,10 +18,9 @@ MIN_DPS = 15
 DEFAULT_DPS = 60
 
 
-def to_decimal(x, digits: int | None = None) -> str:
+def to_decimal(x) -> str:
     """Decimal-string form preserving the working precision (for JSON)."""
-    return mp.nstr(mpf(x) if not isinstance(x, mpc) else x,
-                   digits or mp.mp.dps, strip_zeros=False)
+    return mp.nstr(mpf(x) if not isinstance(x, mpc) else x, mp.mp.dps, strip_zeros=False)
 
 
 def pretty(x, digits: int = 6) -> str:

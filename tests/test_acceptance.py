@@ -311,12 +311,10 @@ def test_criterion_10_master_field():
     ck = Checker(10)
     gaussian = build_potential(double_scaling(2, 16, ()))
     # N=1 closed-form case
-    r1 = optimize(MasterConfig(N=1, g=0.3, potential=gaussian, seed=5,
-                               sigma=0.4, restarts=2))
+    r1 = optimize(MasterConfig(N=1, g=0.3, potential=gaussian, seed=5, sigma=0.4))
     ck.check("N=1 cost < 1e-20", r1.cost < 1e-20, f"cost {r1.cost:.2e}")
     # p=2, sigma=0, N=4 exactly solvable case
-    r2 = optimize(MasterConfig(N=4, g=1 / 16, potential=gaussian, seed=1,
-                               sigma=0.0, restarts=2))
+    r2 = optimize(MasterConfig(N=4, g=1 / 16, potential=gaussian, seed=1, sigma=0.0))
     ck.check("p2 N4 cost < 1e-12", r2.cost < 1e-12, f"cost {r2.cost:.2e}")
     # analytic gradient vs central differences
     pot7 = build_potential(double_scaling(7, 16, ("1", "0", "3", "0", "3")))
@@ -338,12 +336,10 @@ def test_criterion_10_master_field():
     ck.check("gradient matches FD to 1e-6", worst < 1e-6, f"worst {worst:.2e}")
     # monotone accepted-cost trace
     r3 = optimize(MasterConfig(N=4, g=float(double_scaling(7, 16, ("1", "0", "3", "0", "3")).g),
-                               potential=pot7, seed=9, sigma=0.0, restarts=1,
-                               max_iters=60))
+                               potential=pot7, seed=9, sigma=0.0))
     ck.check("trace monotone", bool(np.all(np.diff(r3.trace) <= 0)))
     # fixed-seed bit reproducibility
-    cfgr = MasterConfig(N=3, g=0.2, potential=pot7, seed=4, sigma=0.2,
-                        restarts=2, max_iters=40)
+    cfgr = MasterConfig(N=3, g=0.2, potential=pot7, seed=4, sigma=0.2)
     ra, rb = optimize(cfgr), optimize(cfgr)
     ck.check("bit-reproducible", ra.cost == rb.cost and ra.trace == rb.trace
              and np.array_equal(ra.state.a, rb.state.a))

@@ -38,8 +38,8 @@ class TestExpand:
         assert "s_5 = 4.98473" in out
 
     def test_monomial_all_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "expand", "--kind", "monomial",
-                               "--degree", "8", "--p", "7")
+        """The explicit kind without --s is the monomial x^8/8: no couplings."""
+        code, out, _ = run_cli(capsys, "expand", "--kind", "explicit", "--p", "7")
         assert code == 0
         assert "s_" not in out.split("couplings:")[1]
 
@@ -53,21 +53,14 @@ class TestExpand:
         assert (code, out) == (2, "")
         assert err_text == "config error: expand needs a potential: --kind\n"
 
-    def test_missing_degree_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "expand", "--kind", "monomial", "--p", "7")
-        assert code == 2
-        assert "degree" in err
-
     @pytest.mark.parametrize("argv, flag", [
         (("solve", "--kind", "cosh", "--s", "1,2,3", "--N", "4"), "--s"),
-        (("expand", "--kind", "riemann", "--degree", "4", "--p", "3"), "--degree"),
-        (("solve", "--kind", "monomial", "--degree", "8", "--s", "5"), "--s"),
-        (("expand", "--kind", "riemann", "--s", "1", "--p", "7"), "--s"),
-        (("expand", "--kind", "ramanujan", "--degree", "8", "--p", "7"), "--degree"),
-        (("solve", "--kind", "ramanujan", "--degree", "8", "--N", "4"), "--degree")])
+        (("expand", "--kind", "eta_gamma", "--s", "1", "--p", "19"), "--s"),
+        (("solve", "--kind", "ramanujan", "--s", "5", "--N", "4"), "--s"),
+        (("expand", "--kind", "riemann", "--s", "1", "--p", "7"), "--s")])
     def test_kind_rejects_flags_it_does_not_read(self, capsys, argv, flag):
-        """--s is for explicit, --degree for monomial; --p is every kind's
-        model degree, and the riemann and ramanujan kinds read no other flag."""
+        """--s is for explicit; --p is every kind's model degree, and the
+        other kinds read no other flag."""
         code, out, err_text = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err_text.startswith("config error: ") and err_text.endswith(f"drop {flag}\n")
@@ -122,6 +115,7 @@ class TestSolve:
     @pytest.mark.parametrize("kind_args, row", [
         (("--kind", "cosh", "--p", "7"), "bessel_k"),
         (("--kind", "eta_gamma", "--p", "19"), "eta_gamma"),
+        (("--kind", "explicit", "--p", "7"), "gen_airy"),
     ])
     def test_kind_matches_its_row(self, capsys, kind_args, row):
         """A kind and its catalogued row share one coupling rule, byte for byte."""
@@ -150,7 +144,7 @@ class TestSolve:
             "on critical line: True (0 complex pairs)\n")
 
     @pytest.mark.parametrize("flag", [
-        ("--kind", "cosh"), ("--p", "7"), ("--s", "1"), ("--degree", "0"),
+        ("--kind", "cosh"), ("--p", "7"), ("--s", "1"), ("--kind", "explicit"),
         ("--p", "2"), ("--s", "0.5,0.25")])
     def test_row_rejects_potential_flags(self, capsys, flag):
         """Rejected even when the flag agrees with the row (airy is p=2)."""
@@ -159,7 +153,7 @@ class TestSolve:
         assert err.startswith("config error: ") and flag[0] in err
 
     @pytest.mark.parametrize("flag", [
-        ("--kind", "cosh"), ("--p", "9"), ("--s", "1"), ("--degree", "4")])
+        ("--kind", "cosh"), ("--p", "9"), ("--s", "1"), ("--kind", "explicit")])
     def test_hermite_rejects_model_flags(self, capsys, flag):
         """--g overrides the row's g; the potential still comes from the row."""
         code, out, err = run_cli(capsys, "solve", "--row", "airy", "--N", "4",
@@ -395,6 +389,48 @@ class TestTable:
         assert err_text == "config error: bad row setting\n"
 
 
+@pytest.mark.parametrize("dps", ["15", "30", "60"])
+def test_expand_and_solve_share_the_cosh_couplings(capsys, dps):
+    """expand took the cosh couplings from the rescaled series, solve from the
+    closed form; they differed in the last digits (p = 11 at 60 digits)."""
+    for p in range(3, 20, 2):
+        _, expanded, _ = run_cli(capsys, "--precision", dps, "expand", "--kind", "cosh",
+                                 "--p", str(p), "--json")
+        _, solved, _ = run_cli(capsys, "--precision", dps, "solve", "--kind", "cosh",
+                               "--p", str(p), "--N", "4", "--json")
+        assert json.loads(expanded)["scaled"]["s"] == json.loads(solved)["params"]["s"], p
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (("solve", "--kind", "monomial", "--degree", "8", "--p", "7"), "monomial"),
+    (("expand", "--kind", "monomial", "--degree", "8"), "monomial"),
+    (("expand", "--kind", "riemann", "--degree", "4", "--p", "3"), "--degree"),
+    (("master", "--N", "2", "--restarts", "2"), "--restarts"),
+    (("master", "--N", "2", "--max-iters", "5"), "--max-iters"),
+    (("saddle", "--N", "2", "--max-iters", "5"), "--max-iters")])
+def test_removed_settings_exit_2(capsys, argv, removed):
+    """The monomial kind is the explicit kind without --s, and the solver caps
+    are constants: none of these is a setting."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert removed in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("master", "--seeds", "1.5"), "--seeds"),
+    (("master", "--seeds", "-1"), "--seeds"),
+    (("saddle", "--seed", "-1"), "--seed")])
+def test_bad_seed_names_its_flag(capsys, argv, flag):
+    """A bad seed printed "invalid literal for int()" or numpy's "expected
+    non-negative integer", naming no flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", "15", *argv, "--N", "2"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a non-negative integer, got '{argv[-1]}'" \
+        in capsys.readouterr().err
+
+
 class TestMasterSaddle:
     def test_master_n1(self, capsys):
         code, out, _ = run_cli(capsys, "master", "--N", "1", "--p", "2",
@@ -411,8 +447,7 @@ class TestMasterSaddle:
     def test_saddle_row_skips_root_finder(self, capsys, monkeypatch):
         """--row reads the row's potential and g; it does not solve Q_N."""
         run = pipeline.run_row("riemann", N=4).run
-        want = mf.saddle_solve(run.potential, float(run.params.g), 4, seed=0,
-                               max_iters=250)
+        want = mf.saddle_solve(run.potential, float(run.params.g), 4, seed=0)
 
         def no_roots(q):
             raise AssertionError("find_roots called")
@@ -429,19 +464,6 @@ class TestMasterSaddle:
                                     for a, b, r in want.solutions]
         assert doc["n_complex"] == want.n_complex
 
-    def test_master_rejects_zero_restarts(self, capsys):
-        code, out, err_text = run_cli(capsys, "master", "--N", "2", "--restarts", "0")
-        assert (code, out) == (2, "")
-        assert err_text == "config error: restarts must be >= 1, got 0\n"
-
-    @pytest.mark.parametrize("command, value", [("master", "0"), ("master", "-1"),
-                                                ("saddle", "0"), ("saddle", "-5")])
-    def test_rejects_max_iters_below_1(self, capsys, command, value):
-        """master once returned 0 iterations; saddle clamped to 0 sweeps."""
-        code, out, err_text = run_cli(capsys, command, "--N", "2", "--max-iters", value)
-        assert (code, out) == (2, "")
-        assert err_text == f"config error: max_iters must be >= 1, got {value}\n"
-
     @pytest.mark.parametrize("command", ["master", "saddle"])
     @pytest.mark.parametrize("flag", [("--p", "5"), ("--s", "9")])
     def test_row_rejects_p_and_s(self, capsys, command, flag):
@@ -457,8 +479,7 @@ class TestMasterSaddle:
         assert err_text == "config error: explicit coupling list longer than p-2 = 1\n"
 
     def test_saddle_gaussian_reports(self, capsys):
-        code, out, _ = run_cli(capsys, "saddle", "--N", "2", "--p", "2",
-                               "--g", "1.0", "--max-iters", "40")
+        code, out, _ = run_cli(capsys, "saddle", "--N", "2", "--p", "2", "--g", "1.0")
         doc = json.loads(out)
         assert "residual_norm" in doc
         assert code in (0, 3)
@@ -480,7 +501,7 @@ def test_nonpositive_g_flag_exits_2(capsys, argv):
     ("master", "--p", "0", "--N", "2"),
     ("master", "--p", "1", "--N", "2"),
     ("saddle", "--p", "1", "--N", "2"),
-    ("solve", "--kind", "monomial", "--degree", "8", "--p", "1"),
+    ("solve", "--kind", "cosh", "--p", "1"),
     ("solve", "--kind", "eta_gamma", "--p", "1"),
     ("expand", "--kind", "riemann", "--p", "1")])
 def test_model_degree_below_2_exits_2(capsys, argv):
@@ -593,7 +614,7 @@ class TestPrecision:
     @pytest.mark.parametrize("argv", [
         ("zeros", "--function", "gen_airy"),
         ("master", "--N", "1", "--p", "2"),
-        ("saddle", "--N", "2", "--p", "2", "--g", "1.0", "--max-iters", "5")])
+        ("saddle", "--N", "2", "--p", "2", "--g", "1.0")])
     def test_float64_commands_print_no_precision(self, capsys, argv):
         _, out, _ = run_cli(capsys, "--precision", "30", *argv)
         doc = json.loads(out)

@@ -263,30 +263,28 @@ class TestResiduals:
 class TestOptimize:
     def test_n1_reaches_floor(self):
         cfg = MasterConfig(N=1, g=0.3, potential=gaussian_potential(),
-                           seed=7, sigma=0.5, restarts=2)
+                           seed=7, sigma=0.5)
         res = optimize(cfg)
         assert res.cost < 1e-20
         assert res.obstruction is False
 
     def test_p2_n4_solvable(self):
         cfg = MasterConfig(N=4, g=1.0 / 16, potential=gaussian_potential(),
-                           seed=1, sigma=0.0, restarts=2)
+                           seed=1, sigma=0.0)
         res = optimize(cfg)
         assert res.cost < 1e-12
         assert res.obstruction is False
 
     def test_trace_monotone(self):
         pot, g = septic_potential()
-        cfg = MasterConfig(N=4, g=g, potential=pot, seed=9, sigma=0.0,
-                           restarts=1, max_iters=60)
+        cfg = MasterConfig(N=4, g=g, potential=pot, seed=9, sigma=0.0)
         res = optimize(cfg)
         diffs = np.diff(res.trace)
         assert np.all(diffs <= 0)
 
     def test_seed_reproducible(self):
         pot, g = septic_potential()
-        cfg = MasterConfig(N=3, g=g, potential=pot, seed=4, sigma=0.2,
-                           restarts=2, max_iters=40)
+        cfg = MasterConfig(N=3, g=g, potential=pot, seed=4, sigma=0.2)
         r1 = optimize(cfg)
         r2 = optimize(cfg)
         assert r1.cost == r2.cost
@@ -298,19 +296,19 @@ class TestOptimize:
         # dropping the Hermitian constraint doubles the parameters and still
         # solves the N=1 case exactly
         cfg = MasterConfig(N=1, g=0.3, potential=gaussian_potential(), seed=7,
-                           sigma=0.5, restarts=2, hermitian=False)
+                           sigma=0.5, hermitian=False)
         assert n_params(1, False) == 2 * n_params(1, True)
         res = optimize(cfg)
         assert res.cost < 1e-20
 
     @staticmethod
-    def float64_op_config(seed, **kw):
+    def float64_op_config(seed):
         """The float64 benchmark's master op: N=12, p=3, s=1.5, sigma=0.1."""
         with mp.workdps(60):
             params = double_scaling(3, 12, ("1.5",))
             pot = build_potential(params)
         return MasterConfig(N=12, g=float(params.g), potential=pot, seed=seed,
-                            sigma=0.1, **kw)
+                            sigma=0.1)
 
     @staticmethod
     def count_jacobians(monkeypatch):
@@ -344,7 +342,9 @@ class TestOptimize:
         """Short of the floor no restart ends the search early; a last
         step that lands on the floor ends it."""
         calls = self.count_jacobians(monkeypatch)
-        res = optimize(self.float64_op_config(4731, max_iters=max_iters, restarts=3))
+        monkeypatch.setattr(mf, "_MAX_ITERS", max_iters)
+        monkeypatch.setattr(mf, "_RESTARTS", 3)
+        res = optimize(self.float64_op_config(4731))
         assert (res.restarts, res.stop, res.iterations) == want
         assert len(calls) == 3
 
@@ -361,11 +361,13 @@ class TestOptimize:
             return gen
 
         monkeypatch.setattr(np.random, "default_rng", recording)
+        monkeypatch.setattr(mf, "_MAX_ITERS", 1)
+        monkeypatch.setattr(mf, "_RESTARTS", 3)
         states = {}
         for seed in range(4):
             made.clear()
             optimize(MasterConfig(N=2, g=0.3, potential=gaussian_potential(), seed=seed,
-                                  sigma=0.5, restarts=3, max_iters=1))
+                                  sigma=0.5))
             states[seed] = set(made)
         for a in states:
             for b in states:
@@ -383,8 +385,7 @@ class TestOptimize:
                 return super().spawn(n)
 
         monkeypatch.setattr(np.random, "SeedSequence", Counting)
-        optimize(MasterConfig(N=2, g=0.3, potential=gaussian_potential(), seed=1,
-                              sigma=0.5, restarts=3, max_iters=1))
+        optimize(MasterConfig(N=2, g=0.3, potential=gaussian_potential(), seed=1, sigma=0.5))
         assert spawns == [3]
 
     def test_gradient_matches_finite_differences(self):
@@ -480,8 +481,9 @@ class TestSaddle:
         assert np.allclose(np.sort(f[:4]), np.sort(fp[:4]))
         assert np.allclose(np.sort(f[4:]), np.sort(fp[4:]))
 
-    def test_best_found_reported(self):
-        res = saddle_solve(gaussian_potential(), 1.0, 2, max_iters=60)
+    def test_best_found_reported(self, monkeypatch):
+        monkeypatch.setattr(mf, "_SADDLE_SWEEPS", 60)
+        res = saddle_solve(gaussian_potential(), 1.0, 2)
         assert np.isfinite(res.residual_norm)
         assert isinstance(res.converged, bool)
 
@@ -549,13 +551,14 @@ class TestSaddle:
 
     def test_cost_guard(self, monkeypatch):
         """One stacked Jacobian per sweep; the starts stop well before
-        max_iters (46 sweeps measured on the README example at seed 0)."""
+        the sweep cap (46 sweeps measured on the README example at seed 0)."""
         calls = self.count_jacobians(monkeypatch)
-        res = saddle_solve(self.readme_potential(), 1.0, 4, max_iters=250)
-        assert len(calls) == res.iterations <= 250
+        res = saddle_solve(self.readme_potential(), 1.0, 4)
+        assert len(calls) == res.iterations <= mf._SADDLE_SWEEPS == 250
         assert res.iterations <= 92
         calls.clear()
-        res = saddle_solve(self.readme_potential(), 1.0, 4, max_iters=5)
+        monkeypatch.setattr(mf, "_SADDLE_SWEEPS", 5)
+        res = saddle_solve(self.readme_potential(), 1.0, 4)
         assert len(calls) == res.iterations == 5
         assert not res.converged
 

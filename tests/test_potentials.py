@@ -144,7 +144,8 @@ class TestTaylorU:
             assert abs(u[n] - w) < mpf(10) ** (-55)
 
     def test_monomial_and_explicit(self):
-        u = taylor_u(PotentialSpec(kind="monomial", degree=8), 8)
+        """Without couplings the explicit kind is the monomial x^{p+1}/(p+1)."""
+        u = taylor_u(PotentialSpec(kind="explicit", p=7), 8)
         assert u[8] == mpf(1) / 8 and all(u[n] == 0 for n in range(8))
         e = taylor_u(PotentialSpec(kind="explicit", p=7, s=("1", "0", "3", "0", "3")), 8)
         assert e[2] == mpf(1) / 2 and e[4] == mpf(3) / 4 and e[6] == mpf(3) / 6
@@ -193,7 +194,7 @@ class TestTaylorU:
     @pytest.mark.parametrize("spec", [
         PotentialSpec(kind="riemann"), PotentialSpec(kind="ramanujan"),
         PotentialSpec(kind="eta_gamma"), PotentialSpec(kind="cosh"),
-        PotentialSpec(kind="monomial", degree=8),
+        pytest.param(PotentialSpec(kind="explicit", p=7), id="monomial"),
         PotentialSpec(kind="explicit", p=7, s=("1", "0", "2"))], ids=lambda s: s.kind)
     def test_coefficient_tuples(self, spec):
         """taylor_u and expand_spec give a plain tuple of order + 1 mpf."""
@@ -207,10 +208,6 @@ class TestTaylorU:
 
 
 class TestSpecConfig:
-    def test_monomial_degree_validated(self):
-        with pytest.raises(ValueError):
-            PotentialSpec(kind="monomial", degree=7)
-
     @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf", float("nan"), float("inf")])
     def test_non_finite_coupling_rejected(self, coupling):
         with pytest.raises(ValueError, match="not finite"):

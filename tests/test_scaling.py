@@ -30,7 +30,7 @@ class TestRescale:
         assert_rel(coupling(sp, 5), "-1.22159", "1e-4", "s_5")
 
     def test_monomial_is_fixed_point(self):
-        u = taylor_u(PotentialSpec(kind="monomial", degree=8), 8)
+        u = taylor_u(PotentialSpec(kind="explicit", p=7), 8)
         sp = rescale_potential(u, 7)
         assert sp.lam == 1
         assert all(v == 0 for v in sp.s)
@@ -62,7 +62,7 @@ class TestRescale:
         (60, PotentialSpec(kind="riemann"), 4),
         (60, PotentialSpec(kind="ramanujan"), 2),
         (15, PotentialSpec(kind="riemann"), 28),
-        (60, PotentialSpec(kind="monomial", degree=8), 5)])
+        (60, PotentialSpec(kind="explicit", p=7), 5)])
     def test_vanishing_top_is_a_config_error(self, dps, spec, p):
         """An odd coefficient of an even kernel is rounding dust, or exactly 0."""
         with mp.workdps(dps):
