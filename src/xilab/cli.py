@@ -53,29 +53,31 @@ from .scaling import cosh_couplings, double_scaling, rescale_potential  # noqa: 
 
 CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference)
 
-#: model degree when --p is not given
-DEFAULT_P = 7
-
 #: psi rows summed and written at a time
 PSI_ROWS = 4096
-
-
-def _model_p(args) -> int:
-    return DEFAULT_P if args.p is None else args.p
 
 
 def _reject_ignored(args, dests, reason: str) -> None:
     """Config error naming each flag in ``dests`` (argparse dests) that was
     given although the chosen mode ignores it; ``reason`` says why."""
     given = [f"--{dest.replace('_', '-')}" for dest in dests
-             if getattr(args, dest) is not None]
+             if getattr(args, dest, None) is not None]
     if given:
         raise ValueError(f"{reason}; drop {', '.join(given)}")
 
 
-def _couplings(args) -> tuple:
-    """--s as a tuple of decimal strings."""
-    return tuple(v.strip() for v in args.s.split(","))
+def _number(text: str) -> str:
+    """A number kept as text, to convert at the working precision (an argparse type)."""
+    try:
+        mpf(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    return text.strip()
+
+
+def _couplings(text: str) -> tuple:
+    """Comma-separated couplings, each as ``_number`` reads it."""
+    return tuple(_number(v) for v in text.split(","))
 
 
 def _seed(text: str) -> int:
@@ -90,14 +92,26 @@ def _seeds(text: str) -> list:
     return [_seed(v) for v in text.split(",")]
 
 
-def _spec_from_args(args) -> PotentialSpec:
-    """The --kind potential. --s is the explicit kind's couplings (without
-    it, none), so another kind rejects the flag; --p is the model degree of
-    every kind."""
-    if args.kind != "explicit":
-        _reject_ignored(args, ("s",), f"the {args.kind} potential does not read this flag")
-        return PotentialSpec(args.kind)
-    return PotentialSpec("explicit", p=_model_p(args), s=_couplings(args) if args.s else ())
+def _potential(args) -> tuple:
+    """The --kind potential (master and saddle have no --kind: the explicit
+    kind) and the model degree, --p or the command's default. --s is the
+    explicit kind's couplings (without it, none), so another kind rejects it."""
+    kind = getattr(args, "kind", "explicit")
+    p = args.default_p if args.p is None else args.p
+    if kind != "explicit":
+        _reject_ignored(args, ("s",), f"the {kind} potential does not read this flag")
+        return PotentialSpec(kind), p
+    return PotentialSpec("explicit", p=p, s=args.s or ()), p
+
+
+def _model_params(args):
+    """The ModelParams of --row, which rejects the potential flags, or of
+    ``_potential``; --g replaces its g."""
+    if args.row:
+        _reject_ignored(args, ("kind", "p", "s"),
+                        f"--row {args.row} takes its potential from the row")
+        return ROWS[args.row].model(args.N, args.g)
+    return build_model(*_potential(args), args.N, args.g)
 
 
 @contextlib.contextmanager
@@ -122,8 +136,7 @@ def _emit(payload: dict, path: str | None) -> None:
 def cmd_expand(args) -> int:
     if args.kind is None:
         raise ValueError("expand needs a potential: --kind")
-    spec = _spec_from_args(args)
-    p = _model_p(args)
+    spec, p = _potential(args)
     order = p + 1
     u, scaled = expand_spec(spec, p)
     if args.json is not None:
@@ -152,18 +165,13 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _solve_run(args):
-    if args.row:
-        _reject_ignored(args, ("kind", "p", "s"),
-                        f"--row {args.row} takes its potential from the row")
-        return run_model(ROWS[args.row].model(args.N, args.g))
-    if args.kind is None:
-        raise ValueError("solve needs a potential: --kind or --row")
-    return run_from_spec(_spec_from_args(args), _model_p(args), args.N, g=args.g)
-
-
 def cmd_solve(args) -> int:
-    run = _solve_run(args)
+    if args.row:
+        run = run_model(_model_params(args))
+    elif args.kind is None:
+        raise ValueError("solve needs a potential: --kind or --row")
+    else:
+        run = run_from_spec(*_potential(args), args.N, g=args.g)
     if args.json is not None:
         _emit({"precision": args.precision,
                "params": {"p": run.params.p, "N": run.params.N,
@@ -233,6 +241,9 @@ def cmd_table1(args) -> int:
     unknown = [r for r in rows if r not in ROWS]
     if unknown:
         raise ValueError(f"unknown rows {unknown}; known: {ROW_IDS}")
+    repeated = sorted({r for r in rows if rows.count(r) > 1})
+    if repeated:
+        raise ValueError(f"rows {repeated} given more than once")
     results = {}
     failed = False
     for rid in rows:
@@ -252,21 +263,9 @@ def cmd_table1(args) -> int:
     return 3 if failed else 0
 
 
-def _master_potential(args, default_p: int):
-    """The model potential and g of --row, or of --p and --s as an explicit
-    potential (no --s: the model with no couplings); --g replaces g."""
-    if args.row:
-        _reject_ignored(args, ("p", "s"), f"--row {args.row} takes its potential from the row")
-        params = ROWS[args.row].model(args.N, args.g)
-    else:
-        p = default_p if args.p is None else args.p
-        spec = PotentialSpec(kind="explicit", p=p, s=_couplings(args)) if args.s else None
-        params = build_model(spec, p, args.N, args.g)
-    return build_potential(params), float(params.g)
-
-
 def cmd_master(args) -> int:
-    potential, g = _master_potential(args, default_p=2)
+    params = _model_params(args)
+    potential, g = build_potential(params), float(params.g)
     out = []
     for seed in args.seeds:
         cfg = mf.MasterConfig(N=args.N, g=g, potential=potential, seed=seed,
@@ -282,8 +281,9 @@ def cmd_master(args) -> int:
 
 
 def cmd_saddle(args) -> int:
-    potential, g = _master_potential(args, default_p=3)
-    res = mf.saddle_solve(potential, g, args.N, seed=args.seed)
+    params = _model_params(args)
+    g = float(params.g)
+    res = mf.saddle_solve(build_potential(params), g, args.N, seed=args.seed)
     _emit({"N": args.N, "g": g,
            "a": [float(x) for x in res.a], "b": [float(x) for x in res.b],
            "residual_norm": res.residual_norm, "iterations": res.iterations,
@@ -294,11 +294,16 @@ def cmd_saddle(args) -> int:
     return 0 if res.converged else 3
 
 
-def _add_potential_args(sp):
-    sp.add_argument("--kind", choices=KINDS, help="potential family")
-    sp.add_argument("--p", type=int, default=None, help=f"model degree (default {DEFAULT_P})")
-    sp.add_argument("--s", default=None,
-                    help="comma-separated explicit couplings s_1..s_{p-2} (default none)")
+def _add_model_args(sp, *, p: int, N: int | None = None) -> None:
+    """--p (default p) and --s; given a default N, also a model run's --row,
+    --N and --g. --p reads None when not given, so that --row can reject it."""
+    sp.add_argument("--p", type=int, help=f"model degree (default {p})")
+    sp.add_argument("--s", type=_couplings, help="comma-separated explicit couplings s_1..s_{p-2}")
+    sp.set_defaults(default_p=p)
+    if N is not None:
+        sp.add_argument("--row", choices=ROW_IDS, help="a catalogued row's potential and g")
+        sp.add_argument("--N", type=int, default=N)
+        sp.add_argument("--g", type=_number, help="replaces the model's coupling constant g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,20 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     sp = add("expand", help="Taylor expansion and normalized couplings")
-    _add_potential_args(sp)
+    sp.add_argument("--kind", choices=KINDS, help="potential family")
+    _add_model_args(sp, p=7)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_expand)
 
     sp = add(
         "solve", help="characteristic polynomial and roots",
         description="--csv writes the root list with columns: re, im, is_real.")
-    _add_potential_args(sp)
-    sp.add_argument("--row", choices=ROW_IDS,
-                    help="solve a catalogued report row's model, with its own "
-                         "potential and g (airy: the quadratic model, whose Q_N "
-                         "is the scaled Hermite closed form)")
-    sp.add_argument("--N", type=int, default=16)
-    sp.add_argument("--g", default=None, help="override the coupling constant g")
+    sp.add_argument("--kind", choices=KINDS, help="potential family")
+    _add_model_args(sp, p=7, N=16)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH", help="roots as CSV")
     sp.set_defaults(func=cmd_solve)
@@ -364,12 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_table1)
 
     sp = add("master", help="quenched master-field least squares")
-    sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--p", type=int, default=None, help="model degree (default 2)")
-    sp.add_argument("--row", choices=ROW_IDS, default=None,
-                    help="take the potential from a catalogued row")
-    sp.add_argument("--s", default=None, help="explicit couplings for the potential")
-    sp.add_argument("--g", type=float, default=None)
+    _add_model_args(sp, p=2, N=4)
     sp.add_argument("--sigma", type=float, default=0.0, help="noise scale")
     sp.add_argument("--seeds", type=_seeds, default="0",
                     help="comma-separated seed list (default 0)")
@@ -379,11 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_master)
 
     sp = add("saddle", help="saddle-point eigenvalue solver")
-    sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--p", type=int, default=None, help="model degree (default 3)")
-    sp.add_argument("--row", choices=ROW_IDS, default=None)
-    sp.add_argument("--s", default=None, help="explicit couplings for the potential")
-    sp.add_argument("--g", type=float, default=None)
+    _add_model_args(sp, p=3, N=4)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_saddle)

@@ -56,6 +56,10 @@ _MOMENTUM_BOUND = float(np.pi)  # half-width of the seeded uniform momentum draw
 _EPS2 = np.finfo(np.float64).eps ** 2  # float64 unit roundoff squared, ~4.9e-32
 _MAX_ITERS = 200  # Gauss-Newton iterations a restart may take
 _RESTARTS = 4     # restarts a solve may run
+# largest N per solver: master's Jacobian grows as N^4 and the saddle's stacked
+# systems as N^2; at the caps each peaks under 150 MB RSS (one BLAS thread)
+MASTER_MAX_N = 24
+SADDLE_MAX_N = 64
 
 
 def _vp_float(potential: ModelPotential) -> np.ndarray:
@@ -322,6 +326,8 @@ def optimize(cfg: MasterConfig) -> MasterResult:
     """
     if not (np.isfinite(cfg.sigma) and cfg.sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {cfg.sigma}")
+    if cfg.N > MASTER_MAX_N:
+        raise ValueError(f"the master fit takes N <= {MASTER_MAX_N}, got {cfg.N}")
     fixed, starts = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
@@ -414,8 +420,8 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0) 
     _SADDLE_SWEEPS sweeps. a, b are the first real solution in
     lexicographic order; with none, the best real part of a final iterate.
     """
-    if N < 2:
-        raise ValueError("the saddle system needs N >= 2")
+    if not 2 <= N <= SADDLE_MAX_N:
+        raise ValueError(f"the saddle system needs 2 <= N <= {SADDLE_MAX_N}, got {N}")
     vp = _vp_float(potential)
     vpp = polyder(vp)
     rng, grid = np.random.default_rng(seed), np.linspace(-1.0, 1.0, N)

@@ -33,48 +33,44 @@ from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
 from .errors import TooFewRealRoots
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
-from .potentials import PotentialSpec, taylor_u
+from .potentials import PotentialSpec, check_degree, taylor_u
 from .precision import pretty, to_decimal
 from .roots import RootSet, find_roots
-from .scaling import ModelParams, cosh_couplings, double_scaling, rescale_potential
+from .scaling import ModelParams, ScaledPotential, cosh_couplings, double_scaling, rescale_potential
 
 #: published order-8 expansion defining the riemann row (degrees 0..8)
 RIEMANN_ROW_U = ("0.112728", "0", "9.3634", "0", "5.95896", "0",
                  "-2.09194", "0", "3.53296")
 
 
-def _check_degree(p: int) -> None:
-    if p < 2:
-        raise ValueError(f"model degree p must be >= 2, got {p}")
-
-
 def expand_spec(spec: PotentialSpec, p: int):
     """U's Taylor coefficients through x^{p+1} and its normal form for the degree-p model.
 
-    The one place that picks a kind's couplings: the cosh family takes its
-    closed form, and the gamma-eta family keeps its degree-p term as the
-    coupling s_{p-1}.
+    The one place that picks a kind's couplings: the explicit kind is its own
+    normal form at its own p, the cosh family takes its closed form, and the
+    gamma-eta family keeps its degree-p term as the coupling s_{p-1}.
     """
-    _check_degree(p)
+    check_degree(p)
     u = taylor_u(spec, p + 1)
+    if spec.kind == "explicit":
+        if p != spec.p:
+            raise ValueError(f"the explicit potential is a degree-{spec.p} model, not degree {p}")
+        s = tuple([mpf(v) for v in spec.s]) + (mpf(0),) * (p - 2 - len(spec.s))
+        return u, ScaledPotential(p=p, s=s, a0=u[0], lam=mpf(1), residuals={})
     if spec.kind == "cosh":
         return u, cosh_couplings(p)
     return u, rescale_potential(u, p, couplings_through=p if spec.kind == "eta_gamma" else None)
 
 
-def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
-                g=None) -> ModelParams:
+def build_model(potential: PotentialSpec | tuple, p: int, N: int, g=None) -> ModelParams:
     """Double-scaled parameters of a degree-p model, from its normalized couplings.
 
-    potential: a ``PotentialSpec`` (its couplings from ``expand_spec``), a
-    published Taylor coefficient list (degrees 0..p+1), or None for the
-    model with no couplings.
+    potential: a ``PotentialSpec`` (its couplings from ``expand_spec``) or a
+    published Taylor coefficient list (degrees 0..p+1).
     g: replaces the double-scaling g when given.
     """
-    _check_degree(p)
-    if potential is None:
-        s = ()
-    elif isinstance(potential, PotentialSpec):
+    check_degree(p)
+    if isinstance(potential, PotentialSpec):
         s = expand_spec(potential, p)[1].s
     else:  # a published expansion
         s = rescale_potential(tuple([mpf(c) for c in potential]), p).s
@@ -85,7 +81,7 @@ def build_model(potential: PotentialSpec | tuple | None, p: int, N: int,
 class RowSpec:
     """One catalogued report row, as data.
 
-    potential: what ``build_model`` takes; None for the quadratic model.
+    potential: what ``build_model`` takes.
     reference: id of the reference zero table the roots are fitted onto.
     g_from: id of the row whose g this row uses, or None for its own
     double-scaling g.
@@ -97,7 +93,7 @@ class RowSpec:
     label: str
     u_description: str
     p: int
-    potential: PotentialSpec | tuple | None
+    potential: PotentialSpec | tuple
     reference: str
     g_from: str | None = None
     calibration: str = "fit_linear"
@@ -112,7 +108,8 @@ class RowSpec:
 
 #: the report rows by id, in report order
 ROWS = {row.id: row for row in (
-    RowSpec("airy", "Ai(z)", "i x^3/3", 2, None, "airy", calibration="airy_fixed_map"),
+    RowSpec("airy", "Ai(z)", "i x^3/3", 2, PotentialSpec(kind="explicit", p=2), "airy",
+            calibration="airy_fixed_map"),
     RowSpec("riemann", "Riemann Xi(z)", "-log(Phi(x))", 7, RIEMANN_ROW_U, "riemann"),
     RowSpec("ramanujan", "Ramanujan Xi_L(z)", "-log(Phi_L(x))", 7,
             PotentialSpec(kind="ramanujan"), "ramanujan", g_from="riemann"),
@@ -166,7 +163,7 @@ def run_model(params: ModelParams) -> ModelRun:
     return ModelRun(params=params, potential=V, q=q, roots=find_roots(q))
 
 
-def run_from_spec(potential: PotentialSpec | None, p: int, N: int, *, g=None) -> ModelRun:
+def run_from_spec(potential: PotentialSpec, p: int, N: int, *, g=None) -> ModelRun:
     """Build and run a potential as a (p,1) model (see ``build_model``)."""
     return run_model(build_model(potential, p, N, g))
 

@@ -24,6 +24,11 @@ from .series import series_exp, series_log, series_mul
 KINDS = ("riemann", "ramanujan", "eta_gamma", "cosh", "explicit")
 
 
+def check_degree(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"model degree p must be >= 2, got {p}")
+
+
 def _default_tolerance() -> mpf:
     return mpf(10) ** (-(mp.mp.dps + 10))
 
@@ -33,9 +38,9 @@ class PotentialSpec:
     """One potential family instance.
 
     kind: one of riemann | ramanujan | eta_gamma | cosh | explicit
-    p: model degree for explicit couplings
-    s: couplings s_1..s_{p-2} for the explicit kind (missing entries zero;
-        none is the generalized Airy potential x^{p+1}/(p+1)),
+    p: model degree (>= 2) of the explicit kind, x^{p+1}/(p+1) + sum s_{n-1} x^n / n
+    s: its couplings s_1..s_{p-2} (missing entries zero; none is the
+        generalized Airy potential x^{p+1}/(p+1), at p = 2 the quadratic model),
         kept exact (ints and decimal strings; a float becomes its shortest
         decimal string) and converted at the precision of each expansion
 
@@ -52,8 +57,7 @@ class PotentialSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "explicit":
-            if self.p < 3:
-                raise ValueError("explicit couplings need p >= 3")
+            check_degree(self.p)
             if len(self.s) > self.p - 2:
                 raise ValueError(f"explicit coupling list longer than p-2 = {self.p - 2}")
         couplings = []

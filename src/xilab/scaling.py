@@ -81,8 +81,6 @@ def rescale_potential(u: tuple, p: int, *,
         raise ValueError(f"the expansion's x^{p + 1} coefficient {how} ({mp.nstr(top, 3)}), "
                          f"so it has no degree-{p} model: choose another --p")
     hi = couplings_through if couplings_through is not None else p - 1
-    if not 2 <= hi <= p:
-        raise ValueError(f"couplings_through must lie in [2, {p}]")
     lam = (top * (p + 1)) ** (mpf(1) / (p + 1))
     s = tuple(n * u[n] * lam ** (-n) for n in range(2, hi + 1))
     residuals = {1: u[1] * lam ** (-1)}
@@ -110,7 +108,7 @@ def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelPa
 
     g_override replaces the computed g (used to reproduce rows whose
     reference tables were generated with a foreign g, and given as ``--g``
-    on the command line); a non-positive one is a bad input, ValueError.
+    on the command line); a non-finite or non-positive one is a ValueError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -118,6 +116,8 @@ def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelPa
     eps = (mpf(1) / N) ** (mpf(1) / (p + 1))
     if g_override is not None:
         g = mpf(g_override)
+        if not mp.isfinite(g):
+            raise ValueError(f"--g must be finite, got {g_override}")
         if not g > 0:
             raise ValueError(f"--g must be positive, got {mp.nstr(g, 8)}")
     else:

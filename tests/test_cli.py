@@ -116,6 +116,7 @@ class TestSolve:
         (("--kind", "cosh", "--p", "7"), "bessel_k"),
         (("--kind", "eta_gamma", "--p", "19"), "eta_gamma"),
         (("--kind", "explicit", "--p", "7"), "gen_airy"),
+        (("--kind", "explicit", "--p", "2"), "airy"),
     ])
     def test_kind_matches_its_row(self, capsys, kind_args, row):
         """A kind and its catalogued row share one coupling rule, byte for byte."""
@@ -123,6 +124,24 @@ class TestSolve:
         code_row, by_row, _ = run_cli(capsys, "solve", "--row", row, "--N", "16", "--json")
         assert code == code_row == 0
         assert by_kind == by_row
+
+    def test_expand_explicit_p2(self, capsys):
+        """expand takes the explicit kind at p = 2, the quadratic model x^3/3
+        (it exited 2, "explicit couplings need p >= 3")."""
+        code, out, _ = run_cli(capsys, "expand", "--kind", "explicit", "--p", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["scaled"]["s"] == [] and doc["a"][3].startswith("0.33333")
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--kind", "explicit", "--p", "7", "--s", "0,0,0,0,1e31", "--N", "4"),
+        ("master", "--N", "2", "--p", "3", "--s", "1e30")])
+    def test_large_coupling_is_not_a_vanishing_leading_term(self, capsys, argv):
+        """At 60 digits the rescale took the exact x^(p+1) coefficient 1/(p+1)
+        for rounding dust beside a coupling near 1e30: exit 2, "x^4
+        coefficient vanishes (0.25)"."""
+        code, _, err_text = run_cli(capsys, *argv)
+        assert (code, err_text) == (0, "")
 
     def test_no_potential_names_the_choices(self, capsys):
         code, out, err_text = run_cli(capsys, "solve", "--N", "4")
@@ -340,6 +359,12 @@ class TestTable:
         assert len(row["estimated_zeros"]) == 3
         assert (row["on_critical_line"], row["n_complex_pairs"]) == (True, 0)
 
+    def test_repeated_row_exits_2(self, capsys):
+        """A repeated row ran twice and printed once."""
+        code, out, err_text = run_cli(capsys, "table1", "--rows", "airy,riemann,airy")
+        assert (code, out) == (2, "")
+        assert err_text == "config error: rows ['airy'] given more than once\n"
+
     def test_subset_writes_json_and_csv_in_row_order(self, capsys, tmp_path):
         jpath, cpath = tmp_path / "t.json", tmp_path / "t.csv"
         code, out, _ = run_cli(capsys, "table1", "--rows", "riemann,airy",
@@ -431,6 +456,20 @@ def test_bad_seed_names_its_flag(capsys, argv, flag):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag, bad", [
+    (("solve", "--kind", "explicit", "--p", "7", "--s", "1,,3"), "--s", ""),
+    (("master", "--p", "3", "--s", "x"), "--s", "x"),
+    (("solve", "--row", "riemann", "--g", "abc"), "--g", "abc"),
+    (("saddle", "--g", "1,5"), "--g", "1,5")])
+def test_malformed_number_names_its_flag(capsys, argv, flag, bad):
+    """These printed float()'s "could not convert string to float", naming
+    no flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a number, got '{bad}'" in capsys.readouterr().err
+
+
 class TestMasterSaddle:
     def test_master_n1(self, capsys):
         code, out, _ = run_cli(capsys, "master", "--N", "1", "--p", "2",
@@ -503,7 +542,8 @@ def test_nonpositive_g_flag_exits_2(capsys, argv):
     ("saddle", "--p", "1", "--N", "2"),
     ("solve", "--kind", "cosh", "--p", "1"),
     ("solve", "--kind", "eta_gamma", "--p", "1"),
-    ("expand", "--kind", "riemann", "--p", "1")])
+    ("expand", "--kind", "riemann", "--p", "1"),
+    ("solve", "--kind", "explicit", "--p", "1")])
 def test_model_degree_below_2_exits_2(capsys, argv):
     """master ran p = 0 and 1 on an empty potential; solve failed later, on
     a coefficient (exit 3) or on the coupling range."""
@@ -543,6 +583,37 @@ def test_negative_leading_coefficient_exits_2(capsys, argv):
     assert err_text.startswith(f"config error: the expansion's x^{p + 1} coefficient "
                                f"is not positive")
     assert "--p" in err_text
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--row", "riemann", "--N", "8"),
+    ("solve", "--kind", "explicit", "--p", "3", "--N", "4"),
+    ("master", "--N", "2"),
+    ("saddle", "--N", "2")])
+@pytest.mark.parametrize("g", ["inf", "nan", "-inf"])
+def test_non_finite_g_flag_exits_2(capsys, command, g):
+    """solve --g inf exited 2 with mpmath's "cannot convert inf or nan to
+    int", and master --g inf exited 0 with a fit at g = inf."""
+    code, out, err_text = run_cli(capsys, *command, f"--g={g}")
+    assert (code, out) == (2, "")
+    assert err_text == f"config error: --g must be finite, got {g}\n"
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("master", "--N", str(mf.MASTER_MAX_N + 1)), mf.MASTER_MAX_N),
+    (("master", "--general", "--N", "1000"), mf.MASTER_MAX_N),
+    (("saddle", "--N", str(mf.SADDLE_MAX_N + 1)), mf.SADDLE_MAX_N)])
+def test_solver_n_above_its_cap_exits_2(capsys, monkeypatch, argv, cap):
+    """master's Jacobian grows as N^4 and saddle's stacked systems as N^2, so
+    each caps N; the check fires before either solver draws or allocates."""
+    def no_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(mf, "_fixed_inputs", no_solve)
+    monkeypatch.setattr(mf, "_vp_float", no_solve)
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err_text.startswith("config error: ") and f"N <= {cap}, got " in err_text
 
 
 def test_master_bessel_k_stops_at_floor(capsys):

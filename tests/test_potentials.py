@@ -6,7 +6,7 @@ from conftest import assert_rel
 from oracles import (differentiate, horner, phi_ramanujan, phi_riemann, u_eta_gamma,
                      u_eta_gamma_prime)
 from xilab.errors import NonConvergence
-from xilab.pipeline import expand_spec
+from xilab.pipeline import build_model, expand_spec
 from xilab.potentials import (PotentialSpec, _phi_riemann_series,
                               _u_ramanujan_series, taylor_u)
 
@@ -212,3 +212,22 @@ class TestSpecConfig:
     def test_non_finite_coupling_rejected(self, coupling):
         with pytest.raises(ValueError, match="not finite"):
             PotentialSpec(kind="explicit", p=5, s=("1", coupling))
+
+    def test_explicit_spec_is_its_own_degree(self):
+        """A degree-5 build of a p = 7 spec returned a model whose leading
+        term was the x^6 coupling; any p but the spec's is a config error."""
+        spec = PotentialSpec(kind="explicit", p=7, s=("1", "0", "3", "0", "3"))
+        for p in (5, 8):
+            with pytest.raises(ValueError, match=f"degree-7 model, not degree {p}"):
+                build_model(spec, p, 16)
+            with pytest.raises(ValueError, match=f"degree-7 model, not degree {p}"):
+                expand_spec(spec, p)
+        assert build_model(spec, 7, 16).s == tuple(mpf(v) for v in spec.s)
+
+    def test_explicit_normal_form(self):
+        """The explicit kind's couplings are its s, padded with zeros to p - 2,
+        at lambda = 1: no rescale divides a coupling by n and multiplies it
+        back, and no rounding-dust test judges the exact leading 1/(p+1)."""
+        _, scaled = expand_spec(PotentialSpec(kind="explicit", p=5, s=("0.1", "1e30")), 5)
+        assert scaled.s == (mpf("0.1"), mpf("1e30"), 0) and scaled.lam == 1
+        assert expand_spec(PotentialSpec(kind="explicit", p=2), 2)[1].s == ()
