@@ -263,9 +263,23 @@ def cmd_table1(args) -> int:
     return 3 if failed else 0
 
 
-def cmd_master(args) -> int:
+def _float64_model(args) -> tuple:
+    """The potential and float(g) of ``_model_params`` for master and saddle,
+    which run in float64. A g or a V' coefficient that is finite at the
+    working precision can round to inf, or g to 0, in float64: a config
+    error naming its flag (--g, else the --s couplings g is computed from)."""
     params = _model_params(args)
     potential, g = build_potential(params), float(params.g)
+    if not (math.isfinite(g) and g > 0):
+        flag = "--g" if args.g is not None else "--s"
+        raise ValueError(f"{flag} gives g = {mp.nstr(params.g, 8)} outside float64's range")
+    if not all(math.isfinite(float(c)) for c in potential.v_shifted_prime_coeffs()):
+        raise ValueError("--s gives potential coefficients outside float64's range")
+    return potential, g
+
+
+def cmd_master(args) -> int:
+    potential, g = _float64_model(args)
     out = []
     for seed in args.seeds:
         cfg = mf.MasterConfig(N=args.N, g=g, potential=potential, seed=seed,
@@ -281,9 +295,8 @@ def cmd_master(args) -> int:
 
 
 def cmd_saddle(args) -> int:
-    params = _model_params(args)
-    g = float(params.g)
-    res = mf.saddle_solve(build_potential(params), g, args.N, seed=args.seed)
+    potential, g = _float64_model(args)
+    res = mf.saddle_solve(potential, g, args.N, seed=args.seed)
     _emit({"N": args.N, "g": g,
            "a": [float(x) for x in res.a], "b": [float(x) for x in res.b],
            "residual_norm": res.residual_norm, "iterations": res.iterations,

@@ -19,8 +19,10 @@ eigenvalues of the recurrence's N x N lower-Hessenberg matrix, refined by the
 loop on the recurrence in float64 (vectorised over the live roots; it gives
 no backward error). Then the loop at working precision on one fused Horner
 pass (``_eval``: Q, Q' and sum |q_k| |z|^k). A root is real when its real
-part alone meets the backward-error target; the other roots are averaged
-with their conjugate partners, and the target judges the roots as reported.
+part alone meets the backward-error target, on a real Horner pass
+(``_eval_real``: Q and the scale, rounded as ``_eval`` rounds them at
+im = 0); the other roots are averaged with their conjugate partners, and
+the target judges the roots as reported.
 Exact zero roots (vanishing low-order coefficients) are split off first; the
 quotient gets its exponent from ``CharPolynomial.from_coeffs``.
 """
@@ -110,6 +112,20 @@ def _eval(raw, z):
     return mp.make_mpc(p), mp.make_mpc(dp), mp.make_mpf(s)
 
 
+def _eval_real(raw, x):
+    """Q(x) and sum |q_k| |x|^k at a real ``x`` (an mpf): ``_eval``'s pass at
+    im = 0 without Q', with the same roundings, so |Q(x)| / sum |q_k| |x|^k
+    is ``_eval``'s to the bit."""
+    prec = mp.mp.prec
+    xr = x._mpf_
+    r = mpf_abs(xr, prec, "n")
+    p, s = raw[0]
+    for c, a in raw[1:]:
+        p = mpf_add(mpf_mul(p, xr, prec, "n"), c, prec, "n")
+        s = mpf_add(mpf_mul(s, r, prec, "n"), a, prec, "n")
+    return mp.make_mpf(p), mp.make_mpf(s)
+
+
 def find_roots(Q: CharPolynomial) -> RootSet:
     """All complex roots by Aberth-Ehrlich iteration.
 
@@ -135,12 +151,8 @@ def find_roots(Q: CharPolynomial) -> RootSet:
             errs.append(abs(p) / s)
         return ws, errs
 
-    def residual(z):
-        p, _, s = _eval(raw, z)
-        return abs(p) / s
-
     zs, sweeps = _aberth(_float64_start(core), evaluate, +mp.eps)
-    found = [(mpc(0), mpf(0), True, -1)] * m + list(zip(*_symmetrize(zs, residual, target)))
+    found = [(mpc(0), mpf(0), True, -1)] * m + list(zip(*_symmetrize(zs, raw, target)))
     worst = max(err for _, err, _, _ in found)
     if worst > target:
         raise NonConvergence(
@@ -255,11 +267,17 @@ def _aberth(zs, evaluate, tol):
     return zs, sweeps
 
 
-def _symmetrize(zs, residual, target):
+def _symmetrize(zs, raw, target):
     """The roots as reported, their backward errors, realness flags and pair
-    ids. A root is real when its real part meets ``target`` on its own; the
-    others are averaged exactly with their nearest conjugate partners, which
-    are not tested on their own (the conjugate of a non-real root is not real)."""
+    ids. A root is real when its real part meets ``target`` on its own,
+    evaluated by the real Horner pass ``_eval_real``; the others are
+    averaged exactly with their nearest conjugate partners, which are not
+    tested on their own (the conjugate of a non-real root is not real)."""
+
+    def residual(z):
+        p, _, s = _eval(raw, z)
+        return abs(p) / s
+
     n = len(zs)
     out = list(zs)
     errs = [None] * n
@@ -269,10 +287,11 @@ def _symmetrize(zs, residual, target):
     for i in range(n):
         if errs[i] is not None:
             continue
-        x = mpc(mp.re(zs[i]))
-        err = residual(x)
+        x = mp.re(zs[i])
+        p, s = _eval_real(raw, x)
+        err = abs(p) / s
         if err <= target:
-            out[i], errs[i], is_real[i] = x, err, True
+            out[i], errs[i], is_real[i] = mpc(x), err, True
             continue
         rest = [j for j in range(n) if j != i and errs[j] is None]
         if not rest:  # unpaired (cannot happen for real coefficients)

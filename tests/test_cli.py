@@ -599,6 +599,32 @@ def test_non_finite_g_flag_exits_2(capsys, command, g):
     assert err_text == f"config error: --g must be finite, got {g}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("master", "--N", "2", "--g", "1e400"), "--g gives g = 1.0e+400"),
+    (("master", "--N", "2", "--g", "1e-400"), "--g gives g = 1.0e-400"),
+    (("master", "--N", "2", "--p", "3", "--s", "1e400"), "--s gives g = 3.5355339e+399"),
+    (("saddle", "--N", "3", "--g", "1e400"), "--g gives g = 1.0e+400"),
+    (("saddle", "--N", "3", "--g", "1e-400"), "--g gives g = 1.0e-400"),
+    (("saddle", "--N", "3", "--p", "3", "--s", "1e400"), "--s gives g = 1.9245009e+399"),
+    (("master", "--N", "2", "--p", "3", "--s", "1e400", "--g", "1"),
+     "--s gives potential coefficients"),
+    (("saddle", "--N", "3", "--p", "3", "--s", "1e400", "--g", "1"),
+     "--s gives potential coefficients")])
+def test_outside_float64_range_exits_2(capsys, monkeypatch, argv, message):
+    """A g or coupling finite at the working precision but not in float64:
+    master exited 0 printing "g": Infinity (not JSON) or 1 with
+    ZeroDivisionError at g = 1e-400, and saddle exited 3 printing Infinity.
+    No solver runs."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(mf, "optimize", no_solve)
+    monkeypatch.setattr(mf, "saddle_solve", no_solve)
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err_text == f"config error: {message} outside float64's range\n"
+
+
 @pytest.mark.parametrize("argv, cap", [
     (("master", "--N", str(mf.MASTER_MAX_N + 1)), mf.MASTER_MAX_N),
     (("master", "--general", "--N", "1000"), mf.MASTER_MAX_N),

@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from mpmath import mpc, mpf
+from mpmath.libmp import mpf_abs
 
 from conftest import assert_rel
 from oracles import hermite_q, horner, reconstruct_coefficients
@@ -126,16 +127,19 @@ class TestFindRoots:
     def test_stopping_rules_bound_the_evaluations(self, monkeypatch, N):
         """Each root's Q, Q' and scale are evaluated once per sweep it steps
         in, once more when it is found at the rounding floor, and once at its
-        real part, which gives a real root's reported residual; a conjugate
-        pair shares one more for the averaged pair: n (sweeps + 2) in all."""
+        real part (Q and scale by the real pass), which gives a real root's
+        reported residual; a conjugate pair shares one more for the averaged
+        pair: n (sweeps + 2) calls of the two evaluators in all."""
         calls = [0]
-        fused = roots._eval
 
-        def counted(raw, z):
-            calls[0] += 1
-            return fused(raw, z)
+        def counted(evaluator):
+            def run(raw, z):
+                calls[0] += 1
+                return evaluator(raw, z)
+            return run
 
-        monkeypatch.setattr(roots, "_eval", counted)
+        monkeypatch.setattr(roots, "_eval", counted(roots._eval))
+        monkeypatch.setattr(roots, "_eval_real", counted(roots._eval_real))
         with mp.workdps(60 if N == 16 else 80):
             rs = find_roots(riemann_q(N))
         assert 2 * N <= calls[0] <= N * (rs.sweeps + 2)
@@ -229,6 +233,26 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             find_roots(CharPolynomial.from_coeffs((mpf(1),)))
+
+
+class TestEvaluators:
+    @pytest.mark.parametrize("row_id, N, dps", [(r, 16, 60) for r in ROWS]
+                             + [("riemann", 48, 100)])
+    def test_real_pass_is_the_complex_pass_at_im_0(self, row_id, N, dps):
+        """At the real part of every root, the real Horner pass gives Q and
+        sum |q_k| |x|^k, and so the residual, to the bit of _eval's."""
+        with mp.workdps(dps):
+            q = row_q(row_id, N)
+            # find_roots's Horner input (q_0 != 0 here): (q_k, |q_k|) as
+            # libmp values, highest degree first
+            raw = [(c._mpf_, mpf_abs(c._mpf_)) for c in reversed(q.coeffs)]
+            for z in find_roots(q).roots:
+                x = mp.re(z)
+                p, s = roots._eval_real(raw, x)
+                pc, _, sc = roots._eval(raw, mpc(x))
+                assert mp.im(pc) == 0
+                assert (p._mpf_, s._mpf_) == (mp.re(pc)._mpf_, sc._mpf_)
+                assert (abs(p) / s)._mpf_ == (abs(pc) / sc)._mpf_
 
 
 class TestHighDegree:
