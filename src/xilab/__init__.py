@@ -14,8 +14,8 @@ from .scaling import (ModelParams, ScaledPotential, cosh_couplings,
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
 from .roots import RootSet, find_roots
-from .baker_akhiezer import (BAFunction, ReferenceZeros, magnitude_minima,
-                             psi_zeros, quadrature_zeros, reference_table)
+from .baker_akhiezer import (BAFunction, magnitude_minima, psi_zeros,
+                             quadrature_zeros, reference_table)
 from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
 from .pipeline import (ROW_IDS, ModelRun, RowResult, ZeroReport, build_model,
                        build_table1, run_from_spec, run_model, run_row)

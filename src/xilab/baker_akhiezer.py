@@ -12,6 +12,8 @@ at the nodes are precomputed once, so psi at a z is one Fourier sum, the
 package's hot kernel, and its value depends on z alone, not on the grid or
 call that sums it. A zero scan sums psi on its grid only as far as it
 reads it (the zeros lie far below Z_MAX), then one sum per bisection step.
+Both scans return the zeros they find above the noise floor, up to the
+count asked; ``quadrature_zeros`` alone fails on fewer. Zero tables are tuples.
 
 Everything here runs in float64 and reads no global precision: the node
 set depends on U alone, and the sums agree with the exact transform to
@@ -121,13 +123,13 @@ class BAFunction:
     def psi_grid(self, zs) -> np.ndarray:
         """psi at each z; each value depends on its z alone. For even U the
         imaginary part is zeroed."""
-        out = fourier_eval(self.xs, self.env, _in_band(zs))
+        out = fourier_eval(self.xs, self.env, in_band(zs))
         if self.even:
             return out.real + 0j
         return out
 
 
-def _in_band(zs) -> np.ndarray:
+def in_band(zs) -> np.ndarray:
     """zs as float64, rejecting |z| > Z_MAX, where the trapezoid sum aliases."""
     zs = np.asarray(zs, dtype=np.float64)
     if zs.size and not np.max(np.abs(zs)) <= Z_MAX:
@@ -150,13 +152,6 @@ def _solve_cutoff(u, target: float) -> float:
         else:
             hi = m
     return hi
-
-
-@dataclass(frozen=True)
-class ReferenceZeros:
-    function_id: str
-    zeros: tuple
-    provenance: str  # "published-table" | "quadrature"
 
 
 def _scan(f: BAFunction, step: float):
@@ -198,8 +193,9 @@ def _scan(f: BAFunction, step: float):
     return zs, vals, mags, through, envelope
 
 
-def psi_zeros(f: BAFunction, count: int) -> ReferenceZeros:
-    """First `count` positive real zeros by sign scan plus bisection."""
+def psi_zeros(f: BAFunction, count: int) -> tuple:
+    """The first `count` positive real zeros by sign scan plus bisection, or
+    as many as lie above the quadrature noise floor."""
     if not f.even:
         raise ValueError("real zero scan needs an even potential; "
                          "use magnitude_minima for complex-valued psi")
@@ -225,12 +221,7 @@ def psi_zeros(f: BAFunction, count: int) -> ReferenceZeros:
             else:
                 a, fa = m, fm
         zeros.append(float(0.5 * (a + b)))
-    if len(zeros) < count:
-        raise InsufficientZerosFound(
-            f"found {len(zeros)} of {count} zeros in (0, {Z_MAX:g}) above the "
-            f"quadrature noise floor")
-    return ReferenceZeros(function_id=f.name, zeros=tuple(zeros[:count]),
-                          provenance="quadrature")
+    return tuple(zeros)
 
 
 def magnitude_minima(f: BAFunction, count: int) -> list:
@@ -270,13 +261,13 @@ _GEN_AIRY_M130 = [0, 0, -1 / 2, 0, 3 / 4, 0, 0, 0, 1 / 8]
 _GEN_AIRY_133 = [0, 0, 1 / 2, 0, 3 / 4, 0, 3 / 4, 0, 1 / 8]
 
 REFERENCE_TABLE = {
-    "riemann": ReferenceZeros("riemann", (14.1347, 21.022, 25.0109), "published-table"),
-    "ramanujan": ReferenceZeros("ramanujan", (9.22238, 13.90755, 17.442777), "published-table"),
-    "bessel_k": ReferenceZeros("bessel_k", (2.96255, 4.53449, 5.87987), "published-table"),
-    "airy": ReferenceZeros("airy", (-2.33811, -4.08795, -5.52056), "published-table"),
-    "gen_airy": ReferenceZeros("gen_airy", (2.56503, 5.08746, 7.53357), "published-table"),
-    "gen_airy_m130": ReferenceZeros("gen_airy_m130", (2.89881, 5.99627, 8.6996), "published-table"),
-    "gen_airy_133": ReferenceZeros("gen_airy_133", (4.17486, 7.69736, 10.9217), "published-table"),
+    "riemann": (14.1347, 21.022, 25.0109),
+    "ramanujan": (9.22238, 13.90755, 17.442777),
+    "bessel_k": (2.96255, 4.53449, 5.87987),
+    "airy": (-2.33811, -4.08795, -5.52056),
+    "gen_airy": (2.56503, 5.08746, 7.53357),
+    "gen_airy_m130": (2.89881, 5.99627, 8.6996),
+    "gen_airy_133": (4.17486, 7.69736, 10.9217),
 }
 # the corrected gamma-eta transform's |psi| dips sit at the zeta zeros
 REFERENCE_TABLE["eta_gamma_corrected"] = REFERENCE_TABLE["riemann"]
@@ -314,7 +305,8 @@ QUADRATURE_INTEGRANDS = {
 }
 
 
-def reference_table(function_id: str) -> ReferenceZeros:
+def reference_table(function_id: str) -> tuple:
+    """The published zeros of ``function_id`` (UnknownReference if none)."""
     try:
         return REFERENCE_TABLE[function_id]
     except KeyError:
@@ -334,8 +326,9 @@ def integrand(function_id: str):
             f"known: {sorted(QUADRATURE_INTEGRANDS)}") from None
 
 
-def quadrature_zeros(function_id: str, count: int = 3) -> ReferenceZeros:
-    """Recompute a reference row's zeros from its integrand.
+def quadrature_zeros(function_id: str, count: int = 3) -> tuple:
+    """Recompute a reference row's first ``count`` zeros from its integrand;
+    finding fewer above the noise floor is an InsufficientZerosFound.
 
     Non-even integrands give complex psi on the real axis; their zeros are
     located as |psi| minima (plot-grade heuristic, not used by acceptance).
@@ -344,11 +337,12 @@ def quadrature_zeros(function_id: str, count: int = 3) -> ReferenceZeros:
     if count < 1:
         raise ValueError(f"zero count must be >= 1, got {count}")
     f = make()
-    if not f.even:
-        dips = magnitude_minima(f, count)
-        if len(dips) < count:
-            raise InsufficientZerosFound(
-                f"found {len(dips)} of {count} |psi| dips for {function_id}")
-        return ReferenceZeros(function_id=function_id, zeros=tuple(dips),
-                              provenance="quadrature-magnitude")
-    return psi_zeros(f, count)
+    if f.even:
+        zeros = psi_zeros(f, count)
+        what = f"zeros in (0, {Z_MAX:g}) above the quadrature noise floor"
+    else:
+        zeros = tuple(magnitude_minima(f, count))
+        what = f"|psi| dips for {function_id}"
+    if len(zeros) < count:
+        raise InsufficientZerosFound(f"found {len(zeros)} of {count} {what}")
+    return zeros

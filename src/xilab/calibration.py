@@ -4,7 +4,7 @@ The two lowest real roots are anchored onto the first two reference zeros
 (z = A b + c, ascending roots onto ascending zeros); the remaining mapped
 roots estimate the higher zeros. The quadratic-model row instead uses the
 fixed affine map y = -8 * 2^{1/6} (sqrt(2) - b) applied to the largest
-roots, whose zero tables descend.
+roots, whose zero tables descend. A zero table is a plain tuple of floats.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import mpf
 
-from .baker_akhiezer import ReferenceZeros
 from .errors import ComplexAnchor, DegenerateFit
 
 
@@ -27,11 +26,11 @@ class Calibration:
         return self.A * b + self.c
 
 
-def fit_linear(real_roots, ref: ReferenceZeros) -> Calibration:
+def fit_linear(real_roots, ref: tuple) -> Calibration:
     """Fit z = A b + c through the two lowest roots and the first two zeros.
 
     real_roots: ascending real root list (complex roots excluded upstream);
-    reference zeros are taken in their published (first, second, ...) order.
+    ref: the reference zeros (floats) in their published (first, ...) order.
     """
     b1, b2 = real_roots[0], real_roots[1]
     for b in (b1, b2):
@@ -39,7 +38,7 @@ def fit_linear(real_roots, ref: ReferenceZeros) -> Calibration:
             raise ComplexAnchor(f"anchor root {b} is not real")
     if b1 == b2:
         raise DegenerateFit("anchor roots coincide")
-    z1, z2 = mpf(str(ref.zeros[0])), mpf(str(ref.zeros[1]))
+    z1, z2 = mpf(str(ref[0])), mpf(str(ref[1]))
     A = (z2 - z1) / (mpf(b2) - mpf(b1))
     c = z1 - A * mpf(b1)
     return Calibration(A=A, c=c)

@@ -328,6 +328,9 @@ def optimize(cfg: MasterConfig) -> MasterResult:
         raise ValueError(f"sigma must be finite and >= 0, got {cfg.sigma}")
     if cfg.N > MASTER_MAX_N:
         raise ValueError(f"the master fit takes N <= {MASTER_MAX_N}, got {cfg.N}")
+    with np.errstate(over="ignore", divide="ignore"):  # the fit forms g^2 and 1/g^2
+        if not np.isfinite(np.float64(cfg.g) ** np.array([2.0, -2.0])).all():
+            raise ValueError(f"g = {cfg.g} has a square or inverse square outside float64's range")
     fixed, starts = _fixed_inputs(cfg)
     npar = n_params(cfg.N, cfg.hermitian)
     best = None
@@ -429,30 +432,34 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0) 
     spread = np.repeat(np.hstack([sa, sa * 10.0 ** rng.uniform(-2.0, 0.0, sa.shape)]), N, axis=1)
     noise = rng.standard_normal(spread.shape) + 1j * rng.standard_normal(spread.shape)
     x = spread * (np.concatenate([grid, -grid]) + 0.2 * noise)
-    last, halved_at = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
-    live = np.ones(len(x), dtype=bool)
+    # per start: its last residual norm, its last halved norm and that sweep
+    norm, last, halved_at = np.empty(len(x)), np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))  # the starts a sweep reads and writes
     with np.errstate(all="ignore"):
         for sweeps in range(_SADDLE_SWEEPS + 1):
-            size = 1.0 + np.max(np.abs(x.real), axis=1)
-            near_real = live & (np.max(np.abs(x.imag), axis=1) <= _REAL_TOL * size)
-            x[near_real] = x[near_real].real
-            f, ra, rb = _saddle_residual(vp, g, x[:, :N], x[:, N:])
-            norm = np.linalg.norm(f, axis=1)
-            halved = norm < 0.5 * last
+            xl = x[live]
+            size = 1.0 + np.max(np.abs(xl.real), axis=1)
+            near_real = np.max(np.abs(xl.imag), axis=1) <= _REAL_TOL * size
+            xl[near_real] = xl[near_real].real
+            x[live] = xl
+            f, ra, rb = _saddle_residual(vp, g, xl[:, :N], xl[:, N:])
+            norm[live] = nl = np.linalg.norm(f, axis=1)
+            halved = live[nl < 0.5 * last[live]]
             last[halved], halved_at[halved] = norm[halved], sweeps
             # below _SOLVED_TOL: polish while halving
-            stall = np.where(norm < _SOLVED_TOL, 1, _STALL_SWEEPS)
-            live &= np.isfinite(norm) & (sweeps - halved_at < stall)
-            if sweeps >= _SADDLE_SWEEPS or not live.any():
+            stall = np.where(nl < _SOLVED_TOL, 1, _STALL_SWEEPS)
+            keep = np.isfinite(nl) & (sweeps - halved_at[live] < stall)
+            live, xl = live[keep], xl[keep]
+            if sweeps >= _SADDLE_SWEEPS or not live.size:
                 break
-            J, f = _saddle_jacobian(vpp, g, x[live, :N], ra[live], rb[live]), f[live, :, None]
+            J, f = _saddle_jacobian(vpp, g, xl[:, :N], ra[keep], rb[keep]), f[keep, :, None]
             try:
                 step = np.linalg.solve(J, -f)[..., 0]
             except np.linalg.LinAlgError:  # an exactly singular J: a NaN step ends its start
                 ok, step = np.linalg.slogdet(J)[0] != 0, np.full_like(f[..., 0], np.nan)
                 step[ok] = np.linalg.solve(J[ok], -f[ok])[..., 0]
-            cap = _STEP_CAP * (1.0 + np.linalg.norm(x[live], axis=1))
-            x[live] += step / np.maximum(np.linalg.norm(step, axis=1) / cap, 1.0)[:, None]
+            cap = _STEP_CAP * (1.0 + np.linalg.norm(xl, axis=1))
+            x[live] = xl + step / np.maximum(np.linalg.norm(step, axis=1) / cap, 1.0)[:, None]
         # canonical order: the system is symmetric under permuting the pairs
         # (a_i, b_i); Re + Im separates the conjugate a's of a complex solution
         order = np.argsort(x[:, :N].real + x[:, :N].imag, axis=1)[:, None]

@@ -148,12 +148,12 @@ class RowResult:
     run: ModelRun
     calibration: Calibration
     estimated_zeros: tuple
-    reference: ba.ReferenceZeros
+    reference: tuple  # the published zeros, floats
 
     @property
     def exact_zeros(self) -> tuple:
         """The reported reference zeros, read from their decimal forms."""
-        return tuple(mpf(str(z)) for z in self.reference.zeros[:REPORTED_ZEROS])
+        return tuple(mpf(str(z)) for z in self.reference[:REPORTED_ZEROS])
 
 
 def run_model(params: ModelParams) -> ModelRun:

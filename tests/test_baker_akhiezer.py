@@ -75,7 +75,7 @@ class TestPsi:
         f = QUADRATURE_INTEGRANDS[fid]()
         cs = {"gen_airy": ba._GEN_AIRY, "gen_airy_m130": ba._GEN_AIRY_M130,
               "gen_airy_133": ba._GEN_AIRY_133}[fid]
-        zeros = reference_table(fid).zeros
+        zeros = reference_table(fid)
         scale = f.psi(0.0).real
         for z in (0.0, zeros[0], zeros[2], 30.0):
             with mp.workdps(30):
@@ -95,7 +95,7 @@ class TestPsi:
         assert np.array_equal(via_scaled.xs, via_poly.xs)
         assert np.array_equal(via_scaled.env, via_poly.env)
         # truncated-potential zeros sit near the full-kernel zeros over lambda
-        zs = psi_zeros(via_scaled, 1).zeros
+        zs = psi_zeros(via_scaled, 1)
         lam = float(sp.lam)
         assert abs(zs[0] * lam - 2.96255) < 0.2
 
@@ -124,7 +124,7 @@ class TestPsi:
         for dps in (15, 60, 100):
             with mp.workdps(dps):
                 f = QUADRATURE_INTEGRANDS[fid]()
-                runs.append((len(f.xs), f.env, quadrature_zeros(fid).zeros))
+                runs.append((len(f.xs), f.env, quadrature_zeros(fid)))
         for n, env, zeros in runs[1:]:
             assert n == runs[0][0]
             assert np.array_equal(env, runs[0][1])
@@ -176,23 +176,23 @@ class TestPsi:
 class TestZeros:
     def test_bessel_zeros(self, cosh_f):
         got = psi_zeros(cosh_f, 3)
-        for z, want in zip(got.zeros, (2.96255, 4.53449, 5.87987)):
+        for z, want in zip(got, (2.96255, 4.53449, 5.87987)):
             assert abs(z - want) < 1e-3
 
     def test_gen_airy_zeros(self, mono8_f):
         got = psi_zeros(mono8_f, 3)
-        for z, want in zip(got.zeros, (2.56503, 5.08746, 7.53357)):
+        for z, want in zip(got, (2.56503, 5.08746, 7.53357)):
             assert abs(z - want) < 1e-3
 
     @pytest.mark.parametrize("fid", ["gen_airy_m130", "gen_airy_133"])
     def test_reference_rows_by_quadrature(self, fid):
         got = quadrature_zeros(fid, 3)
-        want = reference_table(fid).zeros
-        for z, w in zip(got.zeros, want):
+        want = reference_table(fid)
+        for z, w in zip(got, want):
             assert abs(z - w) < 1e-3
 
     def test_zeros_are_simple_sign_changes(self, cosh_f):
-        zs = psi_zeros(cosh_f, 3).zeros
+        zs = psi_zeros(cosh_f, 3)
         for z in zs:
             lo = cosh_f.psi(z - 1e-6).real
             hi = cosh_f.psi(z + 1e-6).real
@@ -204,21 +204,23 @@ class TestZeros:
         u = np.linspace(0.1, 9.0, 2000)
         vals = np.sin(u)
         got = psi_zeros(cosh_f, 3)
-        assert len(got.zeros) == 3
+        assert len(got) == 3
         assert np.sign(vals[0]) > 0  # sin is real on the scan window
 
-    def test_exhausted_window_raises(self, cosh_f):
+    def test_exhausted_window_raises(self):
         with pytest.raises(InsufficientZerosFound):
-            psi_zeros(cosh_f, 50)
+            quadrature_zeros("bessel_k", 50)
 
     def test_scan_stops_at_the_noise_floor(self, cosh_f):
         """K_iz(1) decays like e^{-pi z/2}: past z ~ 21 its float64 sum is
         rounding noise with hundreds of sign changes, none of them a zero.
-        The scan keeps the 18 zeros above the floor and raises for more."""
-        zs = psi_zeros(cosh_f, 18).zeros
+        The scan returns the 18 zeros above the floor however many are asked
+        for; quadrature_zeros raises for more."""
+        zs = psi_zeros(cosh_f, 18)
         assert 20 < zs[-1] < 21
+        assert psi_zeros(cosh_f, 40) == zs
         with pytest.raises(InsufficientZerosFound, match="found 18 of 40"):
-            psi_zeros(cosh_f, 40)
+            quadrature_zeros("bessel_k", 40)
 
     @pytest.mark.parametrize("fid, count", [(fid, c) for fid in EVEN_INTEGRANDS
                                              for c in (1, 2, 3)]
@@ -227,7 +229,7 @@ class TestZeros:
         """Summing psi only as far as the scan reads finds the same zeros,
         to the bit, as summing the whole grid first."""
         f = _integrand(fid)
-        assert psi_zeros(f, count).zeros == full_grid_zeros(f, count)
+        assert psi_zeros(f, count) == full_grid_zeros(f, count)
 
     @pytest.mark.parametrize("fid, count", [(fid, c) for fid in EVEN_INTEGRANDS
                                              for c in (1, 2, 3)]
@@ -257,7 +259,7 @@ class TestZeros:
     def test_no_dips_asked_none_returned(self):
         f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
         assert magnitude_minima(f, 0) == []
-        assert psi_zeros(QUADRATURE_INTEGRANDS["bessel_k"](), 0).zeros == ()
+        assert psi_zeros(QUADRATURE_INTEGRANDS["bessel_k"](), 0) == ()
 
     def test_magnitude_minima_finds_dips(self):
         # even case: |psi| dips at the real zeros
@@ -279,15 +281,11 @@ class TestZeros:
 
 class TestReferenceTable:
     def test_known_ids(self):
-        assert reference_table("riemann").zeros == (14.1347, 21.022, 25.0109)
-        assert reference_table("ramanujan").zeros == (9.22238, 13.90755, 17.442777)
-        assert reference_table("airy").zeros == (-2.33811, -4.08795, -5.52056)
-        assert reference_table("gen_airy").zeros[0] == 2.56503
+        assert reference_table("riemann") == (14.1347, 21.022, 25.0109)
+        assert reference_table("ramanujan") == (9.22238, 13.90755, 17.442777)
+        assert reference_table("airy") == (-2.33811, -4.08795, -5.52056)
+        assert reference_table("gen_airy")[0] == 2.56503
 
     def test_unknown_id(self):
         with pytest.raises(UnknownReference):
             reference_table("nope")
-
-    def test_provenance(self):
-        assert reference_table("riemann").provenance == "published-table"
-        assert quadrature_zeros("bessel_k").provenance == "quadrature"

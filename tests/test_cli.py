@@ -222,6 +222,15 @@ class TestZerosAndPsi:
         assert abs(float(doc["quadrature_zeros"][0]) - 2.96255) < 1e-3
         assert all(len(z.split(".")[1]) == 12 for z in doc["quadrature_zeros"])
         assert doc["reference_zeros"] == ["2.96255", "4.53449", "5.87987"]
+        assert doc["reference_provenance"] == "published-table"
+
+    def test_too_few_dips_exits_3(self, capsys):
+        """The dip scan returns the dips above the noise floor; too few is a
+        numerical failure, said by the one check both scans share."""
+        code, out, err_text = run_cli(capsys, "zeros", "--function", "eta_gamma_corrected")
+        assert (code, out) == (3, "")
+        assert err_text == ("numerical failure: found 2 of 3 |psi| dips for "
+                            "eta_gamma_corrected\n")
 
     def test_psi_grid_csv(self, capsys, tmp_path):
         path = tmp_path / "psi.csv"
@@ -623,6 +632,18 @@ def test_outside_float64_range_exits_2(capsys, monkeypatch, argv, message):
     code, out, err_text = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err_text == f"config error: {message} outside float64's range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("master", "--N", "2", "--g", "1e200"),
+    ("master", "--N", "2", "--g", "1e-200"),
+    ("master", "--N", "2", "--p", "3", "--s", "1e300")])
+def test_master_g_square_outside_float64_exits_2(capsys, argv):
+    """g is finite in float64 but g^2 or 1/g^2 is not: the fit raised
+    OverflowError, a bare traceback (exit 1)."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err_text.startswith("config error: g = ")
 
 
 @pytest.mark.parametrize("argv, cap", [

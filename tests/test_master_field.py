@@ -388,6 +388,18 @@ class TestOptimize:
         optimize(MasterConfig(N=2, g=0.3, potential=gaussian_potential(), seed=1, sigma=0.5))
         assert spawns == [3]
 
+    @pytest.mark.parametrize("g", [1e200, -1e200, 1e-200, 0.0, np.inf, np.nan])
+    def test_g_with_an_overflowing_square_raises(self, g, monkeypatch):
+        """The fit forms g^2 and 1/g^2 as Python floats, where g = 1e200 and
+        1e-200 raised OverflowError; it refuses such a g before drawing."""
+        def no_draw(*args):
+            raise AssertionError("the fit drew its inputs")
+
+        monkeypatch.setattr(mf, "_fixed_inputs", no_draw)
+        cfg = MasterConfig(N=2, g=g, potential=gaussian_potential(), seed=1, sigma=0.5)
+        with pytest.raises(ValueError, match=r"^g = .* outside float64's range"):
+            optimize(cfg)
+
     def test_gradient_matches_finite_differences(self):
         pot, g = septic_potential()
         cfg = MasterConfig(N=3, g=g, potential=pot, seed=13, sigma=0.25)
@@ -561,6 +573,24 @@ class TestSaddle:
         res = saddle_solve(self.readme_potential(), 1.0, 4)
         assert len(calls) == res.iterations == 5
         assert not res.converged
+
+    def test_sweeps_evaluate_only_live_starts(self, monkeypatch):
+        """Each sweep takes the residual of the starts still live, so the
+        batches never grow; on the README example at seed 0 they total 1635
+        start-rows over 47 residual passes, where all 96 starts a pass gave
+        4512. The last call judges every final iterate."""
+        sizes = []
+
+        def recording(vp, g, a, b):
+            sizes.append(len(a))
+            return _saddle_residual(vp, g, a, b)
+
+        monkeypatch.setattr(mf, "_saddle_residual", recording)
+        res = saddle_solve(self.readme_potential(), 1.0, 4)
+        sweeps, final = sizes[:-1], sizes[-1]
+        assert len(sweeps) == res.iterations + 1 and final == mf._SADDLE_STARTS
+        assert all(n >= m for n, m in zip(sweeps, sweeps[1:])), sweeps
+        assert sum(sweeps) < 0.5 * mf._SADDLE_STARTS * res.iterations
 
     def test_singular_jacobian_drops_start(self, monkeypatch):
         """An exactly singular Jacobian ends its start; the others go on."""
