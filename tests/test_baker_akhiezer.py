@@ -289,3 +289,13 @@ class TestReferenceTable:
     def test_unknown_id(self):
         with pytest.raises(UnknownReference):
             reference_table("nope")
+
+    def test_provenance(self):
+        # a reference row is the published table as catalogued, never a
+        # recomputation; quadrature zeros are computed and agree with it only
+        # to the table's digits
+        assert reference_table("riemann") is ba.REFERENCE_TABLE["riemann"]
+        got = quadrature_zeros("bessel_k")
+        want = reference_table("bessel_k")
+        assert got != want
+        assert all(abs(z - w) < 1e-3 for z, w in zip(got, want))
