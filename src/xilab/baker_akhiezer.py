@@ -28,8 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (InsufficientZerosFound, NonConvergence, TailNotNegligible,
-                     UnknownReference)
+from .errors import XilabError
 from .kernels import fourier_eval
 
 LN10 = float(np.log(10.0))
@@ -101,7 +100,7 @@ class BAFunction:
                 return cls(name=name, u=u, even=even, x_max=x_pos, x_min=-x_neg,
                            h=h, xs=xs, env=env)
             sums = finer
-        raise NonConvergence(
+        raise XilabError(
             f"trapezoid sums for {name} still differ by {gap:.3e} of |psi(0)| "
             f"at step {h:.3g} after {MAX_HALVINGS} halvings")
 
@@ -144,7 +143,7 @@ def _solve_cutoff(u, target: float) -> float:
     while float(u(np.array([hi]))[0]) - u0 < target:
         hi *= 2
         if hi > 1e6:
-            raise TailNotNegligible("potential grows too slowly for a quadrature cutoff")
+            raise XilabError("potential grows too slowly for a quadrature cutoff")
     for _ in range(80):
         m = (lo + hi) / 2
         if float(u(np.array([m]))[0]) - u0 < target:
@@ -306,29 +305,29 @@ QUADRATURE_INTEGRANDS = {
 
 
 def reference_table(function_id: str) -> tuple:
-    """The published zeros of ``function_id`` (UnknownReference if none)."""
+    """The published zeros of ``function_id`` (ValueError if none)."""
     try:
         return REFERENCE_TABLE[function_id]
     except KeyError:
-        raise UnknownReference(
+        raise ValueError(
             f"no reference zeros for {function_id!r}; "
             f"known: {sorted(REFERENCE_TABLE)}") from None
 
 
 def integrand(function_id: str):
     """The set-up of the quadrature integrand named ``function_id`` (call it
-    for the ``BAFunction``); an unknown name is an UnknownReference."""
+    for the ``BAFunction``); ValueError if none."""
     try:
         return QUADRATURE_INTEGRANDS[function_id]
     except KeyError:
-        raise UnknownReference(
+        raise ValueError(
             f"no quadrature integrand for {function_id!r}; "
             f"known: {sorted(QUADRATURE_INTEGRANDS)}") from None
 
 
 def quadrature_zeros(function_id: str, count: int = 3) -> tuple:
     """Recompute a reference row's first ``count`` zeros from its integrand;
-    finding fewer above the noise floor is an InsufficientZerosFound.
+    finding fewer above the noise floor is a XilabError.
 
     Non-even integrands give complex psi on the real axis; their zeros are
     located as |psi| minima (plot-grade heuristic, not used by acceptance).
@@ -344,5 +343,5 @@ def quadrature_zeros(function_id: str, count: int = 3) -> tuple:
         zeros = tuple(magnitude_minima(f, count))
         what = f"|psi| dips for {function_id}"
     if len(zeros) < count:
-        raise InsufficientZerosFound(f"found {len(zeros)} of {count} {what}")
+        raise XilabError(f"found {len(zeros)} of {count} {what}")
     return zeros

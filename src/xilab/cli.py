@@ -11,8 +11,10 @@ inspectable:
     master  quenched master-field least squares
     saddle  saddle-point eigenvalue solver
 
-Exit codes: 0 ok, 2 config/spec error, 3 numerical failure. A table1 row
-that fails prints its failure on stderr; the other rows still render.
+Exit codes: 0 ok, 2 config/spec error (a ValueError), 3 numerical failure
+(an errors.XilabError); any other exception is a bug and keeps its
+traceback. A table1 row that fails prints its failure on stderr; the other
+rows still render.
 
 ``main`` is the one place that decides the working precision: --precision,
 else 60 digits, at least 15; no environment variable or other ambient state
@@ -51,7 +53,7 @@ from .precision import DEFAULT_DPS, MIN_DPS, pretty, to_decimal
 from .potentials import taylor_u  # noqa: F401
 from .scaling import cosh_couplings, double_scaling, rescale_potential  # noqa: F401
 
-CONFIG_ERRORS = (ValueError, KeyError, err.UnknownReference)
+CONFIG_ERRORS = ValueError
 
 #: psi rows summed and written at a time
 PSI_ROWS = 4096
@@ -159,9 +161,6 @@ def cmd_expand(args) -> int:
     for k, sv in enumerate(scaled.s, start=1):
         if abs(sv) > sfloor:
             print(f"  s_{k} = {pretty(sv)}")
-    if any(abs(v) > floor for v in scaled.residuals.values()):
-        print("residual (non-normal-form) coefficients:",
-              {n: pretty(v) for n, v in scaled.residuals.items()})
     return 0
 
 

@@ -1,42 +1,8 @@
-"""Exception types shared across the package."""
+"""The package's one exception type. Bad input is a plain ``ValueError``
+(exit 2 on the command line); every other failure the package detects is
+numerical, a ``XilabError`` (exit 3), and its message says which."""
 
 
 class XilabError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class NonPositiveConstantTerm(XilabError):
-    """log of a series whose constant term is not strictly positive."""
-
-
-class NonConvergence(XilabError):
-    """A kernel sum, quadrature or root iteration hit its cap before reaching
-    its tolerance."""
-
-
-class NonPositiveG(XilabError):
-    """Double-scaling produced a non-positive coupling constant g."""
-
-
-class InsufficientZerosFound(XilabError):
-    """Zero scan exhausted its window before finding the requested count."""
-
-
-class TailNotNegligible(XilabError):
-    """Integrand tail at the domain cutoff exceeds the negligibility bound."""
-
-
-class UnknownReference(XilabError):
-    """No reference-zero table with the requested id."""
-
-
-class TooFewRealRoots(XilabError):
-    """A report row has fewer real roots than its calibration reports zeros."""
-
-
-class DegenerateFit(XilabError):
-    """Linear calibration needs two distinct anchor roots."""
-
-
-class ComplexAnchor(XilabError):
-    """A root selected as a calibration anchor is not real."""
+    """A numerical failure: a sum, quadrature or root iteration that missed
+    its tolerance, a model outside its domain, too few roots or zeros."""

@@ -49,6 +49,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
+from .errors import XilabError
 from .matrix_model import ModelPotential
 
 
@@ -278,8 +279,14 @@ def _descend(cfg, theta, fixed):
     Returns (cost, theta, iterations, trace, stop). The floor is checked
     before each Jacobian is built; the other stops are a vanishing gradient,
     no damping giving a descent step ("stalled") and _MAX_ITERS ("max_iters").
+    A starting cost that is not finite in float64 is a XilabError: no step
+    can descend from it, and inf <= inf would read as the floor.
     """
-    c, r, floor = _cost_from_theta(cfg, theta, fixed)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cost raises below
+        c, r, floor = _cost_from_theta(cfg, theta, fixed)
+    if not np.isfinite(c):
+        raise XilabError(f"the master fit's starting cost is {c} in float64; "
+                         "sigma, g or the couplings overflow it")
     trace = [c]
     lam = 1e-8
     for iters in range(1, _MAX_ITERS + 1):
@@ -421,7 +428,8 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0) 
     halving for _STALL_SWEEPS sweeps, or, below _SOLVED_TOL, for one; one
     that nears the reals is projected there. The solve ends after at most
     _SADDLE_SWEEPS sweeps. a, b are the first real solution in
-    lexicographic order; with none, the best real part of a final iterate.
+    lexicographic order; with none, the best real part of a final iterate,
+    and a XilabError if its residual is not finite in float64.
     """
     if not 2 <= N <= SADDLE_MAX_N:
         raise ValueError(f"the saddle system needs 2 <= N <= {SADDLE_MAX_N}, got {N}")
@@ -471,6 +479,8 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0) 
         sols = tuple((xr[i, :N], xr[i, N:], float(rr[i])) for i in found[_distinct_rows(xr[found])])
         # with no real solution, the best real part of a final iterate
         best = found[0] if sols else np.argmin(np.nan_to_num(rr, nan=np.inf))
+    if not np.isfinite(rr[best]):
+        raise XilabError(f"no saddle start has a finite residual in float64 at g = {g}")
     return SaddleResult(a=xr[best, :N], b=xr[best, N:], residual_norm=float(rr[best]),
                         iterations=sweeps, converged=bool(sols), solutions=sols,
                         n_complex=int(_distinct_rows(x[(norm < _SOLVED_TOL) & ~real]).sum()))

@@ -30,7 +30,7 @@ from mpmath import mpf
 
 from . import baker_akhiezer as ba
 from .calibration import Calibration, airy_fixed_map, estimate_zeros, fit_linear
-from .errors import TooFewRealRoots
+from .errors import XilabError
 from .matrix_model import (CharPolynomial, ModelPotential, build_potential,
                            q_polynomial)
 from .potentials import PotentialSpec, check_degree, taylor_u
@@ -56,7 +56,7 @@ def expand_spec(spec: PotentialSpec, p: int):
         if p != spec.p:
             raise ValueError(f"the explicit potential is a degree-{spec.p} model, not degree {p}")
         s = tuple([mpf(v) for v in spec.s]) + (mpf(0),) * (p - 2 - len(spec.s))
-        return u, ScaledPotential(p=p, s=s, a0=u[0], lam=mpf(1), residuals={})
+        return u, ScaledPotential(p=p, s=s, a0=u[0], lam=mpf(1))
     if spec.kind == "cosh":
         return u, cosh_couplings(p)
     return u, rescale_potential(u, p, couplings_through=p if spec.kind == "eta_gamma" else None)
@@ -86,7 +86,8 @@ class RowSpec:
     g_from: id of the row whose g this row uses, or None for its own
     double-scaling g.
     calibration: "fit_linear" anchors the two lowest real roots, ascending;
-    "airy_fixed_map" maps the real roots, largest first.
+    "airy_fixed_map" maps the real roots, largest first, by the
+    Hermite-edge map at the run's N.
     """
 
     id: str
@@ -177,12 +178,12 @@ def run_row(row_id: str, N: int = 16) -> RowResult:
     run = run_model(row.model(N))
     n_real = len(run.roots.real_roots())
     if n_real < REPORTED_ZEROS:
-        raise TooFewRealRoots(
+        raise XilabError(
             f"row {row_id} at N={N} has {n_real} real roots; its calibration "
             f"needs {REPORTED_ZEROS}")
 
     if row.calibration == "airy_fixed_map":
-        cal = airy_fixed_map()
+        cal = airy_fixed_map(N)
         # zero tables of this row descend; map the largest roots first
         reals = sorted(run.roots.real_roots(), reverse=True)
     else:

@@ -39,7 +39,7 @@ import numpy as np
 from mpmath import mpc, mpf
 from mpmath.libmp import fzero, mpc_abs, mpc_add, mpc_mul, mpf_abs, mpf_add, mpf_mul
 
-from .errors import NonConvergence
+from .errors import XilabError
 from .matrix_model import CharPolynomial
 from .precision import to_decimal
 
@@ -155,7 +155,7 @@ def find_roots(Q: CharPolynomial) -> RootSet:
     found = [(mpc(0), mpf(0), True, -1)] * m + list(zip(*_symmetrize(zs, raw, target)))
     worst = max(err for _, err, _, _ in found)
     if worst > target:
-        raise NonConvergence(
+        raise XilabError(
             f"worst backward error {mp.nstr(worst, 3)} above target {mp.nstr(target, 3)}; "
             "raise the working precision for this coefficient spread")
     found.sort(key=lambda r: (mp.re(r[0]), mp.im(r[0])))

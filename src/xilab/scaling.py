@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import mpf
 
-from .errors import NonPositiveG
+from .errors import XilabError
 from .precision import to_decimal
 
 
@@ -29,7 +29,6 @@ class ScaledPotential:
     s: tuple            # s_1 .. s_{couplings_through-1}
     a0: mpf
     lam: mpf            # the rescale factor
-    residuals: dict     # degrees dropped by the normal form -> coefficient
 
     def as_dict(self) -> dict:
         return {
@@ -63,7 +62,6 @@ def rescale_potential(u: tuple, p: int, *,
 
     couplings_through: highest x-degree mapped to a coupling (default p-1;
     the gamma-eta pipeline passes p to keep the degree-p term as s_{p-1}).
-    Degrees outside the normal form are reported in ``residuals``.
 
     A degree-(p+1) coefficient within 10^-(dps/2) of the larger of its two
     lower neighbours vanishes (a ValueError): an even kernel's odd
@@ -83,10 +81,7 @@ def rescale_potential(u: tuple, p: int, *,
     hi = couplings_through if couplings_through is not None else p - 1
     lam = (top * (p + 1)) ** (mpf(1) / (p + 1))
     s = tuple(n * u[n] * lam ** (-n) for n in range(2, hi + 1))
-    residuals = {1: u[1] * lam ** (-1)}
-    for n in range(hi + 1, p + 1):
-        residuals[n] = n * u[n] * lam ** (-n)
-    return ScaledPotential(p=p, s=s, a0=u[0], lam=lam, residuals=residuals)
+    return ScaledPotential(p=p, s=s, a0=u[0], lam=lam)
 
 
 def cosh_couplings(p: int) -> ScaledPotential:
@@ -99,8 +94,7 @@ def cosh_couplings(p: int) -> ScaledPotential:
         k = 2 * j + 1
         s[k - 1] = fac ** (mpf(2 * j + 2) / (p + 1)) / mp.factorial(k)
     lam = fac ** (-mpf(1) / (p + 1))  # ((p+1)/(p+1)!)^{1/(p+1)} reduces to this
-    return ScaledPotential(p=p, s=tuple(s), a0=mpf(1), lam=lam,
-                           residuals={1: mpf(0), p: mpf(0)})
+    return ScaledPotential(p=p, s=tuple(s), a0=mpf(1), lam=lam)
 
 
 def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelParams:
@@ -124,5 +118,5 @@ def double_scaling(p: int, N: int, s: tuple = (), *, g_override=None) -> ModelPa
         corr = sum((sv * eps ** (p - (k + 1)) for k, sv in enumerate(s)), mpf(0))
         g = (1 + corr) / N
     if not g > 0:
-        raise NonPositiveG(f"computed g = {mp.nstr(g, 8)} <= 0; couplings leave the model's domain")
+        raise XilabError(f"computed g = {mp.nstr(g, 8)} <= 0; couplings leave the model's domain")
     return ModelParams(p=p, N=N, epsilon=eps, g=g, s=s)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import mpmath as mp
 from mpmath import mpf
 
-from .errors import NonPositiveConstantTerm
+from .errors import XilabError
 
 
 def series_mul(a: tuple, b: tuple) -> tuple:
@@ -52,7 +52,7 @@ def series_exp(f: tuple) -> tuple:
 def series_log(f: tuple) -> tuple:
     """log of a series via (log f)' = f'/f; needs f(0) > 0."""
     if not f[0] > 0:
-        raise NonPositiveConstantTerm(
+        raise XilabError(
             f"series_log needs a positive constant term, got {mp.nstr(f[0], 8)}")
     k = len(f) - 1
     g = [mpf(0)] * (k + 1)

@@ -53,7 +53,7 @@ from numpy.polynomial.polynomial import polyval
 
 from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import BAFunction
-from xilab.errors import NonConvergence
+from xilab.errors import XilabError
 from xilab.matrix_model import CharPolynomial, ModelPotential
 from xilab.potentials import _default_tolerance
 from xilab.roots import RootSet
@@ -417,7 +417,7 @@ def phi_riemann(x, max_terms: int = 64, term_tolerance=None) -> KernelValue:
         dphi += dt
         if abs(t) < tol and abs(dt) < tol:
             return KernelValue(phi, dphi)
-    raise NonConvergence(f"riemann kernel sum did not reach tolerance in {max_terms} terms")
+    raise XilabError(f"riemann kernel sum did not reach tolerance in {max_terms} terms")
 
 
 def phi_ramanujan(x, max_terms: int = 64, term_tolerance=None) -> KernelValue:
@@ -431,7 +431,7 @@ def phi_ramanujan(x, max_terms: int = 64, term_tolerance=None) -> KernelValue:
         phi *= f ** 24
         if abs(1 - f ** 24) < tol:
             return KernelValue(phi)
-    raise NonConvergence(f"ramanujan kernel product did not reach tolerance in {max_terms} factors")
+    raise XilabError(f"ramanujan kernel product did not reach tolerance in {max_terms} factors")
 
 
 def u_eta_gamma(x) -> mpf:

@@ -11,7 +11,7 @@ from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS, TAIL_DECADES,
                                   Z_MAX, magnitude_minima, psi_zeros, quadrature_zeros,
                                   reference_table)
-from xilab.errors import InsufficientZerosFound, NonConvergence, UnknownReference
+from xilab.errors import XilabError
 
 EVEN_INTEGRANDS = ("bessel_k", "gen_airy", "gen_airy_m130", "gen_airy_133")
 
@@ -169,7 +169,7 @@ class TestPsi:
         # the halvings are bounded: at h = 0.05 the sums at z = 80 still move
         # (the h = 0.1 sum aliases psi(17.2) ~ 1e-12), so two halvings raise
         monkeypatch.setattr(ba, "MAX_HALVINGS", 2)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(XilabError, match="trapezoid sums for bessel_k still differ"):
             BAFunction.from_callable(np.cosh, name="bessel_k")
 
 
@@ -208,7 +208,7 @@ class TestZeros:
         assert np.sign(vals[0]) > 0  # sin is real on the scan window
 
     def test_exhausted_window_raises(self):
-        with pytest.raises(InsufficientZerosFound):
+        with pytest.raises(XilabError, match="found 18 of 50 zeros"):
             quadrature_zeros("bessel_k", 50)
 
     def test_scan_stops_at_the_noise_floor(self, cosh_f):
@@ -219,7 +219,7 @@ class TestZeros:
         zs = psi_zeros(cosh_f, 18)
         assert 20 < zs[-1] < 21
         assert psi_zeros(cosh_f, 40) == zs
-        with pytest.raises(InsufficientZerosFound, match="found 18 of 40"):
+        with pytest.raises(XilabError, match="found 18 of 40"):
             quadrature_zeros("bessel_k", 40)
 
     @pytest.mark.parametrize("fid, count", [(fid, c) for fid in EVEN_INTEGRANDS
@@ -287,7 +287,7 @@ class TestReferenceTable:
         assert reference_table("gen_airy")[0] == 2.56503
 
     def test_unknown_id(self):
-        with pytest.raises(UnknownReference):
+        with pytest.raises(ValueError, match="no reference zeros for 'nope'"):
             reference_table("nope")
 
     def test_provenance(self):

@@ -6,7 +6,7 @@ from mpmath import mpf
 
 from conftest import assert_rel
 from xilab.calibration import estimate_zeros, fit_linear
-from xilab.errors import ComplexAnchor, DegenerateFit
+from xilab.errors import XilabError
 from xilab.pipeline import ROW_IDS, build_table1
 
 
@@ -33,12 +33,12 @@ class TestFitLinear:
 
     def test_degenerate(self):
         ref = (0.0, 1.0)
-        with pytest.raises(DegenerateFit):
+        with pytest.raises(XilabError, match="anchor roots coincide"):
             fit_linear([mpf(2), mpf(2)], ref)
 
     def test_complex_anchor(self):
         ref = (0.0, 1.0)
-        with pytest.raises(ComplexAnchor):
+        with pytest.raises(XilabError, match=r"anchor root \(1\.0 \+ 1\.0j\) is not real"):
             fit_linear([mp.mpc(1, 1), mpf(2)], ref)
 
 
@@ -83,6 +83,13 @@ class TestAiryRow:
         res = rows("airy")
         gap = abs(res.estimated_zeros[2] - mpf("-5.52056"))
         assert_rel(gap, "0.0465", "0.03", "airy z3 gap")
+
+    @pytest.mark.parametrize("N", [32, 48])
+    def test_map_scales_with_N(self, rows, N):
+        """A = sqrt(2) N^{2/3}: with A held at its N = 16 value the N = 32
+        estimates were off by 0.95-2.0 and the N = 48 ones by 1.3-2.9."""
+        for got, want in zip(rows("airy", N).estimated_zeros[:3], (-2.33811, -4.08795, -5.52056)):
+            assert abs(got - want) < 0.15, (N, got, want)
 
 
 class TestTable:

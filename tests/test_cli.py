@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -403,7 +405,7 @@ class TestTable:
         """A failing row prints its failure on stderr; the other rows render."""
         def fail_riemann(row_id, N):
             if row_id == "riemann":
-                raise err.DegenerateFit("anchor roots coincide")
+                raise err.XilabError("anchor roots coincide")
             return pipeline.run_row(row_id, N)
 
         monkeypatch.setattr(cli, "run_row", fail_riemann)
@@ -691,6 +693,59 @@ def test_master_sigma_must_be_finite_and_nonnegative(capsys, sigma):
     code, out, err_text = run_cli(capsys, "master", "--N", "2", f"--sigma={sigma}")
     assert (code, out) == (2, "")
     assert err_text == f"config error: sigma must be finite and >= 0, got {float(sigma)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("master", "--N", "3", "--sigma", "1e200", "--json"),
+    ("master", "--N", "3", "--p", "3", "--s", "1e100", "--sigma", "1e300", "--json"),
+    ("saddle", "--N", "3", "--g", "1e-200", "--json")])
+def test_non_finite_float64_cost_exits_3(capsys, argv):
+    """An overflowed master cost exited 0 with "cost": Infinity and stop
+    "floor" (inf <= inf); a saddle solve with no finite residual exited 3
+    after printing "residual_norm": Infinity. Neither is JSON."""
+    code, out, err_text = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err_text.startswith("numerical failure: ") and err_text.count("\n") == 1
+
+
+def test_master_large_finite_cost_is_json(capsys):
+    """sigma = 1e150 gives a cost near 8e267, finite in float64: the fit
+    reports it, in JSON with no Infinity or NaN."""
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    code, out, _ = run_cli(capsys, "master", "--N", "3", "--sigma", "1e150", "--json")
+    r = json.loads(out, parse_constant=no_constant)["results"][0]
+    assert (code, r["stop"]) == (0, "floor") and 1e267 < r["cost"] < 1e268
+
+
+def test_key_error_is_a_bug_not_a_config_error(capsys, monkeypatch):
+    """Only a ValueError is bad input (exit 2): a KeyError inside a command
+    was reported as "config error: 'x'"; it now keeps its traceback."""
+    def lookup_bug(row_id, N):
+        return {}["x"]
+
+    monkeypatch.setattr(cli, "run_row", lookup_bug)
+    with pytest.raises(KeyError, match="'x'"):
+        main(["table1", "--rows", "airy"])
+    assert cli.CONFIG_ERRORS is ValueError
+
+
+def test_raises_name_one_of_two_failure_types():
+    """Bad input raises ValueError (exit 2), a numerical failure XilabError
+    (exit 3); argparse types raise ArgumentTypeError and an unreachable
+    branch AssertionError. errors.py defines XilabError alone."""
+    allowed = {"ValueError", "XilabError", "ArgumentTypeError", "AssertionError"}
+    src = pathlib.Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
+                assert name in allowed, f"{path.name}:{node.lineno} raises {name}"
+    classes = [n.name for n in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(n, ast.ClassDef)]
+    assert classes == ["XilabError"]
 
 
 HERMITE_JSON = ("solve", "--row", "airy", "--N", "4", "--json")

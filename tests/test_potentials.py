@@ -5,7 +5,7 @@ from mpmath import mpf
 from conftest import assert_rel
 from oracles import (differentiate, horner, phi_ramanujan, phi_riemann, u_eta_gamma,
                      u_eta_gamma_prime)
-from xilab.errors import NonConvergence
+from xilab.errors import XilabError
 from xilab.pipeline import build_model, expand_spec
 from xilab.potentials import (PotentialSpec, _phi_riemann_series,
                               _u_ramanujan_series, taylor_u)
@@ -37,7 +37,7 @@ class TestRiemannKernel:
         assert phi_riemann(x).phi - phi_riemann(x).phi == 0
 
     def test_nonconvergence_error(self):
-        with pytest.raises(NonConvergence):
+        with pytest.raises(XilabError, match="riemann kernel sum did not reach tolerance in 1 terms"):
             phi_riemann(0, max_terms=1, term_tolerance=mpf("1e-60"))
 
     def test_derivative_ratio_matches_u_prime(self):

@@ -9,7 +9,7 @@ from oracles import hermite_q, horner, reconstruct_coefficients
 from xilab import matrix_model, roots
 from xilab.matrix_model import CharPolynomial, build_potential, q_polynomial
 from xilab.pipeline import RIEMANN_ROW_U, ROWS
-from xilab.errors import NonConvergence
+from xilab.errors import XilabError
 from xilab.roots import find_roots
 from xilab.scaling import double_scaling, rescale_potential
 
@@ -212,7 +212,7 @@ class TestFindRoots:
             q = riemann_q(48)
             with monkeypatch.context() as m:
                 m.setattr(roots, "MAX_SWEEPS", 1)
-                with pytest.raises(NonConvergence, match="above target"):
+                with pytest.raises(XilabError, match="above target"):
                     find_roots(q)
             assert max(find_roots(q).residuals) < mpf(10) ** -50
 
