@@ -7,22 +7,26 @@ in a strip about the real axis the rule converges geometrically in 1/h
 SIAM Review 56, 2014). The sum is periodic in z with period 2 pi/h and
 aliases psi(z -+ 2 pi/h) onto psi(z), so h is sized for the band
 |z| <= Z_MAX: starting from H_START it is halved until two successive sums
-agree to STEP_TOL of |psi(0)| at the probes PROBE_ZS. The envelope values
-at the nodes are precomputed once, so psi at a z is one Fourier sum, the
-package's hot kernel, and its value depends on z alone, not on the grid or
-call that sums it. A zero scan sums psi on its grid only as far as it
-reads it (the zeros lie far below Z_MAX), then one sum per bisection step.
-Both scans return the zeros they find above the noise floor, up to the
-count asked; ``quadrature_zeros`` alone fails on fewer. Zero tables are tuples.
+agree to STEP_TOL of |psi(0)| at the probes PROBE_ZS. For an even U the
+nodes are folded onto k >= 0, with the weights for k >= 1 doubled, and psi
+is the cosine sum alone: real, with half the nodes and no sine sum. The
+weights at the nodes are precomputed once, so psi at a z is one Fourier
+sum, the package's hot kernel, and its value depends on z alone, not on
+the grid or call that sums it. A zero scan sums psi on its grid only as
+far as it reads it (the zeros lie far below Z_MAX), then refines each sign
+change with ITP, a few single-z sums a zero (``refine_zero``). Both scans
+return the zeros they find above the noise floor, up to the count asked;
+``quadrature_zeros`` alone fails on fewer. Zero tables are tuples.
 
 Everything here runs in float64 and reads no global precision: the node
 set depends on U alone, and the sums agree with the exact transform to
-~1e-15 of |psi(0)|, far below the 1e-10 bisection tolerance and the 1e-3
+~1e-15 of |psi(0)|, far below the 1e-10 refinement tolerance and the 1e-3
 agreement expected of the zero tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,14 +51,20 @@ STEP_TOL = 1e-14
 #: halvings allowed before giving up (H_START / 2^8 ~ 8e-4)
 MAX_HALVINGS = 8
 #: the zero scans run from SCAN_START to Z_MAX; psi_zeros on a grid of
-#: ZERO_SCAN_STEP, bisecting each sign change to BISECT_TOL, magnitude_minima
-#: on a grid of DIP_SCAN_STEP, keeping local minima of |psi| below DIP_DEPTH
-#: times the largest |psi| within +-1 in z
+#: ZERO_SCAN_STEP, refining each sign change to a bracket of BISECT_TOL,
+#: magnitude_minima on a grid of DIP_SCAN_STEP, keeping local minima of |psi|
+#: below DIP_DEPTH times the largest |psi| within +-1 in z
 SCAN_START = 1e-3
 ZERO_SCAN_STEP = 0.05
 BISECT_TOL = 1e-10
 DIP_SCAN_STEP = 0.02
 DIP_DEPTH = 1e-2
+#: the ITP refinement's constants (Oliveira & Takahashi 2021): the regula
+#: falsi point moves ITP_KAPPA1 / (starting width) * width^ITP_KAPPA2 toward
+#: the midpoint, and a zero takes at most ITP_N0 more sums than bisection's
+ITP_KAPPA1 = 0.2
+ITP_KAPPA2 = 2
+ITP_N0 = 1
 #: quadrature noise floor of the float64 sums, relative to |psi(0)|
 NOISE = 100 * float(np.finfo(float).eps)
 
@@ -69,8 +79,8 @@ class BAFunction:
     x_max: float         # positive-side cutoff
     x_min: float         # negative-side cutoff
     h: float             # trapezoid step
-    xs: np.ndarray       # quadrature nodes k h
-    env: np.ndarray      # h * exp(-U(node))
+    xs: np.ndarray       # quadrature nodes k h; k >= 0 alone for an even U
+    env: np.ndarray      # h * exp(-U(node)), doubled at k >= 1 for an even U
 
     @classmethod
     def from_callable(cls, u, *, name: str = "custom",
@@ -82,19 +92,23 @@ class BAFunction:
         x_neg = x_pos if even else _solve_cutoff(lambda x: u(-x), target)
 
         def grid(h):
-            k = np.arange(-np.ceil(x_neg / h), np.ceil(x_pos / h) + 1)
+            # an even U's node pair +-x sums to 2 cos(z x) e^{-U(x)}: fold it
+            k = np.arange(0 if even else -np.ceil(x_neg / h), np.ceil(x_pos / h) + 1)
             xs = k * h
             with np.errstate(over="ignore"):
-                return xs, h * np.exp(-u(xs))
+                env = h * np.exp(-u(xs))
+            if even:
+                env[1:] *= 2
+            return xs, env
 
         h = H_START
         xs, env = grid(h)
         probes = np.array(PROBE_ZS)
-        sums = fourier_eval(xs, env, probes)
+        sums = fourier_eval(xs, env, probes, sine=not even)
         for _ in range(MAX_HALVINGS):
             h /= 2
             xs, env = grid(h)
-            finer = fourier_eval(xs, env, probes)
+            finer = fourier_eval(xs, env, probes, sine=not even)
             gap = float(np.max(np.abs(finer - sums)))
             if gap <= STEP_TOL * abs(finer[0]):
                 return cls(name=name, u=u, even=even, x_max=x_pos, x_min=-x_neg,
@@ -109,9 +123,10 @@ class BAFunction:
         """Potential sum c_n x^n from an ascending coefficient list."""
         cs = np.array([float(c) for c in coeffs], dtype=np.float64)
         even = all(abs(c) == 0 for c in cs[1::2])
+        highest_first = cs[::-1]
 
         def u(x):
-            return np.polynomial.polynomial.polyval(x, cs)
+            return np.polyval(highest_first, x)
 
         return cls.from_callable(u, name=name, even=even)
 
@@ -120,12 +135,9 @@ class BAFunction:
         return complex(self.psi_grid([z])[0])
 
     def psi_grid(self, zs) -> np.ndarray:
-        """psi at each z; each value depends on its z alone. For even U the
-        imaginary part is zeroed."""
-        out = fourier_eval(self.xs, self.env, in_band(zs))
-        if self.even:
-            return out.real + 0j
-        return out
+        """psi at each z; each value depends on its z alone. For even U it is
+        the cosine sum on the folded nodes, and the imaginary part is 0."""
+        return fourier_eval(self.xs, self.env, in_band(zs), sine=not self.even)
 
 
 def in_band(zs) -> np.ndarray:
@@ -144,8 +156,8 @@ def _solve_cutoff(u, target: float) -> float:
         hi *= 2
         if hi > 1e6:
             raise XilabError("potential grows too slowly for a quadrature cutoff")
-    for _ in range(80):
-        m = (lo + hi) / 2
+    # bisect until lo and hi are adjacent floats: the midpoint then rounds onto one
+    while lo < (m := (lo + hi) / 2) < hi:
         if float(u(np.array([m]))[0]) - u0 < target:
             lo = m
         else:
@@ -192,9 +204,49 @@ def _scan(f: BAFunction, step: float):
     return zs, vals, mags, through, envelope
 
 
+def refine_zero(g, a: float, b: float, ga: float, gb: float) -> float:
+    """A zero of the real function ``g`` in the bracket [a, b], where
+    ga = g(a) is not 0 and gb = g(b) has the other sign or is 0: the
+    midpoint of a bracket no wider than BISECT_TOL, or a z where g is 0.
+
+    ITP (Oliveira & Takahashi, "An Enhancement of the Bisection Method
+    Average Performance Preserving Minmax Optimality", ACM TOMS 47, 2021).
+    Each step sums g once, at the regula falsi point moved toward the
+    midpoint by kappa1 * width^ITP_KAPPA2 and kept within the distance of
+    the midpoint that leaves the step count at most ITP_N0 above
+    bisection's. Superlinear on a simple zero: a 0.05 scan bracket takes
+    6-9 sums where bisection takes 29, and a triple root by one of its ends
+    31 (30 and one for the rounding of the last step).
+    """
+    kappa1 = ITP_KAPPA1 / (b - a)
+    n_max = math.ceil(math.log2(max(b - a, BISECT_TOL) / BISECT_TOL)) + ITP_N0
+    j = 0
+    while b - a > BISECT_TOL:
+        mid = 0.5 * (a + b)
+        # ITP keeps it >= 0 for n_max steps; a step past them (rounding of
+        # the last) bisects
+        radius = max(0.0, BISECT_TOL * 2.0 ** (n_max - j - 1) - 0.5 * (b - a))
+        falsi = (gb * a - ga * b) / (gb - ga)
+        toward = math.copysign(1.0, mid - falsi)
+        shift = kappa1 * (b - a) ** ITP_KAPPA2
+        x = falsi + toward * shift if shift <= abs(mid - falsi) else mid
+        if abs(x - mid) > radius:
+            x = mid - toward * radius
+        gx = g(x)
+        if gx == 0.0:
+            return float(x)
+        if (gx > 0) == (ga > 0):
+            a, ga = x, gx
+        else:
+            b, gb = x, gx
+        j += 1
+    return float(0.5 * (a + b))
+
+
 def psi_zeros(f: BAFunction, count: int) -> tuple:
-    """The first `count` positive real zeros by sign scan plus bisection, or
-    as many as lie above the quadrature noise floor."""
+    """The first `count` positive real zeros by sign scan plus ITP
+    refinement (``refine_zero``), or as many as lie above the quadrature
+    noise floor."""
     if not f.even:
         raise ValueError("real zero scan needs an even potential; "
                          "use magnitude_minima for complex-valued psi")
@@ -211,15 +263,9 @@ def psi_zeros(f: BAFunction, count: int) -> tuple:
         if envelope(i) is None:
             break  # past the resolvable range
         if fa == 0.0:
-            b = a  # the grid point is the zero
-        while b - a > BISECT_TOL:
-            m = 0.5 * (a + b)
-            fm = f.psi(m).real
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        zeros.append(float(0.5 * (a + b)))
+            zeros.append(float(a))  # the grid point is the zero
+        else:
+            zeros.append(refine_zero(lambda z: f.psi(z).real, a, b, fa, vals[i + 1]))
     return tuple(zeros)
 
 

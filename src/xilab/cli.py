@@ -35,6 +35,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -294,6 +295,9 @@ def cmd_master(args) -> int:
 def cmd_saddle(args) -> int:
     potential, g = _float64_model(args)
     res = mf.saddle_solve(potential, g, args.N, seed=args.seed)
+    if not res.converged:
+        print(f"numerical failure: no start reached a real solution "
+              f"(best residual {res.residual_norm:.3e})", file=sys.stderr)
     _emit({"N": args.N, "g": g,
            "a": [float(x) for x in res.a], "b": [float(x) for x in res.b],
            "residual_norm": res.residual_norm, "iterations": res.iterations,
@@ -316,7 +320,9 @@ def _add_model_args(sp, *, p: int, N: int | None = None) -> None:
         sp.add_argument("--g", type=_number, help="replaces the model's coupling constant g")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: in-process ``main`` calls share it."""
     ap = argparse.ArgumentParser(
         prog="xilab", allow_abbrev=False,
         description="(p,1) two-matrix-model laboratory: characteristic polynomials, "
@@ -393,8 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_negative_s(argv: list) -> list:
+    """argv with ``--s V`` joined into ``--s=V`` where V starts with '-' and a
+    digit or '.': argparse reads a token like -1,0,3 as an unknown flag, not
+    as --s's value (it takes only -N and -N.N for negative numbers)."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--s" and re.match(r"-[0-9.]", tok):
+            out[-1] = f"--s={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _glue_negative_s(sys.argv[1:] if argv is None else argv))
     if args.precision < MIN_DPS:
         print(f"error: working precision must be >= {MIN_DPS} digits, "
               f"got {args.precision}", file=sys.stderr)

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import XilabError
 from .matrix_model import ModelPotential
@@ -390,23 +389,24 @@ def _inverse_differences(v: np.ndarray) -> np.ndarray:
 
 
 def _saddle_residual(vp, g, a, b):
-    """Stacked residual [a-equations, b-equations]; vp holds V'(1+u)'s coefficients.
+    """Stacked residual [a-equations, b-equations]; vp holds V'(1+u)'s
+    coefficients, lowest degree first.
 
     Returns the residual and the inverse differences of a and b it sums,
     which the Jacobian reuses."""
     ra, rb = _inverse_differences(a), _inverse_differences(b)
-    return np.concatenate([-polyval(a, vp) / g + b / g + ra.sum(axis=-1),
+    return np.concatenate([-np.polyval(vp[::-1], a) / g + b / g + ra.sum(axis=-1),
                            a / g + rb.sum(axis=-1)], axis=-1), ra, rb
 
 
 def _saddle_jacobian(vpp, g, a, ra, rb):
     """d(saddle residual)/d(a, b) over a batch; vpp holds V''(1+u)'s
-    coefficients, ra and rb the inverse differences of a and b."""
+    coefficients, lowest degree first, ra and rb the inverse differences of a and b."""
     n = a.shape[-1]
     J = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=np.result_type(a, ra, rb))
     ra2, rb2, i = ra ** 2, rb ** 2, np.arange(n)
     J[..., :n, :n], J[..., n:, n:] = ra2, rb2
-    J[..., i, i] -= ra2.sum(axis=-1) + polyval(a, vpp) / g
+    J[..., i, i] -= ra2.sum(axis=-1) + np.polyval(vpp[::-1], a) / g
     J[..., n + i, n + i] -= rb2.sum(axis=-1)
     J[..., i, n + i] = J[..., n + i, i] = 1.0 / g
     return J
@@ -434,7 +434,7 @@ def saddle_solve(potential: ModelPotential, g: float, N: int, *, seed: int = 0) 
     if not 2 <= N <= SADDLE_MAX_N:
         raise ValueError(f"the saddle system needs 2 <= N <= {SADDLE_MAX_N}, got {N}")
     vp = _vp_float(potential)
-    vpp = polyder(vp)
+    vpp = np.polyder(vp[::-1])[::-1]
     rng, grid = np.random.default_rng(seed), np.linspace(-1.0, 1.0, N)
     sa = rng.uniform(1.0, 3.0, (_SADDLE_STARTS, 1))
     spread = np.repeat(np.hstack([sa, sa * 10.0 ** rng.uniform(-2.0, 0.0, sa.shape)]), N, axis=1)

@@ -26,6 +26,10 @@ Plain mpmath references for code the package evaluates its own way:
   truncated at degree p+1;
 * ``full_grid_zeros`` and ``full_grid_minima``: the zero scans with psi
   summed on the whole scan grid before any of it is read;
+* ``bisect_zero``: a sign change refined by plain bisection, the reference
+  for ``baker_akhiezer.refine_zero``;
+* ``symmetric_grid_psi``: an even potential's psi summed on the unfolded
+  node set -K h .. K h;
 * ``phi_riemann``, ``phi_ramanujan``, ``u_eta_gamma`` and
   ``u_eta_gamma_prime``: point values of the kernels and potentials that
   ``xilab.potentials`` expands in series;
@@ -327,6 +331,15 @@ def scaled_ba_function(sp: ScaledPotential) -> BAFunction:
     return BAFunction.from_poly(cs, name=f"scaled(p={sp.p})")
 
 
+def symmetric_grid_psi(f: BAFunction, zs) -> np.ndarray:
+    """Re psi at each z from the full symmetric node set k h, k = -K..K, with
+    weights h e^{-U}: the sum an even ``BAFunction`` folds onto k >= 0."""
+    xs = np.arange(-(len(f.xs) - 1), len(f.xs)) * f.h
+    with np.errstate(over="ignore"):
+        env = f.h * np.exp(-f.u(xs))
+    return np.array([np.sum(env * np.cos(z * xs)) for z in zs])
+
+
 def _full_grid(f: BAFunction, step: float):
     """The scan grid, psi and |psi| on all of it, and the noise-floor
     envelope reader of ``baker_akhiezer._scan``."""
@@ -343,9 +356,23 @@ def _full_grid(f: BAFunction, step: float):
     return zs, vals, mags, envelope
 
 
-def full_grid_zeros(f: BAFunction, count: int) -> tuple:
-    """The first ``count`` (or fewer) sign-change zeros of ``psi_zeros``,
-    bisected the same way, from a scan that sums the whole grid first."""
+def bisect_zero(g, a: float, b: float, ga: float, gb: float) -> float:
+    """``baker_akhiezer.refine_zero``'s zero by plain bisection of [a, b] to a
+    bracket no wider than BISECT_TOL: the reference for its ITP steps."""
+    while b - a > ba.BISECT_TOL:
+        m = 0.5 * (a + b)
+        gm = g(m)
+        if ga * gm <= 0:
+            b = m
+        else:
+            a, ga = m, gm
+    return float(0.5 * (a + b))
+
+
+def full_grid_zeros(f: BAFunction, count: int, refine=ba.refine_zero) -> tuple:
+    """The first ``count`` (or fewer) sign-change zeros of ``psi_zeros``, each
+    refined by ``refine`` (``psi_zeros``'s own by default), from a scan that
+    sums the whole grid first."""
     zs, vals, _, envelope = _full_grid(f, ba.ZERO_SCAN_STEP)
     vals = vals.real
     zeros = []
@@ -358,15 +385,9 @@ def full_grid_zeros(f: BAFunction, count: int) -> tuple:
         if envelope(i) is None:
             break
         if fa == 0.0:
-            b = a
-        while b - a > ba.BISECT_TOL:
-            m = 0.5 * (a + b)
-            fm = f.psi(m).real
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        zeros.append(float(0.5 * (a + b)))
+            zeros.append(float(a))
+        else:
+            zeros.append(refine(lambda z: f.psi(z).real, a, b, fa, vals[i + 1]))
     return tuple(zeros)
 
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from oracles import (coefficient, full_grid_minima, full_grid_zeros,
-                     scaled_ba_function)
+from oracles import (bisect_zero, coefficient, full_grid_minima, full_grid_zeros,
+                     scaled_ba_function, symmetric_grid_psi)
 from xilab import baker_akhiezer as ba
-from xilab.baker_akhiezer import (BAFunction, QUADRATURE_INTEGRANDS, TAIL_DECADES,
-                                  Z_MAX, magnitude_minima, psi_zeros, quadrature_zeros,
-                                  reference_table)
+from xilab.baker_akhiezer import (BISECT_TOL, BAFunction, QUADRATURE_INTEGRANDS,
+                                  TAIL_DECADES, Z_MAX, magnitude_minima, psi_zeros,
+                                  quadrature_zeros, reference_table, refine_zero)
 from xilab.errors import XilabError
 
 EVEN_INTEGRANDS = ("bessel_k", "gen_airy", "gen_airy_m130", "gen_airy_133")
@@ -100,22 +100,48 @@ class TestPsi:
         assert abs(zs[0] * lam - 2.96255) < 0.2
 
     def test_tail_invariant(self):
-        # envelope at each cutoff is below 10^-TAIL_DECADES of its value at 0
+        # envelope at each cutoff is below 10^-TAIL_DECADES of its value at 0;
+        # the nodes reach both cutoffs, an even U's folded onto x >= 0
         for make in QUADRATURE_INTEGRANDS.values():
             f = make()
             u0 = f.u(np.array([0.0]))[0]
             for x in (f.x_min, f.x_max):
                 tail = np.exp(-f.u(np.array([x]))[0])
                 assert tail <= 10.0 ** -TAIL_DECADES * 1e3 * np.exp(-u0)
-            assert f.xs[0] <= f.x_min and f.xs[-1] >= f.x_max
+            assert f.xs[-1] >= f.x_max
+            if f.even:
+                assert f.xs[0] == 0.0 and f.x_min == -f.x_max
+            else:
+                assert f.xs[0] <= f.x_min
 
     def test_uniform_nodes(self, cosh_f):
-        # nodes k h, symmetric for an even U; weights h e^{-U}
+        # nodes k h, k = 0..K for an even U; weights h e^{-U}, doubled at
+        # k >= 1 for the node -k h folded onto k h
         k = np.round(cosh_f.xs / cosh_f.h)
         assert np.array_equal(cosh_f.xs, k * cosh_f.h)
-        assert np.array_equal(cosh_f.xs, -cosh_f.xs[::-1])
-        assert np.allclose(cosh_f.env, cosh_f.h * np.exp(-np.cosh(cosh_f.xs)),
-                           rtol=1e-15, atol=0)
+        assert np.array_equal(k, np.arange(len(k)))
+        weights = np.where(k == 0, 1.0, 2.0) * cosh_f.h * np.exp(-np.cosh(cosh_f.xs))
+        assert np.allclose(cosh_f.env, weights, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("fid", EVEN_INTEGRANDS)
+    def test_folded_even_grid_matches_full_grid(self, fid):
+        """The cosine sum on the folded nodes is the sum on the full
+        symmetric node set, to rounding, on the zero-scan grid."""
+        f = _integrand(fid)
+        zs = np.arange(ba.SCAN_START, Z_MAX, ba.ZERO_SCAN_STEP)
+        want = symmetric_grid_psi(f, zs)
+        got = f.psi_grid(zs)
+        assert np.all(got.imag == 0.0)
+        assert np.max(np.abs(got.real - want)) <= 1e-15 * abs(f.psi(0.0))
+
+    @pytest.mark.parametrize("fid, h", [("bessel_k", 0.025), ("gen_airy", 0.0125),
+                                        ("gen_airy_m130", 0.0125),
+                                        ("gen_airy_133", 0.0125),
+                                        ("eta_gamma", 0.025),
+                                        ("eta_gamma_corrected", 0.025)])
+    def test_step(self, fid, h):
+        # folding the even grids leaves the halving where it stopped
+        assert _integrand(fid).h == h
 
     @pytest.mark.parametrize("fid", EVEN_INTEGRANDS)
     def test_no_ambient_precision(self, fid):
@@ -255,6 +281,53 @@ class TestZeros:
         psi_zeros(f, 3)
         assert len(np.arange(ba.SCAN_START, Z_MAX, ba.ZERO_SCAN_STEP)) == 1600
         assert 0 < sum(n for n in rows if n > 1) < 1600 / 4
+
+    @pytest.mark.parametrize("fid", EVEN_INTEGRANDS)
+    def test_refinement_sums_per_zero(self, fid, monkeypatch):
+        """ITP refines the first three zeros in at most 30 single-z sums,
+        psi(0) included, where bisection took 3 x 29 + 1 = 88."""
+        calls = []
+        psi = BAFunction.psi
+
+        def counted(self, z):
+            calls.append(z)
+            return psi(self, z)
+
+        monkeypatch.setattr(BAFunction, "psi", counted)
+        quadrature_zeros(fid, 3)
+        assert len(calls) <= 30
+
+    @pytest.mark.parametrize("fid", EVEN_INTEGRANDS)
+    def test_refined_zeros_match_bisection(self, fid):
+        f = _integrand(fid)
+        got = psi_zeros(f, 5)
+        want = full_grid_zeros(f, 5, refine=bisect_zero)
+        assert len(got) == len(want) == 5
+        assert all(abs(z - w) <= BISECT_TOL for z, w in zip(got, want))
+
+    @pytest.mark.parametrize("side", ["near_b", "near_a"])
+    def test_refinement_of_a_triple_root(self, side):
+        """A triple root 1e-10 from an end of a 0.05 bracket: the regula falsi
+        point crawls there, and ITP's projection keeps the sums at most two
+        above bisection's 29 (ITP_N0, and one for the rounding of the last
+        step)."""
+        a, b = 2.0, 2.05
+        root = b - 1e-10 if side == "near_b" else a + 1e-10
+        calls = []
+
+        def g(z):
+            calls.append(z)
+            return (z - root) ** 3
+
+        z = refine_zero(g, a, b, (a - root) ** 3, (b - root) ** 3)
+        assert abs(z - root) <= BISECT_TOL
+        assert len(calls) <= 31
+        assert all(a < c < b for c in calls)
+
+    def test_refinement_at_a_zero_end(self):
+        # psi exactly 0 at the bracket's right end: the zero is that end
+        z = refine_zero(lambda z: z - 1.0, 0.5, 1.0, -0.5, 0.0)
+        assert abs(z - 1.0) <= BISECT_TOL
 
     def test_no_dips_asked_none_returned(self):
         f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()

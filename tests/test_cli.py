@@ -792,3 +792,63 @@ class TestPrecision:
         _, out, _ = run_cli(capsys, "--precision", "30", *argv)
         doc = json.loads(out)
         assert "precision" not in doc and "backend" not in doc
+
+
+def test_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    """main calls share one parser: each prints the bytes and exit code a
+    fresh process prints for the same argv, whatever ran before it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    argvs = [("--precision", "30", "solve", "--row", "airy", "--N", "8", "--json"),
+             ("zeros", "--function", "gen_airy_133", "--json"),
+             ("solve", "--kind", "explicit", "--p", "7", "--s", "-1,0,3,0,0", "--N", "8")]
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "xilab.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run_cli(capsys, *argv)[:2] == (fresh.returncode, fresh.stdout), argv
+
+
+@pytest.mark.parametrize("s", ["-1,0,3,0,0", "-1.0,0,3,0,0", "-.5e0,0,3,0,0"])
+def test_s_may_start_with_a_negative_number(capsys, s):
+    """argparse reads a token like -1,0,3 as an unknown flag (exit 2); main
+    joins it to the --s before it, as --s= does."""
+    def solve(*flag):
+        return run_cli(capsys, "solve", "--kind", "explicit", "--p", "7", *flag,
+                       "--N", "16", "--json")
+
+    assert solve("--s", s) == solve("--s=" + s)
+
+
+def test_negative_s_is_the_gen_airy_m130_model(capsys):
+    assert (run_cli(capsys, "solve", "--kind", "explicit", "--p", "7", "--s", "-1,0,3,0,0",
+                    "--N", "16", "--json")
+            == run_cli(capsys, "solve", "--row", "gen_airy_m130", "--N", "16", "--json"))
+
+
+def test_negative_exponent_s_reaches_the_model(capsys):
+    # before, argparse took -1e10 for a flag: exit 2, "expected one argument";
+    # the coupling makes g negative, a numerical failure
+    code, out, err = run_cli(capsys, "master", "--N", "3", "--p", "3", "--s", "-1e10")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: computed g = ")
+
+
+@pytest.mark.parametrize("argv", [("saddle", "--N", "12", "--p", "5", "--seed", "2"),
+                                  ("saddle", "--row", "eta_gamma", "--N", "3")])
+def test_saddle_without_a_real_solution_says_why(capsys, argv):
+    """No start reaching a real solution is exit 3 with one stderr line, as
+    every numerical failure; the JSON of the best point still prints."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and json.loads(out)["converged"] is False
+    assert err.startswith("numerical failure: no start reached a real solution "
+                          "(best residual ") and err.count("\n") == 1
+
+
+def test_readme_saddle_is_silent_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "saddle", "--N", "4", "--p", "3", "--s", "1.5",
+                             "--g", "1.0", "--json")
+    assert (code, err) == (0, "") and json.loads(out)["converged"] is True
