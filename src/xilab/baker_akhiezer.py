@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import XilabError
 from .kernels import fourier_eval
+from .potentials import PotentialSpec, float64_u, poly_u
 
 LN10 = float(np.log(10.0))
 
@@ -121,13 +122,7 @@ class BAFunction:
     @classmethod
     def from_poly(cls, coeffs, *, name: str = "poly") -> "BAFunction":
         """Potential sum c_n x^n from an ascending coefficient list."""
-        cs = np.array([float(c) for c in coeffs], dtype=np.float64)
-        even = all(abs(c) == 0 for c in cs[1::2])
-        highest_first = cs[::-1]
-
-        def u(x):
-            return np.polyval(highest_first, x)
-
+        u, even = poly_u(coeffs)
         return cls.from_callable(u, name=name, even=even)
 
     def psi(self, z) -> complex:
@@ -296,14 +291,10 @@ def magnitude_minima(f: BAFunction, count: int) -> list:
 # ---------------------------------------------------------------------------
 # reference zero tables
 #
-# The generalized-Airy reference integrands are stored as explicit
-# coefficient lists; they define the functions the published zero tables
-# refer to. The zeta-type rows keep published zeros only (recomputing those
-# is out of scope here).
-
-_GEN_AIRY = [0, 0, 0, 0, 0, 0, 0, 0, 1 / 8]
-_GEN_AIRY_M130 = [0, 0, -1 / 2, 0, 3 / 4, 0, 0, 0, 1 / 8]
-_GEN_AIRY_133 = [0, 0, 1 / 2, 0, 3 / 4, 0, 3 / 4, 0, 1 / 8]
+# The integrands the published zero tables refer to: a model potential as its
+# spec, whose U is ``potentials.float64_u``, or a float64 U and its even flag.
+# The zeta-type rows keep published zeros only (recomputing those is out of
+# scope here).
 
 REFERENCE_TABLE = {
     "riemann": (14.1347, 21.022, 25.0109),
@@ -314,16 +305,7 @@ REFERENCE_TABLE = {
     "gen_airy_m130": (2.89881, 5.99627, 8.6996),
     "gen_airy_133": (4.17486, 7.69736, 10.9217),
 }
-# the corrected gamma-eta transform's |psi| dips sit at the zeta zeros
 REFERENCE_TABLE["eta_gamma_corrected"] = REFERENCE_TABLE["riemann"]
-
-
-def _u_eta_gamma_f64(x):
-    # the catalogued row potential; its transform is 2^{-iz} Gamma(1/2-iz)/e,
-    # smooth and zero-free on the real axis
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        return (x + np.log(2.0)) / 2 + np.exp(-(x + np.log(2.0))) + 1
 
 
 def _u_eta_gamma_corrected_f64(x):
@@ -337,38 +319,34 @@ def _u_eta_gamma_corrected_f64(x):
 
 
 QUADRATURE_INTEGRANDS = {
-    "bessel_k": lambda: BAFunction.from_callable(np.cosh, name="bessel_k"),
-    "gen_airy": lambda: BAFunction.from_poly(_GEN_AIRY, name="gen_airy"),
-    "gen_airy_m130": lambda: BAFunction.from_poly(_GEN_AIRY_M130, name="gen_airy_m130"),
-    "gen_airy_133": lambda: BAFunction.from_poly(_GEN_AIRY_133, name="gen_airy_133"),
-    # complex-valued psi (non-even potentials); |psi| dips mark zeros,
-    # plot use only
-    "eta_gamma": lambda: BAFunction.from_callable(_u_eta_gamma_f64,
-                                                  name="eta_gamma", even=False),
-    "eta_gamma_corrected": lambda: BAFunction.from_callable(
-        _u_eta_gamma_corrected_f64, name="eta_gamma_corrected", even=False),
+    "bessel_k": PotentialSpec("cosh"),
+    "gen_airy": PotentialSpec("explicit", p=7),
+    "gen_airy_m130": PotentialSpec("explicit", p=7, s=("-1", "0", "3", "0", "0")),
+    # the published integrand: s_5 = 9/2 (x^6 weight 3/4), where the row has 3
+    "gen_airy_133": PotentialSpec("explicit", p=7, s=("1", "0", "3", "0", "4.5")),
+    "eta_gamma": PotentialSpec("eta_gamma"),
+    "eta_gamma_corrected": (_u_eta_gamma_corrected_f64, False),
 }
+
+
+def _entry(catalogue: dict, what: str, function_id: str):
+    try:
+        return catalogue[function_id]
+    except KeyError:
+        raise ValueError(f"no {what} for {function_id!r}; known: {sorted(catalogue)}") from None
 
 
 def reference_table(function_id: str) -> tuple:
     """The published zeros of ``function_id`` (ValueError if none)."""
-    try:
-        return REFERENCE_TABLE[function_id]
-    except KeyError:
-        raise ValueError(
-            f"no reference zeros for {function_id!r}; "
-            f"known: {sorted(REFERENCE_TABLE)}") from None
+    return _entry(REFERENCE_TABLE, "reference zeros", function_id)
 
 
 def integrand(function_id: str):
     """The set-up of the quadrature integrand named ``function_id`` (call it
     for the ``BAFunction``); ValueError if none."""
-    try:
-        return QUADRATURE_INTEGRANDS[function_id]
-    except KeyError:
-        raise ValueError(
-            f"no quadrature integrand for {function_id!r}; "
-            f"known: {sorted(QUADRATURE_INTEGRANDS)}") from None
+    entry = _entry(QUADRATURE_INTEGRANDS, "quadrature integrand", function_id)
+    u, even = float64_u(entry) if isinstance(entry, PotentialSpec) else entry
+    return lambda: BAFunction.from_callable(u, name=function_id, even=even)
 
 
 def quadrature_zeros(function_id: str, count: int = 3) -> tuple:

@@ -140,11 +140,10 @@ def cmd_expand(args) -> int:
     if args.kind is None:
         raise ValueError("expand needs a potential: --kind")
     spec, p = _potential(args)
-    order = p + 1
     u, scaled = expand_spec(spec, p)
     if args.json is not None:
         _emit({"precision": args.precision,
-               "a": [to_decimal(u[n]) for n in range(order + 1)],
+               "a": [to_decimal(c) for c in u],
                "scaled": scaled.as_dict()}, args.json)
         return 0
     print(f"# kind={spec.kind} p={p} precision={args.precision}")
@@ -153,9 +152,9 @@ def cmd_expand(args) -> int:
     floor = mpf(10) ** -(args.precision // 2)
     print("expansion coefficients a_n:")
     afloor = floor * max(abs(c) for c in u)
-    for n in range(order + 1):
-        if abs(u[n]) > afloor:
-            print(f"  a_{n:<2d} = {pretty(u[n])}")
+    for n, c in enumerate(u):
+        if abs(c) > afloor:
+            print(f"  a_{n:<2d} = {pretty(c)}")
     print(f"rescale factor = {pretty(scaled.lam)}")
     print("couplings:")
     sfloor = floor * max([abs(v) for v in scaled.s] or [mpf(1)])
@@ -224,12 +223,10 @@ def cmd_psi(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    ba.integrand(args.function)  # an unknown name fails as it does in psi
-    table = ba.reference_table(args.function)
     got = ba.quadrature_zeros(args.function, args.count)
     _emit({"function": args.function,
            "quadrature_zeros": [f"{z:.12f}" for z in got],
-           "reference_zeros": [str(z) for z in table],
+           "reference_zeros": [str(z) for z in ba.reference_table(args.function)],
            "reference_provenance": "published-table"}, args.json)
     return 0
 
@@ -332,27 +329,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"working precision in decimal digits (>= {MIN_DPS}, "
                          f"default {DEFAULT_DPS})")
     sub = ap.add_subparsers(dest="command", required=True)
-    # one spelling per flag: argparse would otherwise take a prefix of a flag
-    # (--seed for --seeds) as that flag
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = add("expand", help="Taylor expansion and normalized couplings")
+    def add(name, func, **kw):
+        # one spelling per flag: argparse would otherwise take a prefix of a
+        # flag (--seed for --seeds) as that flag
+        sp = sub.add_parser(name, allow_abbrev=False, **kw)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = add("expand", cmd_expand, help="Taylor expansion and normalized couplings")
     sp.add_argument("--kind", choices=KINDS, help="potential family")
     _add_model_args(sp, p=7)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-    sp.set_defaults(func=cmd_expand)
 
     sp = add(
-        "solve", help="characteristic polynomial and roots",
+        "solve", cmd_solve, help="characteristic polynomial and roots",
         description="--csv writes the root list with columns: re, im, is_real.")
     sp.add_argument("--kind", choices=KINDS, help="potential family")
     _add_model_args(sp, p=7, N=16)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH", help="roots as CSV")
-    sp.set_defaults(func=cmd_solve)
 
     sp = add(
-        "psi", help="Baker-Akhiezer function on a z grid (CSV)",
+        "psi", cmd_psi, help="Baker-Akhiezer function on a z grid (CSV)",
         description="CSV columns: z, re_psi, im_psi. A leading '#' comment "
                     "line records the function.")
     sp.add_argument("--function", required=True,
@@ -361,26 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--zmax", type=float, default=12.0)
     sp.add_argument("--step", type=float, default=0.05)
     sp.add_argument("--out", default="-", metavar="PATH")
-    sp.set_defaults(func=cmd_psi)
 
-    sp = add("zeros", help="Baker-Akhiezer zeros by quadrature scan")
+    sp = add("zeros", cmd_zeros, help="Baker-Akhiezer zeros by quadrature scan")
     sp.add_argument("--function", required=True,
                     help=f"one of {sorted(ba.QUADRATURE_INTEGRANDS)}")
     sp.add_argument("--count", type=int, default=3)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-    sp.set_defaults(func=cmd_zeros)
 
     sp = add(
-        "table1", help="the report rows, fitted onto their reference zeros",
+        "table1", cmd_table1, help="the report rows, fitted onto their reference zeros",
         description="A row that fails prints its failure on stderr; the rows "
                     "that ran still render, and the exit code is 3.")
     sp.add_argument("--N", type=int, default=16)
     sp.add_argument("--rows", default=None, help="comma-separated subset of rows")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
     sp.add_argument("--csv", default=None, metavar="PATH")
-    sp.set_defaults(func=cmd_table1)
 
-    sp = add("master", help="quenched master-field least squares")
+    sp = add("master", cmd_master, help="quenched master-field least squares")
     _add_model_args(sp, p=2, N=4)
     sp.add_argument("--sigma", type=float, default=0.0, help="noise scale")
     sp.add_argument("--seeds", type=_seeds, default="0",
@@ -388,25 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--general", action="store_true",
                     help="drop the Hermitian constraint on the unknowns")
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-    sp.set_defaults(func=cmd_master)
 
-    sp = add("saddle", help="saddle-point eigenvalue solver")
+    sp = add("saddle", cmd_saddle, help="saddle-point eigenvalue solver")
     _add_model_args(sp, p=3, N=4)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-    sp.set_defaults(func=cmd_saddle)
 
     return ap
 
 
-def _glue_negative_s(argv: list) -> list:
-    """argv with ``--s V`` joined into ``--s=V`` where V starts with '-' and a
-    digit or '.': argparse reads a token like -1,0,3 as an unknown flag, not
-    as --s's value (it takes only -N and -N.N for negative numbers)."""
+def _glue_negative_values(argv: list) -> list:
+    """argv with ``--flag V`` joined into ``--flag=V`` where V starts with '-'
+    and a digit or '.': argparse reads a token like -1,0,3 or -1e1 as an
+    unknown flag, not as a value (it takes only -N and -N.N as numbers)."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--s" and re.match(r"-[0-9.]", tok):
-            out[-1] = f"--s={tok}"
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[0-9.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -414,7 +408,7 @@ def _glue_negative_s(argv: list) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(
-        _glue_negative_s(sys.argv[1:] if argv is None else argv))
+        _glue_negative_values(sys.argv[1:] if argv is None else argv))
     if args.precision < MIN_DPS:
         print(f"error: working precision must be >= {MIN_DPS} digits, "
               f"got {args.precision}", file=sys.stderr)

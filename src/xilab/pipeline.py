@@ -14,8 +14,8 @@ Row-specific reference data
   row's polynomial, root and calibration tables correspond to.
 * ramanujan: the row's published tables were generated with the riemann
   row's g, so the row names that row in ``RowSpec.g_from`` and borrows its g.
-* gen_airy_133: the row's reference integrand carries the coefficient list
-  in ``baker_akhiezer._GEN_AIRY_133`` (x^6 weight 3/4).
+* gen_airy_133: the row's reference integrand in ``baker_akhiezer`` has
+  s_5 = 9/2 (x^6 weight 3/4), where the row has s_5 = 3 (x^6/2).
 * eta_gamma: the row is compared with the riemann row's zeros.
 """
 

@@ -11,11 +11,13 @@ sum whose Taylor coefficients follow from a Stirling transform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import count
 
 import mpmath as mp
+import numpy as np
 from mpmath import mpf
 
 from .series import series_exp, series_log, series_mul
@@ -173,9 +175,35 @@ def taylor_u(spec: PotentialSpec, order: int) -> tuple:
         c = [mpf(0)] * (order + 1)
         if spec.p + 1 <= order:
             c[spec.p + 1] = mpf(1) / (spec.p + 1)
-        for i, sv in enumerate(spec.s):
-            n = i + 2
+        for n, sv in enumerate(spec.s, start=2):
             if n <= order:
                 c[n] = mpf(sv) / n
         return tuple(c)
     raise AssertionError(f"unhandled kind {spec.kind}")
+
+
+def poly_u(coeffs) -> tuple:
+    """U = sum c_n x^n, c ascending, as a vectorised float64 function, and whether U is even."""
+    cs = np.array([float(c) for c in coeffs], dtype=np.float64)
+    return functools.partial(np.polyval, cs[::-1]), all(abs(c) == 0 for c in cs[1::2])
+
+
+def _u_eta_gamma_f64(x):
+    # its transform 2^{-iz} Gamma(1/2-iz)/e is smooth and zero-free on the real axis
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return (x + np.log(2.0)) / 2 + np.exp(-(x + np.log(2.0))) + 1
+
+
+def float64_u(spec: PotentialSpec) -> tuple:
+    """``spec``'s U as the quadrature integrates it, a vectorised float64 function,
+    and whether U is even. The explicit kind's coefficients are ``taylor_u``'s at
+    a fixed 113 bits, rounded to float64; riemann and ramanujan have no closed form yet."""
+    if spec.kind == "cosh":
+        return np.cosh, True
+    if spec.kind == "eta_gamma":
+        return _u_eta_gamma_f64, False
+    if spec.kind == "explicit":
+        with mp.workprec(113):
+            return poly_u(taylor_u(spec, spec.p + 1))
+    raise ValueError(f"the {spec.kind} potential has no float64 closed form yet")

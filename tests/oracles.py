@@ -331,6 +331,15 @@ def scaled_ba_function(sp: ScaledPotential) -> BAFunction:
     return BAFunction.from_poly(cs, name=f"scaled(p={sp.p})")
 
 
+#: the generalized-Airy integrands' potentials as ascending float coefficient
+#: lists, written out by hand: a reference for the float64 view of their specs
+GEN_AIRY_COEFFS = {
+    "gen_airy": [0, 0, 0, 0, 0, 0, 0, 0, 1 / 8],
+    "gen_airy_m130": [0, 0, -1 / 2, 0, 3 / 4, 0, 0, 0, 1 / 8],
+    "gen_airy_133": [0, 0, 1 / 2, 0, 3 / 4, 0, 3 / 4, 0, 1 / 8],
+}
+
+
 def symmetric_grid_psi(f: BAFunction, zs) -> np.ndarray:
     """Re psi at each z from the full symmetric node set k h, k = -K..K, with
     weights h e^{-U}: the sum an even ``BAFunction`` folds onto k >= 0."""

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from oracles import (bisect_zero, coefficient, full_grid_minima, full_grid_zeros,
-                     scaled_ba_function, symmetric_grid_psi)
+from oracles import (GEN_AIRY_COEFFS, bisect_zero, coefficient, full_grid_minima,
+                     full_grid_zeros, scaled_ba_function, symmetric_grid_psi)
 from xilab import baker_akhiezer as ba
 from xilab.baker_akhiezer import (BISECT_TOL, BAFunction, QUADRATURE_INTEGRANDS,
-                                  TAIL_DECADES, Z_MAX, magnitude_minima, psi_zeros,
-                                  quadrature_zeros, reference_table, refine_zero)
+                                  TAIL_DECADES, Z_MAX, integrand, magnitude_minima,
+                                  psi_zeros, quadrature_zeros, reference_table,
+                                  refine_zero)
 from xilab.errors import XilabError
+from xilab.pipeline import ROWS
 
 EVEN_INTEGRANDS = ("bessel_k", "gen_airy", "gen_airy_m130", "gen_airy_133")
 
@@ -28,7 +30,7 @@ def mono8_f():
 
 @functools.lru_cache(maxsize=None)
 def _integrand(fid):
-    return QUADRATURE_INTEGRANDS[fid]()
+    return integrand(fid)()
 
 
 class TestPsi:
@@ -72,9 +74,8 @@ class TestPsi:
     def test_gen_airy_quad_oracle(self, fid):
         # psi(z) = 2 int_0^inf e^{-U} cos(zx) dx by mp.quad at 30 digits, at
         # 0, the first and third published zero, and 30; e^{-U(3)} < 1e-200
-        f = QUADRATURE_INTEGRANDS[fid]()
-        cs = {"gen_airy": ba._GEN_AIRY, "gen_airy_m130": ba._GEN_AIRY_M130,
-              "gen_airy_133": ba._GEN_AIRY_133}[fid]
+        f = integrand(fid)()
+        cs = GEN_AIRY_COEFFS[fid]
         zeros = reference_table(fid)
         scale = f.psi(0.0).real
         for z in (0.0, zeros[0], zeros[2], 30.0):
@@ -82,6 +83,29 @@ class TestPsi:
                 want = 2 * mp.quad(lambda x: mp.exp(-mp.polyval(cs[::-1], x))
                                    * mp.cos(z * x), mp.linspace(0, 3, 31))
             assert abs(f.psi(z).real - float(want)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("fid", EVEN_INTEGRANDS)
+    def test_spec_integrands_match_their_references(self, fid):
+        """An even integrand's spec gives the step, nodes and weights of a
+        BAFunction built from np.cosh or its hand-written coefficient list."""
+        want = (BAFunction.from_callable(np.cosh, name=fid) if fid == "bessel_k"
+                else BAFunction.from_poly(GEN_AIRY_COEFFS[fid], name=fid))
+        f = _integrand(fid)
+        assert (f.h, f.even) == (want.h, True)
+        assert f.xs.tobytes() == want.xs.tobytes()
+        assert f.env.tobytes() == want.env.tobytes()
+
+    @pytest.mark.parametrize("fid", ["bessel_k", "gen_airy", "gen_airy_m130", "eta_gamma"])
+    def test_row_integrand_is_the_row_potential(self, fid):
+        assert QUADRATURE_INTEGRANDS[fid] == ROWS[fid].potential
+
+    def test_gen_airy_133_integrand_differs_from_its_row_in_s5_alone(self):
+        """The published integrand weighs x^6 by 3/4 (s_5 = 9/2); the row's
+        s_5 = 3 gives x^6/2."""
+        spec, row = QUADRATURE_INTEGRANDS["gen_airy_133"], ROWS["gen_airy_133"].potential
+        assert (spec.kind, spec.p) == (row.kind, row.p)
+        assert [mpf(v) for v in spec.s[:4]] == [mpf(v) for v in row.s[:4]]
+        assert (mpf(spec.s[4]), mpf(row.s[4])) == (mpf(9) / 2, 3)
 
     def test_from_scaled_potential_wires_coefficients(self):
         from xilab.scaling import cosh_couplings
@@ -102,8 +126,8 @@ class TestPsi:
     def test_tail_invariant(self):
         # envelope at each cutoff is below 10^-TAIL_DECADES of its value at 0;
         # the nodes reach both cutoffs, an even U's folded onto x >= 0
-        for make in QUADRATURE_INTEGRANDS.values():
-            f = make()
+        for fid in QUADRATURE_INTEGRANDS:
+            f = integrand(fid)()
             u0 = f.u(np.array([0.0]))[0]
             for x in (f.x_min, f.x_max):
                 tail = np.exp(-f.u(np.array([x]))[0])
@@ -149,7 +173,7 @@ class TestPsi:
         runs = []
         for dps in (15, 60, 100):
             with mp.workdps(dps):
-                f = QUADRATURE_INTEGRANDS[fid]()
+                f = integrand(fid)()
                 runs.append((len(f.xs), f.env, quadrature_zeros(fid)))
         for n, env, zeros in runs[1:]:
             assert n == runs[0][0]
@@ -159,7 +183,7 @@ class TestPsi:
     def test_eta_gamma_corrected_direct_sum(self):
         # an independent fine trapezoid sum: h = 0.02 on [-8, 320], where
         # e^{-U} is below 1e-600 and 1e-69; exact to rounding for z <= 26
-        f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+        f = integrand("eta_gamma_corrected")()
         zs = np.arange(0.0, 26.0 + 1e-9, 0.02)
         x = np.arange(-8.0, 320.0, 0.02)
         w = 0.02 * np.exp(-ba._u_eta_gamma_corrected_f64(x))
@@ -330,25 +354,25 @@ class TestZeros:
         assert abs(z - 1.0) <= BISECT_TOL
 
     def test_no_dips_asked_none_returned(self):
-        f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+        f = integrand("eta_gamma_corrected")()
         assert magnitude_minima(f, 0) == []
-        assert psi_zeros(QUADRATURE_INTEGRANDS["bessel_k"](), 0) == ()
+        assert psi_zeros(integrand("bessel_k")(), 0) == ()
 
     def test_magnitude_minima_finds_dips(self):
         # even case: |psi| dips at the real zeros
-        f = QUADRATURE_INTEGRANDS["bessel_k"]()
+        f = integrand("bessel_k")()
         dips = magnitude_minima(f, 2)
         assert abs(dips[0] - 2.96255) < 5e-2
 
     def test_corrected_gamma_eta_dips_at_zeta_zeros(self):
-        f = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+        f = integrand("eta_gamma_corrected")()
         dips = magnitude_minima(f, 2)
         assert abs(dips[0] - 14.1347) < 5e-2
         assert abs(dips[1] - 21.022) < 5e-2
 
     def test_row_gamma_kernel_is_dip_free(self):
         # the catalogued row potential transforms to a zero-free Gamma kernel
-        f = QUADRATURE_INTEGRANDS["eta_gamma"]()
+        f = integrand("eta_gamma")()
         assert magnitude_minima(f, 1) == []
 
 

@@ -293,7 +293,7 @@ class TestZerosAndPsi:
                  "--zmin", "0", "--zmax", "80", "--step", step, "--out", str(path)],
                 capture_output=True, text=True, env=env, check=True)
             peaks[step] = int(done.stdout.split()[-1]) / 1024
-        f = ba.QUADRATURE_INTEGRANDS["bessel_k"]()
+        f = ba.integrand("bessel_k")()
         zs = np.arange(0.0, 80.0 + 0.0004 / 2, 0.0004)
         want = "".join(["# function=bessel_k\nz,re_psi,im_psi\n"]
                        + [f"{z:.12g},{v.real:.15e},{v.imag:.15e}\n"
@@ -320,14 +320,14 @@ class TestZerosAndPsi:
             code, out, err_text = run_cli(capsys, command, "--function", "nope")
             assert (code, out, err_text) == (2, "", want), command
 
-    def test_zeros_without_reference_exits_2_before_quadrature(self, capsys, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(cli.ba, "quadrature_zeros", no_scan)
+    def test_zeros_without_reference_scans_first(self, capsys):
+        """eta_gamma has an integrand and no reference table: zeros looks the
+        table up only to print it, so the scan runs, and the transform
+        2^{-iz} Gamma(1/2-iz)/e has no |psi| dips (the missing table exited 2
+        before any quadrature)."""
         code, out, err_text = run_cli(capsys, "zeros", "--function", "eta_gamma")
-        assert (code, out) == (2, "")
-        assert err_text.startswith("config error: no reference zeros for 'eta_gamma'")
+        assert (code, out, err_text) == (
+            3, "", "numerical failure: found 0 of 3 |psi| dips for eta_gamma\n")
 
     def test_corrected_eta_gamma_uses_the_riemann_table(self, capsys):
         """Its |psi| dips sit at the zeta zeros, so it has the riemann table."""
@@ -821,6 +821,24 @@ def test_s_may_start_with_a_negative_number(capsys, s):
                        "--N", "16", "--json")
 
     assert solve("--s", s) == solve("--s=" + s)
+
+
+@pytest.mark.parametrize("argv, flag, value, want", [
+    (("psi", "--function", "bessel_k", "--zmax", "0", "--step", "5"), "--zmin", "-1e1",
+     (0, "")),
+    (("psi", "--function", "bessel_k", "--zmin", "-20", "--step", "5"), "--zmax", "-1e1",
+     (0, "")),
+    (("master", "--N", "2"), "--g", "-1e1",
+     (2, "config error: --g must be positive, got -10.0\n")),
+    (("master", "--N", "2"), "--sigma", "-1e-3",
+     (2, "config error: sigma must be finite and >= 0, got -0.001\n"))])
+def test_any_value_may_start_with_a_negative_number(capsys, argv, flag, value, want):
+    """The --s rule holds for every value flag: argparse took -1e1 after
+    --zmin, --zmax, --g or --sigma for an unknown flag (exit 2, "expected one
+    argument"); main joins it to its flag, as --flag= does."""
+    got = run_cli(capsys, *argv, flag, value)
+    assert got == run_cli(capsys, *argv, f"{flag}={value}")
+    assert (got[0], got[2]) == want
 
 
 def test_negative_s_is_the_gen_airy_m130_model(capsys):

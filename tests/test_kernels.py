@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 
-from xilab.baker_akhiezer import QUADRATURE_INTEGRANDS
+from xilab.baker_akhiezer import integrand
 from xilab.kernels import FOURIER_CHUNK_TERMS, fourier_eval
 
 
@@ -19,7 +19,7 @@ def test_fourier_paths_agree():
     xs = np.sort(rng.uniform(-3, 3, 4000))
     env = np.exp(-(xs ** 4)) * rng.uniform(0.5, 1.5, xs.size)
     rows = FOURIER_CHUNK_TERMS // xs.size
-    eta = QUADRATURE_INTEGRANDS["eta_gamma_corrected"]()
+    eta = integrand("eta_gamma_corrected")()
     readme_grid = np.arange(0, 25 + 0.02 / 2, 0.02)  # as ``xilab psi`` forms it
     for nodes, weights, zs in ((xs, env, np.array([1.5])),
                                (xs, env, np.linspace(0, 20, 3 * rows + rows // 2)),

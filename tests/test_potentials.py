@@ -1,4 +1,5 @@
 import mpmath as mp
+import numpy as np
 import pytest
 from mpmath import mpf
 
@@ -6,9 +7,9 @@ from conftest import assert_rel
 from oracles import (differentiate, horner, phi_ramanujan, phi_riemann, u_eta_gamma,
                      u_eta_gamma_prime)
 from xilab.errors import XilabError
-from xilab.pipeline import build_model, expand_spec
+from xilab.pipeline import ROWS, build_model, expand_spec
 from xilab.potentials import (PotentialSpec, _phi_riemann_series,
-                              _u_ramanujan_series, taylor_u)
+                              _u_ramanujan_series, float64_u, taylor_u)
 
 
 class TestRiemannKernel:
@@ -231,3 +232,47 @@ class TestSpecConfig:
         _, scaled = expand_spec(PotentialSpec(kind="explicit", p=5, s=("0.1", "1e30")), 5)
         assert scaled.s == (mpf("0.1"), mpf("1e30"), 0) and scaled.lam == 1
         assert expand_spec(PotentialSpec(kind="explicit", p=2), 2)[1].s == ()
+
+
+#: a spec of every kind with a float64 view, and every report row's spec that has one
+VIEWED_SPECS = {"cosh": PotentialSpec("cosh"), "eta_gamma": PotentialSpec("eta_gamma"),
+                "explicit": PotentialSpec("explicit", p=5, s=("0.3", "-2", "0.7")),
+                **{f"row {r.id}": r.potential for r in ROWS.values()
+                   if isinstance(r.potential, PotentialSpec)
+                   and r.potential.kind not in ("riemann", "ramanujan")}}
+
+
+class TestFloat64View:
+    @pytest.mark.parametrize("spec", VIEWED_SPECS.values(), ids=VIEWED_SPECS.keys())
+    def test_matches_taylor_u_near_zero(self, spec):
+        """An explicit U is taylor_u's polynomial, bit for bit; cosh and
+        eta_gamma agree with their order-16 Taylor polynomial to 1e-14 for
+        |x| <= 0.1. Even exactly when taylor_u's odd coefficients vanish."""
+        u, even = float64_u(spec)
+        xs = np.linspace(-0.1, 0.1, 41)
+        if spec.kind == "explicit":
+            c = taylor_u(spec, spec.p + 1)
+            assert u(xs).tobytes() == np.polyval([float(v) for v in c[::-1]], xs).tobytes()
+        else:
+            c = taylor_u(spec, 16)
+            for x, got in zip(xs, u(xs)):
+                assert_rel(got, mp.polyval(c[::-1], mpf(x)), "1e-14", f"U({x})")
+        assert even == all(v == 0 for v in c[1::2])
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("explicit", p=7, s=("0.1", "0.3", "1/3", "1e-30", "0.7")),
+        PotentialSpec("cosh"), PotentialSpec("eta_gamma")], ids=lambda s: s.kind)
+    def test_same_bits_at_any_working_precision(self, spec):
+        # float(mpf("0.3") / 3) is 0.09999999999999999 at 15 digits, 0.1 at 60
+        xs = np.linspace(-3, 3, 61)
+        views = []
+        for dps in (15, 60):
+            with mp.workdps(dps):
+                u, even = float64_u(spec)
+                views.append((u(xs).tobytes(), even))
+        assert views[0] == views[1]
+
+    @pytest.mark.parametrize("kind", ["riemann", "ramanujan"])
+    def test_kernels_without_a_closed_form_raise(self, kind):
+        with pytest.raises(ValueError, match=f"the {kind} potential has no float64 closed form"):
+            float64_u(PotentialSpec(kind))
